@@ -151,8 +151,6 @@ def _read_maybe_weighted(path: str):
 
 def _cmd_gen(args) -> int:
     kind = args.kind.replace("-", "_")
-    if kind == "random_regular" and args.seed is None:
-        raise InputError("--seed is required for random-regular generation")
     conn = None
     if args.connection_set:
         conn = tuple(int(x) for x in args.connection_set.split(","))

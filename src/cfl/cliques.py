@@ -8,9 +8,11 @@ construction below is first-fit over that order and therefore deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError, ResourceError
 from .graphs import Graph, graph_difference, induced_subgraph, regularity
@@ -20,41 +22,83 @@ ENUMERATION_CAP = 10**8
 
 def _clique_stream(g: Graph, t: int):
     """Yield strictly-increasing t-tuples inducing complete subgraphs, lexicographically."""
-    adjsets = [set(a) for a in g.adj]
-
-    def extend(prefix: tuple, cand: list):
-        if len(prefix) == t:
-            yield prefix
-            return
-        need = t - len(prefix) - 1
-        for i, v in enumerate(cand):
-            rest = [u for u in cand[i + 1 :] if u in adjsets[v]]
-            if len(rest) >= need:
-                yield from extend(prefix + (v,), rest)
-
     if t == 1:
         for v in range(g.n):
             yield (v,)
         return
+    adjsets = [set(a) for a in g.adj]
     for u in range(g.n):
-        yield from extend((u,), [x for x in g.adj[u] if x > u])
+        yield from _extend(adjsets, t, (u,), [x for x in g.adj[u] if x > u])
+
+
+def _extend(adjsets: list, t: int, prefix: tuple, cand: list):
+    # Not a closure: a nested generator calling itself forms a reference cycle
+    # that keeps adjsets alive until the cyclic collector runs.
+    if len(prefix) == t:
+        yield prefix
+        return
+    need = t - len(prefix) - 1
+    for i, v in enumerate(cand):
+        rest = [u for u in cand[i + 1 :] if u in adjsets[v]]
+        if len(rest) >= need:
+            yield from _extend(adjsets, t, prefix + (v,), rest)
 
 
 @dataclass(frozen=True)
 class CliqueSet:
-    """All K_t copies of a host graph, with vertex and edge-pair inverted indexes."""
+    """All K_t copies of a host graph, with its vertex and pair incidence operators.
+
+    A_vert (n x N) and A_pair (m x N, rows in the host's edge order) are
+    built on first use and kept, so every LP and load computation over the
+    same clique set shares one copy: vertex loads of a clique weighting f
+    are A_vert @ f, pair loads A_pair @ f.
+    """
 
     t: int
     cliques: tuple  # strictly increasing t-tuples, lexicographic order
-    index: dict  # vertex -> tuple of clique ids
-    pair_index: dict  # (u,v) edge -> tuple of clique ids
+    n: int  # host vertex count
+    edges: tuple = field(repr=False)  # host edges, the row order of A_pair
 
     def __len__(self) -> int:
         return len(self.cliques)
 
+    def vector(self, f: dict) -> np.ndarray:
+        """Length-N weight vector of a clique id -> weight map, for the operators."""
+        x = np.zeros(len(self.cliques))
+        x[list(f)] = list(f.values())
+        return x
+
+    def _members(self) -> np.ndarray:
+        return np.asarray(self.cliques, dtype=np.int64).reshape(-1, self.t)
+
+    @cached_property
+    def A_vert(self) -> sparse.csc_matrix:
+        """Entry (v, j) is 1 iff vertex v lies in clique j."""
+        return _incidence(self._members().ravel(), self.t, (self.n, len(self.cliques)))
+
+    @cached_property
+    def A_pair(self) -> sparse.csc_matrix:
+        """Entry (e, j) is 1 iff both ends of edge e lie in clique j."""
+        mem, n = self._members(), self.n
+        pairs = [(a, b) for a in range(self.t) for b in range(a + 1, self.t)]
+        # u < v keyed as u*n + v sorts exactly like the lexicographic edge list
+        keys = np.stack([mem[:, a] * n + mem[:, b] for a, b in pairs], axis=1).ravel()
+        edge_keys = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
+        rows = np.searchsorted(edge_keys, keys)
+        return _incidence(rows, len(pairs), (len(self.edges), len(self.cliques)))
+
+
+def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
+    """0/1 matrix whose column j has its ones at rows[j*per : (j+1)*per].
+
+    Clique tuples are increasing, so each column's rows come out sorted.
+    """
+    indptr = np.arange(shape[1] + 1) * per
+    return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=shape)
+
 
 def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
-    """Exact, duplicate-free K_t enumeration with inverted indexes.
+    """Exact, duplicate-free K_t enumeration.
 
     Raises ResourceError carrying the partial count past ENUMERATION_CAP.
     """
@@ -67,19 +111,7 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
             raise ResourceError(
                 f"clique enumeration exceeded {ENUMERATION_CAP}", partial=len(cliques)
             )
-    index: dict = {v: [] for v in range(g.n)}
-    pair_index: dict = {}
-    for cid, tup in enumerate(cliques):
-        for i, u in enumerate(tup):
-            index[u].append(cid)
-            for v in tup[i + 1 :]:
-                pair_index.setdefault((u, v), []).append(cid)
-    return CliqueSet(
-        t=t,
-        cliques=tuple(cliques),
-        index={v: tuple(ids) for v, ids in index.items()},
-        pair_index={e: tuple(ids) for e, ids in pair_index.items()},
-    )
+    return CliqueSet(t=t, cliques=tuple(cliques), n=g.n, edges=g.edges)
 
 
 def count_cliques_window(g: Graph, gprime: Graph | None, U, i: int):

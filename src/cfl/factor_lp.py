@@ -7,11 +7,19 @@ clique.  Both share the optimum t*(G,w).  Solves go through HiGHS, which is
 deterministic for a fixed instance; whichever of the two forms has fewer
 variables is used when only the optimum value is needed.
 
-Factor extraction re-solves with vertex loads fixed to exactly 1 and, among
-the feasible factors, picks one minimizing max_T f(T).  The spread objective
-matters: a plain basic solution concentrates on few cliques, which both
-starves later extraction rounds of pair capacity and degrades the sampled
-hypergraph downstream.
+A fractional factor is a weighting whose vertex loads are all exactly 1.
+Certification picks, among the factors, one minimizing max_T f(T).  The
+spread objective matters: a plain basic solution concentrates on few
+cliques, which both starves later extraction rounds of pair capacity and
+degrades the sampled hypergraph downstream.  That min-max problem is
+linear-fractional; the Charnes-Cooper substitution y = f / max f,
+s = 1 / max f makes it one LP over the incidence operators of the clique set,
+with a row per vertex and per edge and none per clique:
+
+    max s  s.t.  A_vert y = s 1,  A_pair y <= s w,  0 <= y <= 1,  s >= 0.
+
+Its optimum s* is 1 / min max_T f(T) when a factor exists and 0 when none
+does, and the factor is f = y / s*.
 """
 
 from __future__ import annotations
@@ -76,28 +84,10 @@ class FactorCert:
 
 
 def _instance(wg: WeightedGraph, cliques: CliqueSet):
-    """Sparse constraint blocks: vertex-incidence, pair-incidence, capacities."""
-    n = wg.n
-    edges = wg.base.edges
-    eidx = {e: i for i, e in enumerate(edges)}
-    N = len(cliques.cliques)
-    vr, vc, pr, pc = [], [], [], []
-    for j, tup in enumerate(cliques.cliques):
-        for a, u in enumerate(tup):
-            vr.append(u)
-            vc.append(j)
-            for v in tup[a + 1 :]:
-                pr.append(eidx[(u, v)])
-                pc.append(j)
-    a_vert = sparse.csc_matrix((np.ones(len(vr)), (vr, vc)), shape=(n, N))
-    a_pair = sparse.csc_matrix((np.ones(len(pr)), (pr, pc)), shape=(len(edges), N))
-    caps = np.array([wg.w[e] for e in edges])
-    return a_vert, a_pair, caps, edges
-
-
-def _run_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method="highs"):
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method)
-    return res
+    """Vertex incidence, pair incidence and pair capacities w, in edge order."""
+    if cliques.n != wg.n or cliques.edges != wg.base.edges:
+        raise InputError("clique set was enumerated on a different graph")
+    return cliques.A_vert, cliques.A_pair, np.array([wg.w[e] for e in wg.base.edges])
 
 
 def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> PrimalSolution:
@@ -107,10 +97,10 @@ def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
     N = len(cliques.cliques)
     if N == 0:
         return PrimalSolution(f={}, objective=0.0)
-    a_vert, a_pair, caps, _ = _instance(wg, cliques)
+    a_vert, a_pair, caps = _instance(wg, cliques)
     A = sparse.vstack([a_vert, a_pair], format="csc")
     b = np.concatenate([np.ones(wg.n), caps])
-    res = _run_linprog(-np.ones(N), A, b, None, None, (0, None))
+    res = linprog(-np.ones(N), A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     if res.status != 0:
         raise NumericalError(f"primal solve failed: {res.message}")
     f = {j: float(x) for j, x in enumerate(res.x) if x > 0.0}
@@ -128,11 +118,11 @@ def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) 
         return DualSolution(
             g={v: 0.0 for v in range(n)}, h={e: 0.0 for e in edges}, objective=0.0
         )
-    a_vert, a_pair, caps, _ = _instance(wg, cliques)
+    a_vert, a_pair, caps = _instance(wg, cliques)
     # dual variables: g (n entries) then h (m entries); constraints transpose
     A = sparse.hstack([a_vert.T, a_pair.T], format="csc")
     c = np.concatenate([np.ones(n), caps])
-    res = _run_linprog(c, -A, -np.ones(N), None, None, (0, None))
+    res = linprog(c, A_ub=-A, b_ub=-np.ones(N), bounds=(0, None), method="highs")
     if res.status != 0:
         raise NumericalError(f"dual solve failed: {res.message}")
     g = {v: float(res.x[v]) for v in range(n)}
@@ -157,8 +147,13 @@ def t_star(
         val = solve_primal(wg, cliques, tol).objective
     else:
         val = solve_dual(wg, cliques, tol).objective
-    if val > wg.n / t + tol:
-        raise NumericalError(f"t_star {val} exceeds |V|/t = {wg.n / t}")
+    return _within_bound(val, wg.n, t, tol)
+
+
+def _within_bound(val: float, n: int, t: int, tol: float) -> float:
+    """val, once checked against the bound t* <= |V|/t that every matching obeys."""
+    if val > n / t + tol:
+        raise NumericalError(f"t_star {val} exceeds |V|/t = {n / t}")
     return val
 
 
@@ -181,13 +176,9 @@ def integral_matching_value(
             "use a greedy lower bound instead",
             partial=None,
         )
-    values = np.array(
-        [
-            min(wg.w[(tup[a], tup[b])] for a in range(t) for b in range(a + 1, t))
-            for tup in cliques.cliques
-        ]
-    )
-    a_vert, _, _, _ = _instance(wg, cliques)
+    a_vert, a_pair, caps = _instance(wg, cliques)
+    # each clique's value is the least capacity over its column of A_pair
+    values = np.minimum.reduceat(caps[a_pair.indices], a_pair.indptr[:-1])
     res = milp(
         c=-values,
         constraints=LinearConstraint(a_vert, -np.inf, np.ones(wg.n)),
@@ -200,92 +191,74 @@ def integral_matching_value(
     return float(-res.fun)
 
 
-def _vertex_loads(n: int, cliques: CliqueSet, fvec: np.ndarray) -> dict:
-    loads = np.zeros(n)
-    for j, tup in enumerate(cliques.cliques):
-        if fvec[j]:
-            for v in tup:
-                loads[v] += fvec[j]
-    return {v: float(loads[v]) for v in range(n)}
-
-
-def _fvec(cliques: CliqueSet, f: dict) -> np.ndarray:
-    x = np.zeros(len(cliques.cliques))
-    for j, val in f.items():
-        x[j] = val
-    return x
+def _vertex_loads(cliques: CliqueSet, fvec: np.ndarray) -> dict:
+    return dict(enumerate((cliques.A_vert @ fvec).tolist()))
 
 
 def has_fractional_factor(
     wg: WeightedGraph, t: int, tol: float = TOL_DEFAULT, cliques: CliqueSet | None = None
 ) -> FactorCert:
-    """Decide t_star >= |V|/t - tol and, if so, extract a witness factor.
+    """Decide whether a fractional K_t-factor exists and, if so, return one.
 
-    The witness comes from re-solving with vertex loads fixed to exactly 1
-    (feasibility, not perturbation), minimizing max_T f(T) to spread mass.
-    If that equality programme is numerically infeasible the verdict is
-    downgraded to has_factor=False with a note, keeping the invariant that
-    has_factor implies unit loads.
+    One homogenized LP (see the module docstring) gives both the verdict and
+    the witness f, whose vertex loads are 1 and whose max_T f(T) is least.
+    With a factor, t_star = sum f: a primal-feasible value, equal to |V|/t up
+    to rounding since every clique spreads its weight over t unit loads.
+    Without one, a single primal solve gives t_star and the per-vertex loads
+    of an optimal fractional matching; the note marks a t_star within tol of
+    |V|/t whose unit-load programme is infeasible all the same.
     """
+    if tol <= 0:
+        raise InputError("tol must be positive")
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
     n = wg.n
     if n == 0:
         return FactorCert(True, 0.0, 0.0, {}, f={})
-    ts = t_star(wg, t, tol, cliques)
-    slack = n / t - ts
-    if ts < n / t - tol:
-        sol = solve_primal(wg, cliques, tol) if len(cliques.cliques) else PrimalSolution({}, 0.0)
-        loads = _vertex_loads(n, cliques, _fvec(cliques, sol.f))
-        return FactorCert(False, ts, slack, loads, f=None)
-    fvec = _equality_resolve(wg, cliques)
-    if fvec is None:
-        sol = solve_primal(wg, cliques, tol)
-        loads = _vertex_loads(n, cliques, _fvec(cliques, sol.f))
-        return FactorCert(
-            False,
-            ts,
-            slack,
-            loads,
-            f=None,
-            note="t_star within tol of |V|/t but the unit-load programme is infeasible",
-        )
-    loads = _vertex_loads(n, cliques, fvec)
-    f = {cliques.cliques[j]: float(fvec[j]) for j in np.flatnonzero(fvec > 0)}
-    return FactorCert(True, ts, slack, loads, f=f)
+    fvec = _min_max_factor(wg, cliques)
+    if fvec is not None:
+        ts = _within_bound(float(fvec.sum()), n, t, tol)
+        f = {cliques.cliques[j]: float(fvec[j]) for j in np.flatnonzero(fvec > 0)}
+        return FactorCert(True, ts, n / t - ts, _vertex_loads(cliques, fvec), f=f)
+    sol = solve_primal(wg, cliques, tol)
+    ts = _within_bound(sol.objective, n, t, tol)
+    note = ""
+    if ts >= n / t - tol:
+        note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
+    loads = _vertex_loads(cliques, cliques.vector(sol.f))
+    return FactorCert(False, ts, n / t - ts, loads, f=None, note=note)
 
 
-def _equality_resolve(wg: WeightedGraph, cliques: CliqueSet) -> np.ndarray | None:
-    """min max_T f(T) s.t. vertex loads == 1, pair loads <= w, f >= 0.
+def _min_max_factor(wg: WeightedGraph, cliques: CliqueSet) -> np.ndarray | None:
+    """The factor minimizing max_T f(T), or None when no factor exists.
 
-    Interior point first (fast on the spread objective at scale), simplex as
-    fallback; returns None when infeasible either way.
+    Solves max s s.t. A_vert y = s 1, A_pair y <= s w, 0 <= y <= 1, s >= 0.
+    A factor has f(T) <= 1 for every T, because f(T) is part of a vertex load
+    that equals 1; so y = f, s = 1 is feasible and s* >= 1 whenever a factor
+    exists.  Any s > 0 makes y / s a factor, so without one s* = 0.  The
+    threshold 1/2 sits between the two cases, far from solver tolerance on
+    either side.  Interior point first (fast on this degenerate objective at
+    scale), simplex as fallback.
     """
     N = len(cliques.cliques)
     if N == 0:
-        return np.zeros(0) if wg.n == 0 else None
-    a_vert, a_pair, caps, _ = _instance(wg, cliques)
-    m = len(caps)
-    n = wg.n
-    # variables: f_0..f_{N-1}, z
-    A_eq = sparse.hstack([a_vert, sparse.csc_matrix((n, 1))], format="csc")
-    A_ub = sparse.vstack(
-        [
-            sparse.hstack([a_pair, sparse.csc_matrix((m, 1))]),
-            sparse.hstack([sparse.eye(N, format="csc"), -np.ones((N, 1))]),
-        ],
-        format="csc",
-    )
-    b_ub = np.concatenate([caps, np.zeros(N)])
+        return None
+    a_vert, a_pair, caps = _instance(wg, cliques)
+    n, m = a_vert.shape[0], len(caps)
+    # variables: y_0..y_{N-1}, s
+    A_eq = sparse.hstack([a_vert, sparse.csc_matrix(-np.ones((n, 1)))], format="csc")
+    A_ub = sparse.hstack([a_pair, sparse.csc_matrix(-caps[:, None])], format="csc")
     c = np.zeros(N + 1)
-    c[-1] = 1.0
+    c[-1] = -1.0
+    bounds = np.column_stack([np.zeros(N + 1), np.append(np.ones(N), np.inf)])
     for method in ("highs-ipm", "highs"):
-        res = _run_linprog(c, A_ub, b_ub, A_eq, np.ones(n), (0, None), method=method)
+        res = linprog(
+            c, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=np.zeros(n), bounds=bounds, method=method
+        )
         if res.status == 0:
-            return np.clip(res.x[:N], 0.0, None)
-        if res.status == 2:  # infeasible
-            return None
-    raise NumericalError(f"equality re-solve failed: {res.message}")
+            s = res.x[-1]
+            return np.clip(res.x[:N], 0.0, None) / s if s > 0.5 else None
+    raise NumericalError(f"factor solve failed: {res.message}")
 
 
 @dataclass(frozen=True)
@@ -358,20 +331,11 @@ def check_prop3(
     subset = tuple(int(x) for x in np.sort(rng.permutation(n)[:size]))
     sub_wg, verts = induced_weighted(wg, subset)
     sub_cliques = enumerate_cliques(sub_wg.base, t)
-    restricted_value = sum(dual.g[v] for v in subset) + sum(
-        dual.h[(verts[a], verts[b])] * sub_wg.w[(a, b)] for (a, b) in sub_wg.base.edges
-    )
-    feasible = True
-    for tup in sub_cliques.cliques:
-        orig = [verts[x] for x in tup]
-        cover = sum(dual.g[v] for v in orig) + sum(
-            dual.h[(orig[a], orig[b])]
-            for a in range(t)
-            for b in range(a + 1, t)
-        )
-        if cover < 1 - tol:
-            feasible = False
-            break
+    g_sub = np.array([dual.g[v] for v in verts])
+    h_sub = np.array([dual.h[(verts[a], verts[b])] for (a, b) in sub_wg.base.edges])
+    a_vert, a_pair, caps = _instance(sub_wg, sub_cliques)
+    restricted_value = g_sub.sum() + h_sub @ caps
+    feasible = bool(np.all(a_vert.T @ g_sub + a_pair.T @ h_sub >= 1 - tol))
     induced_ts = t_star(sub_wg, t, tol, sub_cliques)
     iii_pass = feasible and restricted_value >= induced_ts - tol
 
@@ -441,36 +405,13 @@ def complementary_slackness(
             "solutions are not certified optimal"
         )
     thr = 10 * tol
-    fvec = _fvec(cliques, p.f)
-    n = wg.n
-    vloads = np.zeros(n)
-    eloads = {e: 0.0 for e in wg.base.edges}
-    for j, tup in enumerate(cliques.cliques):
-        if fvec[j]:
-            for a, u in enumerate(tup):
-                vloads[u] += fvec[j]
-                for v in tup[a + 1 :]:
-                    eloads[(u, v)] += fvec[j]
-    worst_v, n_v = 0.0, 0
-    for v in range(n):
-        if d.g[v] > thr:
-            n_v += 1
-            worst_v = max(worst_v, abs(vloads[v] - 1.0))
-    worst_e, n_e = 0.0, 0
-    for e in wg.base.edges:
-        if d.h[e] > thr:
-            n_e += 1
-            worst_e = max(worst_e, abs(eloads[e] - wg.w[e]))
-    worst_t, n_t = 0.0, 0
-    for j, tup in enumerate(cliques.cliques):
-        if fvec[j] > thr:
-            n_t += 1
-            cover = sum(d.g[u] for u in tup) + sum(
-                d.h[(tup[a], tup[b])]
-                for a in range(len(tup))
-                for b in range(a + 1, len(tup))
-            )
-            worst_t = max(worst_t, abs(cover - 1.0))
+    a_vert, a_pair, caps = _instance(wg, cliques)
+    fvec = cliques.vector(p.f)
+    g = np.array([d.g[v] for v in range(wg.n)])
+    h = np.array([d.h[e] for e in wg.base.edges])
+    worst_v, n_v = _worst(g > thr, a_vert @ fvec - 1.0)
+    worst_e, n_e = _worst(h > thr, a_pair @ fvec - caps)
+    worst_t, n_t = _worst(fvec > thr, a_vert.T @ g + a_pair.T @ h - 1.0)
     ok = worst_v <= thr and worst_e <= thr and worst_t <= thr
     return SlacknessReport(
         worst_vertex_slack=float(worst_v),
@@ -481,6 +422,11 @@ def complementary_slackness(
         checked_cliques=n_t,
         all_pass=bool(ok),
     )
+
+
+def _worst(mask: np.ndarray, deviation: np.ndarray) -> tuple:
+    """Largest |deviation| where mask holds, and how many entries it holds at."""
+    return float(np.max(np.abs(deviation[mask]), initial=0.0)), int(np.count_nonzero(mask))
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,29 @@ class GenSpec:
     seed: int = 0
 
 
+# The GenSpec fields each kind reads; a caller may leave them None when unset.
+REQUIRED = {
+    "complete": ("n",),
+    "paley": ("q",),
+    "circulant": ("n", "connection_set"),
+    "random_regular": ("n", "d", "seed"),
+}
+
+
 def build(spec: GenSpec) -> Graph:
+    """Dispatch on spec.kind; a field the kind needs but spec leaves None is an InputError."""
+    if spec.kind not in REQUIRED:
+        raise InputError(f"unknown generator kind {spec.kind!r}")
+    missing = [name for name in REQUIRED[spec.kind] if getattr(spec, name) is None]
+    if missing:
+        raise InputError(f"{spec.kind} generation requires {', '.join(missing)}")
     if spec.kind == "complete":
         return gen_complete(spec.n)
     if spec.kind == "paley":
         return gen_paley(spec.q)
     if spec.kind == "circulant":
         return gen_circulant(spec.n, spec.connection_set)
-    if spec.kind == "random_regular":
-        return gen_random_regular(spec.n, spec.d, spec.seed)
-    raise InputError(f"unknown generator kind {spec.kind!r}")
+    return gen_random_regular(spec.n, spec.d, spec.seed)
 
 
 def gen_complete(n: int) -> Graph:

@@ -27,6 +27,7 @@ from .cliques import CliqueSet, enumerate_cliques
 from .errors import InputError, InvariantError, NumericalError, ResourceError
 from .factor_lp import TOL_DEFAULT, FactorCert, has_fractional_factor
 from .graphs import (
+    WEIGHT_SLACK,
     Graph,
     WeightedGraph,
     from_edge_list,
@@ -104,48 +105,43 @@ def dense_extract(
     if cliques is None:
         cliques = enumerate_cliques(g, t)
     cid = {tup: j for j, tup in enumerate(cliques.cliques)}
-    w = {e: 1.0 for e in g.edges}
-    load = {e: 0.0 for e in g.edges}
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    w = np.ones(g.m)
+    load = np.zeros(g.m)
     factors = []
     iterations = []
     note = ""
     for i in range(ell):
-        rich = sum(1 for x in w.values() if x >= 1 - alpha - 1e-12)
-        cert = has_fractional_factor(WeightedGraph(g, dict(w)), t, tol, cliques)
+        rich = int(np.count_nonzero(w >= 1 - alpha - WEIGHT_SLACK))
+        wg = WeightedGraph(g, dict(zip(g.edges, w.tolist())))
+        cert = has_fractional_factor(wg, t, tol, cliques)
         if not cert.has_factor:
             note = f"no fractional factor at iteration {i}; t_star = {cert.t_star:.9g}"
             iterations.append(
                 {"iteration": i, "t_star": cert.t_star, "rich_edges": rich, "extracted": False}
             )
             break
-        dec = {e: 0.0 for e in g.edges}
-        for tup, val in cert.f.items():
-            for a in range(t):
-                for b in range(a + 1, t):
-                    dec[(tup[a], tup[b])] += val
-        drop = np.zeros(g.n)
-        for (u, v), x in dec.items():
-            drop[u] += x
-            drop[v] += x
+        factor = {cid[tup]: val for tup, val in sorted(cert.f.items())}
+        dec = cliques.A_pair @ cliques.vector(factor)
+        # an edge's decrement lowers the weighted degree of both of its ends
+        drop = np.bincount(ends.ravel(), weights=np.repeat(dec, 2), minlength=g.n)
         residual = float(np.max(np.abs(drop - (t - 1)))) if g.n else 0.0
         if residual > 10 * tol:
             raise InvariantError(
                 f"iteration {i}: weighted degree drop deviates from t-1 by {residual:.3e}"
             )
-        clamped = 0
-        min_pre = 0.0
-        for e in g.edges:
-            nw = w[e] - dec[e]
-            min_pre = min(min_pre, nw)
-            if nw < -10 * tol:
-                raise InvariantError(
-                    f"iteration {i}: weight of edge {e} driven to {nw:.3e} < -10 tol"
-                )
-            if nw < -tol:
-                clamped += 1
-            w[e] = min(1.0, max(0.0, nw))
-            load[e] += dec[e]
-        factors.append({cid[tup]: val for tup, val in sorted(cert.f.items())})
+        nw = w - dec
+        bad = np.flatnonzero(nw < -10 * tol)
+        if bad.size:
+            raise InvariantError(
+                f"iteration {i}: weight of edge {g.edges[bad[0]]} driven to "
+                f"{nw[bad[0]]:.3e} < -10 tol"
+            )
+        clamped = int(np.count_nonzero(nw < -tol))
+        min_pre = float(np.min(nw, initial=0.0))
+        w = np.clip(nw, 0.0, 1.0)
+        load += dec
+        factors.append(factor)
         iterations.append(
             {
                 "iteration": i,
@@ -164,10 +160,14 @@ def dense_extract(
         "alpha": alpha,
         "iterations": iterations,
         "note": note,
-        "max_per_edge_load": max(load.values(), default=0.0),
+        "max_per_edge_load": float(np.max(load, initial=0.0)),
     }
     return FactorBundle(
-        factors=tuple(factors), ell=len(factors), mode="dense", per_edge_load=load, audits=audits
+        factors=tuple(factors),
+        ell=len(factors),
+        mode="dense",
+        per_edge_load=dict(zip(g.edges, load.tolist())),
+        audits=audits,
     )
 
 
@@ -216,27 +216,30 @@ def sparse_extract(
     else:
         certs = [solve(part) for part in parts]
 
-    load = {e: 0.0 for e in g.edges}
+    total = np.zeros(len(cliques))
     factors = []
     failed = []
     for i, cert in enumerate(certs):
         if not cert.has_factor:
             failed.append(i)
             continue
-        factors.append({cid[tup]: val for tup, val in sorted(cert.f.items())})
-        for tup, val in cert.f.items():
-            for a in range(t):
-                for b in range(a + 1, t):
-                    load[(tup[a], tup[b])] += val
+        factor = {cid[tup]: val for tup, val in sorted(cert.f.items())}
+        factors.append(factor)
+        total += cliques.vector(factor)
+    load = cliques.A_pair @ total
     audits = {
         "requested": ell,
         "achieved": len(factors),
         "failed_parts": failed,
         "split_sizes": [p.m for p in parts],
-        "max_per_edge_load": max(load.values(), default=0.0),
+        "max_per_edge_load": float(np.max(load, initial=0.0)),
     }
     return FactorBundle(
-        factors=tuple(factors), ell=len(factors), mode="sparse", per_edge_load=load, audits=audits
+        factors=tuple(factors),
+        ell=len(factors),
+        mode="sparse",
+        per_edge_load=dict(zip(g.edges, load.tolist())),
+        audits=audits,
     )
 
 
@@ -269,6 +272,7 @@ def build_Hf(
     bundle: FactorBundle,
     seed: int,
     cliques: CliqueSet | None = None,
+    tol: float = TOL_DEFAULT,
 ) -> RandomHypergraph:
     """Include each clique T independently with probability min(f(T), 1).
 
@@ -284,7 +288,7 @@ def build_Hf(
         for j, val in fac.items():
             f_total[j] = f_total.get(j, 0.0) + val
     for j, val in f_total.items():
-        if val > 1 + 10 * TOL_DEFAULT:
+        if val > 1 + 10 * tol:
             raise InvariantError(
                 f"aggregate f({cliques.cliques[j]}) = {val:.9g} exceeds 1 + 10 tol"
             )
@@ -605,7 +609,7 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
         else:
             bundle = sparse_extract(g, t, ell, s_split, config.tol, cliques)
     with _stage("hf"):
-        hf = build_Hf(g, t, bundle, s_hf, cliques)
+        hf = build_Hf(g, t, bundle, s_hf, cliques, config.tol)
         conc = concentration_audit(hf, bundle.ell, g.n)
     with _stage("matching"):
         pre = nibble_matching(hf, config.matcher, config.epsilon, s_match)

@@ -2,7 +2,11 @@
 
 Everything here takes the obviously-correct route: exhaustive search with
 memoization, all-tuples enumeration, and a dense tableau simplex, sharing no
-solver code with the scipy/HiGHS paths under test.
+solver code with the scipy/HiGHS paths under test.  The one exception is
+min_max_factor_value, which keeps the direct min-max formulation of the
+factor certificate as a reference for the homogenized LP the library
+solves: it checks the formulation, so it builds its own dense constraint
+matrix and runs HiGHS's simplex on it.
 """
 
 from __future__ import annotations
@@ -10,8 +14,46 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
+from scipy.optimize import linprog
+
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
 from cfl.graphs import Graph, WeightedGraph
+
+
+def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
+    """min z s.t. vertex loads == 1, pair loads <= w, 0 <= f(T) <= z.
+
+    The least max_T f(T) over fractional K_t-factors, or None when no factor
+    exists.  One row per clique bounds it by z, on top of the vertex and
+    pair rows.
+    """
+    cliques = brute_force_cliques(wg.base, t)
+    edges = wg.base.edges
+    N, n, m = len(cliques), wg.n, len(edges)
+    a_vert = np.zeros((n, N + 1))
+    a_pair = np.zeros((m, N + 1))
+    for j, tup in enumerate(cliques):
+        for u in tup:
+            a_vert[u, j] = 1.0
+        for u, v in itertools.combinations(tup, 2):
+            a_pair[edges.index((u, v)), j] = 1.0
+    cap = np.hstack([np.eye(N), -np.ones((N, 1))])
+    c = np.zeros(N + 1)
+    c[-1] = 1.0
+    res = linprog(
+        c,
+        A_ub=np.vstack([a_pair, cap]),
+        b_ub=np.concatenate([[wg.w[e] for e in edges], np.zeros(N)]),
+        A_eq=a_vert,
+        b_eq=np.ones(n),
+        bounds=(0, None),
+        method="highs-ds",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def exhaustive_integral_matching(wg: WeightedGraph, t: int) -> float:
@@ -38,6 +80,29 @@ def exhaustive_integral_matching(wg: WeightedGraph, t: int) -> float:
         return top
 
     return best((1 << wg.n) - 1)
+
+
+def slackness_by_loops(f: dict, g: dict, h: dict, wg: WeightedGraph, cliques, thr: float):
+    """(worst, count) per slackness family, summed clique by clique.
+
+    Vertex loads against 1 where g > thr, pair loads against w where h > thr,
+    dual covers against 1 where f > thr; f maps clique ids to weights.
+    """
+    vload = {v: 0.0 for v in range(wg.n)}
+    pload = {e: 0.0 for e in wg.base.edges}
+    for j, val in f.items():
+        for u in cliques[j]:
+            vload[u] += val
+        for e in itertools.combinations(cliques[j], 2):
+            pload[e] += val
+    vert = [abs(vload[v] - 1.0) for v in range(wg.n) if g[v] > thr]
+    pair = [abs(pload[e] - wg.w[e]) for e in wg.base.edges if h[e] > thr]
+    cover = [
+        abs(sum(g[u] for u in tup) + sum(h[e] for e in itertools.combinations(tup, 2)) - 1.0)
+        for j, tup in enumerate(cliques)
+        if f.get(j, 0.0) > thr
+    ]
+    return [(max(xs, default=0.0), len(xs)) for xs in (vert, pair, cover)]
 
 
 def count_ordered_pairs_brute(g: Graph, A, B) -> int:

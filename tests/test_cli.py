@@ -115,6 +115,18 @@ class TestGenCommand:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kind", "circulant", "--n", "10"], ["--kind", "complete"]],
+        ids=["circulant_without_connection_set", "complete_without_n"],
+    )
+    def test_missing_generator_parameter_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.txt"
+        assert main(["gen", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "requires" in err
+        assert not out.exists()
+
     def test_random_regular_with_seed(self, tmp_path):
         out = tmp_path / "r.txt"
         code = main(

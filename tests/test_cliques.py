@@ -1,7 +1,9 @@
 """Clique enumeration, density windows, and local family / span audits."""
 
+import gc
 import math
 
+import numpy as np
 import pytest
 
 import cfl.cliques as cliques_mod
@@ -54,24 +56,45 @@ class TestEnumeration:
         cs = enumerate_cliques(k6, 2)
         assert set(cs.cliques) == set(k6.edges)
 
-    def test_vertex_index_inverts_membership(self, k6):
-        cs = enumerate_cliques(k6, 3)
-        for v in range(k6.n):
-            assert set(cs.index[v]) == {
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_vertex_operator_inverts_membership(self, rr_20_6, t):
+        cs = enumerate_cliques(rr_20_6, t)
+        A = cs.A_vert.toarray()
+        assert A.shape == (rr_20_6.n, len(cs))
+        for v in range(rr_20_6.n):
+            assert set(np.flatnonzero(A[v])) == {
                 cid for cid, tup in enumerate(cs.cliques) if v in tup
             }
+        assert set(np.unique(A)) <= {0.0, 1.0}
 
-    def test_pair_index_inverts_membership(self, k6):
-        cs = enumerate_cliques(k6, 3)
-        for (u, v), ids in cs.pair_index.items():
-            assert u < v
-            for cid in ids:
-                assert u in cs.cliques[cid] and v in cs.cliques[cid]
-        # every within-clique pair is indexed
-        for cid, tup in enumerate(cs.cliques):
-            for i, u in enumerate(tup):
-                for v in tup[i + 1 :]:
-                    assert cid in cs.pair_index[(u, v)]
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_pair_operator_inverts_membership(self, rr_20_6, t):
+        cs = enumerate_cliques(rr_20_6, t)
+        A = cs.A_pair.toarray()
+        assert A.shape == (rr_20_6.m, len(cs))
+        for row, (u, v) in enumerate(rr_20_6.edges):
+            assert set(np.flatnonzero(A[row])) == {
+                cid for cid, tup in enumerate(cs.cliques) if u in tup and v in tup
+            }
+        assert set(np.unique(A)) <= {0.0, 1.0}
+
+    def test_operators_of_an_empty_clique_set(self, petersen):
+        cs = enumerate_cliques(petersen, 3)
+        assert cs.A_vert.shape == (10, 0)
+        assert cs.A_pair.shape == (15, 0)
+        assert (cs.A_vert @ cs.vector({})).tolist() == [0.0] * 10
+
+    def test_enumeration_leaves_no_cyclic_garbage(self, rr_20_6):
+        # garbage in a reference cycle (the adjacency sets) outlives the call
+        # until the cyclic collector runs, which inflates peak memory
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_cliques(rr_20_6, 3)
+            span_clique_audit(rr_20_6, 3, 10, trials=2, seed=0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_t_below_two_rejected(self, k6):
         with pytest.raises(InputError):

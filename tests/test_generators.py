@@ -128,6 +128,20 @@ class TestBuild:
         assert build(GenSpec(kind="circulant", n=6, connection_set=(1,))).m == 6
         assert regularity(build(GenSpec(kind="random_regular", n=10, d=4, seed=1))).d == 4
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(kind="complete", n=None),
+            GenSpec(kind="paley", q=None),
+            GenSpec(kind="circulant", n=10, connection_set=None),
+            GenSpec(kind="random_regular", n=10, d=4, seed=None),
+        ],
+        ids=["complete", "paley", "circulant", "random_regular"],
+    )
+    def test_missing_field_rejected(self, spec):
+        with pytest.raises(InputError, match="requires"):
+            build(spec)
+
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             build(GenSpec(kind="hypercube", n=8))

@@ -1,7 +1,10 @@
 """Fractional clique-matching LP: primal/dual, factor certificates, audits."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import cfl.factor_lp as factor_lp_mod
 from cfl import (
@@ -13,6 +16,7 @@ from cfl import (
     corollary_ff_driver,
     enumerate_cliques,
     gen_complete,
+    gen_paley,
     has_fractional_factor,
     integral_matching_value,
     solve_dual,
@@ -21,7 +25,12 @@ from cfl import (
     uniform_weights,
 )
 from cfl.factor_lp import DualSolution
-from oracles import exhaustive_integral_matching, oracle_t_star
+from oracles import (
+    exhaustive_integral_matching,
+    min_max_factor_value,
+    oracle_t_star,
+    slackness_by_loops,
+)
 
 
 def _weighted_complete(n, seed, low=0.2, high=1.0):
@@ -144,6 +153,49 @@ class TestFactorCertificate:
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(ts, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_negative_path_reports_the_oracle_t_star(self, seed):
+        wg = _weighted_complete(6 + seed % 2, 400 + seed, low=0.05, high=0.3)
+        cert = has_fractional_factor(wg, 3)
+        assert cert.has_factor is False
+        assert cert.t_star == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
+        assert cert.slack == pytest.approx(wg.n / 3 - cert.t_star, abs=1e-12)
+        assert cert.note == ""
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            lambda: uniform_weights(gen_complete(6)),
+            lambda: uniform_weights(gen_paley(13)),
+            lambda: _weighted_complete(9, 500, low=0.3),
+        ],
+        ids=["k6", "paley13", "weighted_k9"],
+    )
+    def test_witness_reaches_the_min_max_optimum(self, instance):
+        wg = instance()
+        cert = has_fractional_factor(wg, 3)
+        assert cert.has_factor is True
+        assert max(cert.f.values()) == pytest.approx(min_max_factor_value(wg, 3), abs=1e-7)
+        assert sum(cert.f.values()) == pytest.approx(cert.t_star, abs=1e-12)
+        for load in cert.per_vertex_load.values():
+            assert load == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "wg,solves",
+        [(uniform_weights(gen_complete(6)), 1), (uniform_weights(gen_complete(4), 0.2), 2)],
+        ids=["factor", "no_factor"],
+    )
+    def test_solves_per_certificate(self, wg, solves, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        has_fractional_factor(wg, 3)
+        assert len(calls) == solves
+
     def test_to_dict_keys_and_filtering(self, k6_unit):
         d = has_fractional_factor(k6_unit, 3).to_dict()
         assert set(d) == {"has_factor", "t_star", "slack", "per_vertex_load", "f", "note"}
@@ -214,6 +266,18 @@ class TestDualityChecks:
         assert sizes == sorted(sizes, reverse=True)
         assert all(0 <= s <= 13 for s in sizes)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_restricted_dual_value_matches_a_loop(self, seed):
+        wg = _weighted_complete(7, 300 + seed)
+        rep = check_prop3(wg, 3, seed=seed)
+        d = solve_dual(wg, enumerate_cliques(wg.base, 3))
+        U = rep.iii_subset
+        value = sum(d.g[v] for v in U) + sum(
+            d.h[e] * wg.w[e] for e in itertools.combinations(U, 2)
+        )
+        assert len(U) >= 3
+        assert rep.iii_restricted_value == pytest.approx(value, abs=1e-12)
+
     def test_subset_is_sorted_and_in_range(self, k6_unit):
         rep = check_prop3(k6_unit, 3, seed=7)
         assert list(rep.iii_subset) == sorted(set(rep.iii_subset))
@@ -241,6 +305,24 @@ class TestComplementarySlackness:
         p = solve_primal(wg, cliques)
         d = solve_dual(wg, cliques)
         assert complementary_slackness(p, d, wg, cliques).all_pass is True
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_loop_reference(self, seed):
+        wg = _weighted_complete(7 + seed, 600 + seed)
+        cliques = enumerate_cliques(wg.base, 3)
+        p = solve_primal(wg, cliques)
+        d = solve_dual(wg, cliques)
+        rep = complementary_slackness(p, d, wg, cliques)
+        ref = slackness_by_loops(p.f, d.g, d.h, wg, cliques.cliques, 1e-6)
+        got = [
+            (rep.worst_vertex_slack, rep.checked_vertices),
+            (rep.worst_edge_slack, rep.checked_edges),
+            (rep.worst_clique_slack, rep.checked_cliques),
+        ]
+        for (worst, count), (ref_worst, ref_count) in zip(got, ref):
+            assert count == ref_count
+            assert worst == pytest.approx(ref_worst, abs=1e-12)
+        assert sum(count for _, count in ref) > 0
 
     def test_tampered_dual_rejected(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
