@@ -3,9 +3,10 @@
 Subcommands write canonical JSON (sorted keys, 12 significant digits, NaN
 forbidden) so identical runs produce byte-identical artifacts.  Exit codes:
 0 success, 1 audit failure (mixing violation, failed window/span audit,
-hypothesis failure in pipeline runs, failing suite criteria), 2 input error,
-3 resource or numerical error.  Every randomized operation takes its
-randomness from --seed alone; CFL_THREADS caps worker fan-out.
+hypothesis failure in pipeline runs, failing suite criteria), 2 input error
+(an unreadable input or unwritable output path included), 3 resource or
+numerical error.  Every randomized operation takes its randomness from
+--seed alone; CFL_THREADS caps worker fan-out.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _read_graph(args.infile)
-    method = {"dense": "dense_eig", "power": "power_iter", None: None}[args.method]
+    method = {"dense": "dense_eig", "lanczos": "lanczos", None: None}[args.method]
     cert = second_eigenvalue(g, tol=args.tol, method=method)
     _deliver(cert.to_dict(), args.out)
     return 0
@@ -230,7 +231,9 @@ def _cmd_lp(args) -> int:
     if args.prop3:
         if args.seed is None:
             raise InputError("--seed is required for the prop3 subset check")
-        report = check_prop3(wg, args.t, args.tol, args.seed)
+        report = check_prop3(
+            wg, args.t, args.tol, args.seed, cliques=cliques, primal=primal, dual=dual, cert=cert
+        )
         payload["prop3"] = report.to_dict()
         failed = failed or not report.all_pass
     if args.slackness:
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectrum", help="second eigenvalue certificate")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--method", choices=["dense", "power"])
+    s.add_argument("--method", choices=["dense", "lanczos"])
     s.add_argument("--tol", type=float, default=1e-8)
     add_common(s)
     s.set_defaults(func=_cmd_spectrum)
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     except InputError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceError, NumericalError, GenerationError, InvariantError) as exc:

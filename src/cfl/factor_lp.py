@@ -302,7 +302,14 @@ class Prop3Report:
 
 
 def check_prop3(
-    wg: WeightedGraph, t: int, tol: float = TOL_DEFAULT, seed: int = 0
+    wg: WeightedGraph,
+    t: int,
+    tol: float = TOL_DEFAULT,
+    seed: int = 0,
+    cliques: CliqueSet | None = None,
+    primal: PrimalSolution | None = None,
+    dual: DualSolution | None = None,
+    cert: FactorCert | None = None,
 ) -> Prop3Report:
     """Verify the four duality facts tying t*, t(G,w), |V|/t and the dual together.
 
@@ -312,19 +319,36 @@ def check_prop3(
     (iv) t* >= |V_1|/t for V_1 = {v : g(v) > 10 tol}, with |V_1| also
     reported for a sweep of thresholds since the positivity cliff is
     tolerance-dependent in floating point.
+
+    A caller that already holds the clique set, the primal and dual
+    solutions or the factor certificate of (wg, t, tol) passes them in;
+    whatever is missing is solved here.  t* is the objective t_star would
+    take: the primal's when it has no more variables than the dual.
     """
-    cliques = enumerate_cliques(wg.base, t)
+    if cliques is None:
+        cliques = enumerate_cliques(wg.base, t)
     n = wg.n
-    ts = t_star(wg, t, tol, cliques)
+    N = len(cliques.cliques)
+    if dual is None:
+        dual = solve_dual(wg, cliques, tol)
+    if N == 0:
+        ts = 0.0
+    elif N <= n + wg.base.m:
+        if primal is None:
+            primal = solve_primal(wg, cliques, tol)
+        ts = _within_bound(primal.objective, n, t, tol)
+    else:
+        ts = _within_bound(dual.objective, n, t, tol)
     integral = integral_matching_value(wg, t, cliques)
     i_pass = ts >= integral - tol
     ii_bound = n / t
     ii_pass = ts <= ii_bound + tol
     ii_equality_case = False
     if abs(ts - ii_bound) <= tol:
-        ii_equality_case = bool(has_fractional_factor(wg, t, tol, cliques).has_factor)
+        if cert is None:
+            cert = has_fractional_factor(wg, t, tol, cliques)
+        ii_equality_case = bool(cert.has_factor)
         ii_pass = ii_pass and ii_equality_case
-    dual = solve_dual(wg, cliques, tol)
 
     rng = np.random.default_rng(seed)
     size = int(rng.integers(0, n + 1)) if n else 0

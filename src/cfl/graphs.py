@@ -178,12 +178,6 @@ def induced_weighted(wg: WeightedGraph, U: Iterable[int]) -> tuple:
     return WeightedGraph(sub, w), verts
 
 
-def count_rich_edges_at(wg: WeightedGraph, v: int, alpha: float) -> int:
-    """Number of alpha-rich edges incident to v."""
-    thr = 1.0 - alpha - WEIGHT_SLACK
-    return sum(1 for u in wg.base.adj[v] if wg.w[edge_key(u, v)] >= thr)
-
-
 # ---------------------------------------------------------------------------
 # Text format: "n m" header, then one "u v" line per edge with 0 <= u < v < n.
 # Weighted variant appends the weight: "u v w".

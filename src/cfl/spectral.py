@@ -1,17 +1,23 @@
 """Second adjacency eigenvalue, expander-mixing audits, and hypothesis thresholds.
 
 lambda here always means max_{i>=2} |mu_i| for the adjacency spectrum
-mu_1 >= ... >= mu_n of a d-regular graph (mu_1 = d).  The dense symmetric
-eigendecomposition is the reference path; deflated power iteration is used
-only above DENSE_LIMIT vertices.
+mu_1 >= ... >= mu_n of a d-regular graph (mu_1 = d).  Every path works from
+one sparse CSR adjacency.  Up to DENSE_LIMIT vertices it is densified for the
+full symmetric eigendecomposition, the reference path; above it, implicitly
+restarted Lanczos (ARPACK, via eigsh) finds both ends of the spectrum of
+A - (d/n) J, and each end is certified by its residual against A.  The
+mixing audit counts edges between sampled subsets with the same matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, regularity
@@ -28,13 +34,15 @@ class SpectralCert:
 
     mu2 and mu_n witness both ends of the spectrum (ties in |.| are resolved
     by reporting the max, which is the only quantity any statement consumes).
-    lambda_equals_d flags disconnected or bipartite inputs; it is not an error.
+    On the lanczos path an end whose residual exceeds tol is None; residual
+    is that of the eigenpair attaining lambda.  lambda_equals_d flags
+    disconnected or bipartite inputs; it is not an error.
     """
 
     n: int
     d: int
     lam: float
-    method: str  # {dense_eig, power_iter}
+    method: str  # {dense_eig, lanczos}
     residual: float
     mu2: float | None
     mu_n: float | None
@@ -73,12 +81,12 @@ class MixingAuditReport:
         }
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+def adjacency_matrix(g: Graph) -> sparse.csr_matrix:
+    """The symmetric 0/1 adjacency matrix in CSR form, one entry per edge end."""
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
+    u, v = ends[0::2], ends[1::2]
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return sparse.csr_matrix((np.ones(2 * g.m), (rows, cols)), shape=(g.n, g.n))
 
 
 def _require_regular(g: Graph) -> int:
@@ -94,22 +102,22 @@ def _require_regular(g: Graph) -> int:
 def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) -> SpectralCert:
     """lambda = max_{i>=2} |mu_i|, with an eigenpair residual certificate.
 
-    method defaults to dense_eig for n <= DENSE_LIMIT, power_iter above.
+    method defaults to dense_eig for n <= DENSE_LIMIT, lanczos above.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
     d = _require_regular(g)
     if method is None:
-        method = "dense_eig" if g.n <= DENSE_LIMIT else "power_iter"
-    if method not in ("dense_eig", "power_iter"):
+        method = "dense_eig" if g.n <= DENSE_LIMIT else "lanczos"
+    if method not in ("dense_eig", "lanczos"):
         raise InputError(f"unknown method {method!r}")
     if g.n <= 1 or d == 0:
         return SpectralCert(g.n, d, 0.0, method, 0.0, 0.0, 0.0, d == 0 and g.n > 1, tol)
     a = adjacency_matrix(g)
     if method == "dense_eig":
-        lam, residual, mu2, mun = _dense_lambda(a, d)
+        lam, residual, mu2, mun = _dense_lambda(a.toarray(), d)
     else:
-        lam, residual, mu2, mun = _power_lambda(a, d, tol)
+        lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
     return SpectralCert(
         n=g.n,
         d=d,
@@ -139,52 +147,37 @@ def _dense_lambda(a: np.ndarray, d: int):
     return lam, residual, mu2, mun
 
 
-def _power_lambda(a: np.ndarray, d: int, tol: float, max_iters: int = 100000):
-    """Deflated power iteration on B = A - (d/n) J, squared to damp +/- ties."""
+def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
+    """Both ends of the spectrum of B = A - (d/n) J by implicitly restarted Lanczos.
+
+    B keeps mu_2..mu_n and sends the Perron vector to 0, so its two ends are
+    the candidates for lambda.  Each end theta is witnessed by its residual
+    ||A u - theta u|| against A itself: an end whose Ritz vector is the
+    Perron vector (theta ~ 0, as on K_n where every mu_i < 0 for i >= 2) has
+    residual ~d, is reported as None and takes no part in lambda.
+    """
     n = a.shape[0]
+    if n < 3:
+        raise InputError(f"the lanczos method needs at least 3 vertices, got {n}")
     ones = np.ones(n) / math.sqrt(n)
-
-    def bmat(x):
-        return a @ x - d * (ones @ x) * ones
-
+    b = LinearOperator((n, n), matvec=lambda x: a @ x - d * (ones @ x) * ones, dtype=float)
     rng = np.random.default_rng(0xC0FFEE)  # fixed internal seed: deterministic path
-    x = rng.standard_normal(n)
-    x -= (ones @ x) * ones
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        raise NumericalError("degenerate start vector in power iteration")
-    x /= nx
-    theta = 0.0
-    for _ in range(max_iters):
-        y = bmat(bmat(x))  # B^2 keeps mu_2 ~ -mu_n ties from oscillating
-        y -= (ones @ y) * ones
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            return 0.0, 0.0, 0.0, 0.0
-        x = y / ny
-        # Rayleigh-Ritz on span{x, Bx} splits the +/- pair
-        bx = bmat(x)
-        basis = [x]
-        r = bx - (x @ bx) * x
-        nr = np.linalg.norm(r)
-        if nr > 1e-12:
-            basis.append(r / nr)
-        s = np.column_stack(basis)
-        t = s.T @ np.column_stack([bmat(s[:, j]) for j in range(s.shape[1])])
-        t = (t + t.T) / 2
-        evals, evecs = np.linalg.eigh(t)
-        k = int(np.argmax(np.abs(evals)))
-        theta = float(evals[k])
-        u = s @ evecs[:, k]
-        u /= np.linalg.norm(u)
-        residual = float(np.linalg.norm(bmat(u) - theta * u))
-        if residual <= tol:
-            # only the dominant-in-|.| end is witnessed; the other is unknown
-            lam = abs(theta)
-            mu2 = theta if theta >= 0 else None
-            mun = theta if theta < 0 else None
-            return lam, residual, mu2, mun
-    raise NumericalError(f"power iteration did not reach residual {tol}")
+    v0 = rng.standard_normal(n)
+    v0 -= (ones @ v0) * ones
+    try:
+        vals, vecs = eigsh(b, k=2, which="BE", tol=0, v0=v0)  # ascending: low end, high end
+    except ArpackNoConvergence as exc:
+        raise NumericalError(f"Lanczos did not converge: {exc}") from exc
+    ends = []
+    for theta, u in zip(vals.tolist(), vecs.T):
+        residual = float(np.linalg.norm(a @ u - theta * u))
+        ends.append((theta, residual) if residual <= tol else None)
+    witnessed = [e for e in ends if e is not None]
+    if not witnessed:
+        raise NumericalError(f"no end of the spectrum has an A-residual within {tol}")
+    theta, residual = max(witnessed, key=lambda e: abs(e[0]))
+    mun, mu2 = (None if e is None else e[0] for e in ends)
+    return abs(theta), residual, mu2, mun
 
 
 def count_ordered_pairs(g: Graph, A, B) -> int:
@@ -227,7 +220,7 @@ def mixing_audit(g: Graph, cert: SpectralCert, num_samples: int, seed: int) -> M
         for i in range(k):
             ia[i, rng.permutation(n)[: sa[i]]] = 1.0
             ib[i, rng.permutation(n)[: sb[i]]] = 1.0
-        counts = np.einsum("ij,ij->i", ia @ a, ib)
+        counts = np.einsum("ij,ji->i", ia, a @ ib.T)
         excess = np.abs(counts - (d / n) * sa * sb) - lam * np.sqrt(sa * sb)
         j = int(np.argmax(excess))
         if excess[j] > worst:

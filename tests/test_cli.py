@@ -5,8 +5,12 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from cfl import InputError, gen_complete, parse_graph, second_eigenvalue, write_graph
+import cfl.factor_lp as factor_lp_mod
+import cfl.spectral as spectral_mod
+from cfl import InputError, check_prop3, gen_complete, parse_graph, second_eigenvalue, write_graph
 from cfl.cli import atomic_write, canonical_json, main, serialize_report
 
 
@@ -127,6 +131,14 @@ class TestGenCommand:
         assert err.startswith("error: ") and "requires" in err
         assert not out.exists()
 
+    def test_out_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["gen", "--kind", "complete", "--n", "6", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.rglob(".cfl-tmp-*")) == []
+
     def test_random_regular_with_seed(self, tmp_path):
         out = tmp_path / "r.txt"
         code = main(
@@ -145,10 +157,22 @@ class TestAnalysisCommands:
         assert payload["lambda"] == pytest.approx(1.0, abs=1e-8)
         assert payload["method"] == "dense_eig"
 
-    def test_spectrum_power_method(self, k6_file, capsys):
-        assert main(["spectrum", "--in", k6_file, "--method", "power"]) == 0
+    def test_spectrum_lanczos_method(self, k6_file, capsys):
+        assert main(["spectrum", "--in", k6_file, "--method", "lanczos"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["lambda"] == pytest.approx(1.0, abs=1e-6)
+        assert payload["lambda"] == pytest.approx(1.0, abs=1e-9)
+        assert payload["method"] == "lanczos"
+        assert main(["spectrum", "--in", k6_file, "--method", "power"]) == 2
+        capsys.readouterr()
+
+    def test_spectrum_without_convergence_exits_3(self, k6_file, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spectral_mod, "eigsh", stalled)
+        assert main(["spectrum", "--in", k6_file, "--method", "lanczos"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "converge" in err
 
     def test_spectrum_out_file_is_stable(self, k6_file, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -208,6 +232,22 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["prop3"]["all_pass"] is True
         assert payload["slackness"]["all_pass"] is True
+
+    def test_lp_prop3_reuses_the_commands_solves(self, k6_file, k6_unit, capsys, monkeypatch):
+        # primal, dual and factor LPs once each, plus t* of the induced subgraph
+        bare = canonical_json(check_prop3(k6_unit, 3, 1e-7, 5))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        code = main(["lp", "--in", k6_file, "--t", "3", "--prop3", "--seed", "5", "--slackness"])
+        assert code == 0
+        assert len(calls) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert canonical_json(payload["prop3"]) == bare
 
 
 class TestPipelineCommand:

@@ -8,7 +8,6 @@ from cfl.generators import gen_complete, gen_random_regular
 from cfl.graphs import (
     Graph,
     WeightedGraph,
-    count_rich_edges_at,
     edge_key,
     from_edge_list,
     graph_difference,
@@ -132,13 +131,6 @@ class TestRichSubgraph:
             rich_subgraph(k6_unit, -0.1)
         with pytest.raises(InputError):
             rich_subgraph(k6_unit, 1.5)
-
-    def test_count_rich_edges_at(self, k6):
-        w = {e: 1.0 for e in k6.edges}
-        w[(0, 1)] = 0.2
-        wg = WeightedGraph(k6, w)
-        assert count_rich_edges_at(wg, 0, 0.1) == 4
-        assert count_rich_edges_at(wg, 2, 0.1) == 5
 
 
 class TestDifferenceAndInduced:

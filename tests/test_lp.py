@@ -278,6 +278,26 @@ class TestDualityChecks:
         assert len(U) >= 3
         assert rep.iii_restricted_value == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "wg", [uniform_weights(gen_complete(6)), _weighted_complete(7, 300)],
+        ids=["primal_t_star_equality_case", "dual_t_star"],
+    )
+    def test_callers_solves_give_the_bare_report(self, wg, monkeypatch):
+        bare = check_prop3(wg, 3, seed=1)
+        cliques = enumerate_cliques(wg.base, 3)
+        primal, dual = solve_primal(wg, cliques), solve_dual(wg, cliques)
+        cert = has_fractional_factor(wg, 3, cliques=cliques)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        rep = check_prop3(wg, 3, seed=1, cliques=cliques, primal=primal, dual=dual, cert=cert)
+        assert rep == bare
+        assert len(calls) == 1  # t* of the induced subgraph only
+
     def test_subset_is_sorted_and_in_range(self, k6_unit):
         rep = check_prop3(k6_unit, 3, seed=7)
         assert list(rep.iii_subset) == sorted(set(rep.iii_subset))

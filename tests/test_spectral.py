@@ -1,13 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from cfl.errors import InputError
+import cfl.spectral as spectral_mod
+from cfl.errors import GenerationError, InputError, NumericalError
 from cfl.generators import gen_circulant, gen_complete, gen_paley, gen_random_regular
 from cfl.graphs import from_edge_list
 from cfl.spectral import (
     SpectralCert,
+    adjacency_matrix,
     beta_exponent,
     count_ordered_pairs,
     delta_exponent,
@@ -58,16 +64,86 @@ class TestSecondEigenvalue:
         lambda: gen_random_regular(24, 6, 9),
         lambda: gen_circulant(10, (1, 3)),
     ])
-    def test_power_matches_dense(self, maker):
+    def test_lanczos_matches_dense(self, maker):
         g = maker()
         dense = second_eigenvalue(g, method="dense_eig")
-        power = second_eigenvalue(g, method="power_iter", tol=1e-10)
-        assert power.lam == pytest.approx(dense.lam, abs=1e-7)
-        assert power.method == "power_iter"
+        cert = second_eigenvalue(g, method="lanczos", tol=1e-10)
+        assert cert.lam == pytest.approx(dense.lam, abs=1e-9)
+        assert cert.method == "lanczos"
+        assert cert.residual <= 1e-10
 
-    def test_power_iter_bipartite(self):
-        cert = second_eigenvalue(gen_circulant(12, (1,)), method="power_iter")
-        assert cert.lam == pytest.approx(2.0, abs=1e-7)
+    def test_lanczos_bipartite(self):
+        cert = second_eigenvalue(gen_circulant(12, (1,)), method="lanczos")
+        assert cert.lam == pytest.approx(2.0, abs=1e-9)
+        assert cert.mu_n == pytest.approx(-2.0, abs=1e-9)
+        assert cert.lambda_equals_d
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 40), d=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_lanczos_agrees_with_dense_on_random_regular(self, n, d, seed):
+        assume(d < n and n * d % 2 == 0)
+        try:
+            g = gen_random_regular(n, d, seed)
+        except GenerationError:
+            assume(False)
+        dense = second_eigenvalue(g, method="dense_eig")
+        cert = second_eigenvalue(g, method="lanczos")
+        assert abs(cert.lam - dense.lam) <= 1e-9
+        assert cert.residual <= cert.tol
+        assert cert.mu2 is not None or cert.mu_n is not None
+        if cert.mu2 is not None:
+            assert abs(cert.mu2 - dense.mu2) <= 1e-9
+        if cert.mu_n is not None:
+            assert abs(cert.mu_n - dense.mu_n) <= 1e-9
+
+    def test_lanczos_never_reports_the_perron_vector(self):
+        # every mu_i of K_12 below the top is -1; the high end of A - (d/n) J
+        # is the Perron vector's 0, which A itself does not witness
+        cert = second_eigenvalue(gen_complete(12), method="lanczos")
+        assert cert.mu2 is None or cert.mu2 == pytest.approx(-1.0, abs=1e-9)
+        assert cert.mu_n == pytest.approx(-1.0, abs=1e-9)
+        assert cert.lam == pytest.approx(1.0, abs=1e-9)
+
+    def test_lanczos_disconnected(self):
+        two_triangles = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        cert = second_eigenvalue(two_triangles, method="lanczos")
+        assert cert.lam == pytest.approx(2.0, abs=1e-9)
+        assert cert.mu2 == pytest.approx(2.0, abs=1e-9)
+        assert cert.lambda_equals_d
+
+    def test_near_tie_above_the_dense_limit(self):
+        # mu_2 = 8.65401 and mu_n = -8.65537 nearly tie on this instance
+        g = gen_random_regular(2100, 20, 1)
+        cert = second_eigenvalue(g)
+        assert cert.method == "lanczos"
+        assert abs(cert.lam - 8.655368056078542) <= 1e-9  # numpy eigvalsh
+        assert cert.residual <= 1e-12
+        assert cert.mu2 == pytest.approx(8.65401, abs=1e-5)
+        assert cert.mu_n == pytest.approx(-cert.lam, abs=1e-12)
+
+    def test_lanczos_needs_three_vertices(self):
+        with pytest.raises(InputError, match="3 vertices"):
+            second_eigenvalue(gen_complete(2), method="lanczos")
+
+    def test_no_convergence_is_a_numerical_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spectral_mod, "eigsh", stalled)
+        with pytest.raises(NumericalError, match="converge"):
+            second_eigenvalue(gen_paley(13), method="lanczos")
+
+    def test_unwitnessed_ends_are_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="A-residual"):
+            second_eigenvalue(gen_paley(13), method="lanczos", tol=1e-300)
+
+    @pytest.mark.parametrize("n,d,seed,lam", [
+        (90, 45, 31, 9.715920568206226),
+        (160, 80, 31, 12.556088824273703),
+    ])
+    def test_dense_lambda_is_frozen(self, n, d, seed, lam):
+        # the dense path's lambda for the benchmark instances, bit for bit
+        assert second_eigenvalue(gen_random_regular(n, d, seed)).lam == lam
 
     def test_residual_witness(self, paley13):
         cert = second_eigenvalue(paley13)
@@ -86,6 +162,21 @@ class TestSecondEigenvalue:
     def test_to_dict_uses_lambda_key(self, k6):
         d = second_eigenvalue(k6).to_dict()
         assert "lambda" in d and d["n"] == 6
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("g", [
+        from_edge_list(1, []),
+        from_edge_list(5, [(0, 3), (1, 2), (3, 4)]),
+        gen_random_regular(24, 6, 9),
+    ], ids=["single_vertex", "path_pieces", "rr_24_6"])
+    def test_csr_matches_a_loop(self, g):
+        ref = np.zeros((g.n, g.n))
+        for u, v in g.edges:
+            ref[u, v] = ref[v, u] = 1.0
+        a = adjacency_matrix(g)
+        assert a.format == "csr" and a.nnz == 2 * g.m
+        assert np.array_equal(a.toarray(), ref)
 
 
 class TestMixing:
@@ -128,6 +219,24 @@ class TestMixing:
         assert report.violated
         assert report.max_violation > 0
         assert 1 <= report.worst_a_size <= 20
+
+    @pytest.mark.parametrize("name,lam,expected", [
+        ("paley13", None, (-1.7643140992704587, False, 1, 1)),
+        ("paley13", 0.3, (2.6711624058622587, True, 6, 7)),
+        ("petersen", None, (-1.300000000000001, False, 1, 1)),
+        ("petersen", 0.3, (2.1272077938642138, True, 3, 6)),
+    ])
+    def test_reports_are_frozen(self, request, name, lam, expected):
+        # frozen values: the sampled subsets and the exact integer counts must
+        # reproduce them bit for bit
+        g = request.getfixturevalue(name)
+        cert = second_eigenvalue(g)
+        if lam is not None:
+            cert = dataclasses.replace(cert, lam=lam)
+        report = mixing_audit(g, cert, 2000, seed=11)
+        assert report.samples == 2000
+        got = (report.max_violation, report.violated, report.worst_a_size, report.worst_b_size)
+        assert got == expected
 
     def test_deterministic(self, paley13):
         cert = second_eigenvalue(paley13)
