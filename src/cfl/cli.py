@@ -5,8 +5,9 @@ forbidden) so identical runs produce byte-identical artifacts.  Exit codes:
 0 success, 1 audit failure (mixing violation, failed window/span audit,
 hypothesis failure in pipeline runs, failing suite criteria), 2 input error
 (an unreadable input or unwritable output path included), 3 resource or
-numerical error.  Every randomized operation takes its randomness from
---seed alone; CFL_THREADS caps worker fan-out.
+numerical error, and also any other exception, reported as one
+"error: internal:" line.  Every randomized operation takes its randomness
+from --seed alone; CFL_THREADS caps worker fan-out.
 """
 
 from __future__ import annotations
@@ -418,6 +419,10 @@ def main(argv=None) -> int:
         return 2
     except (ResourceError, NumericalError, GenerationError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a defect, not an audit verdict: keep exit 1 for audits
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
 

@@ -1,8 +1,11 @@
 """Error taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: InputError -> 2, ResourceError and
-NumericalError and GenerationError -> 3.  Audit failures are data, not
-exceptions, and exit with code 1 at the CLI layer.
+The CLI maps these onto exit codes: InputError (and any OSError) -> 2,
+ResourceError, NumericalError, GenerationError and InvariantError -> 3.
+Any other exception is a defect; the CLI reports it as one
+"error: internal: <Type>: <message>" line and exits 3 as well.  Audit
+failures are data, not exceptions, and exit with code 1 at the CLI layer,
+so code 1 always means the report was written.
 """
 
 

@@ -20,6 +20,14 @@ with a row per vertex and per edge and none per clique:
 
 Its optimum s* is 1 / min max_T f(T) when a factor exists and 0 when none
 does, and the factor is f = y / s*.
+
+The integral matching value t(G,w), which Prop 3 (i) bounds by t*, is an
+exact zero-gap MILP over binary x_T with the vertex rows A_vert x <= 1.  When
+t does not divide |V| it also carries the cardinality row
+sum_T x_T <= floor(|V|/t), valid because vertex-disjoint t-sets number at
+most floor(|V|/t): the vertex rows alone let the relaxation pack |V|/t
+cliques, and this one rounding (Chvatal-Gomory; Edmonds' odd-set
+inequality when t = 2) removes most of the gap branch-and-bound would close.
 """
 
 from __future__ import annotations
@@ -164,6 +172,15 @@ def integral_matching_value(
 
     Branch-and-bound (HiGHS MILP, zero gap) within the MATCHING_BUDGET clique
     budget; larger instances get a ResourceError suggesting a greedy bound.
+    Besides the vertex rows A_vert x <= 1 the MILP carries the cardinality
+    row sum_T x_T <= floor(n/t) when t does not divide n (see the module
+    docstring): it cuts off no vertex-disjoint family, only fractional
+    packings of up to n/t cliques.  When t divides n the row is the vertex
+    rows summed and divided by t, so it is left out.
+
+    The value returned is witnessed: the solver's x is rounded to a 0/1
+    family, checked vertex-disjoint, and its clique values summed; a rounded
+    family that overlaps raises NumericalError.
     """
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
@@ -179,16 +196,23 @@ def integral_matching_value(
     a_vert, a_pair, caps = _instance(wg, cliques)
     # each clique's value is the least capacity over its column of A_pair
     values = np.minimum.reduceat(caps[a_pair.indices], a_pair.indptr[:-1])
+    rows, upper = a_vert, np.ones(wg.n)
+    if wg.n % cliques.t:
+        rows = sparse.vstack([a_vert, np.ones((1, N))], format="csc")
+        upper = np.append(upper, wg.n // cliques.t)
     res = milp(
         c=-values,
-        constraints=LinearConstraint(a_vert, -np.inf, np.ones(wg.n)),
+        constraints=LinearConstraint(rows, -np.inf, upper),
         integrality=np.ones(N),
         bounds=Bounds(0, 1),
         options={"mip_rel_gap": 0.0},
     )
     if res.status != 0:
         raise NumericalError(f"exact matching solve failed: {res.message}")
-    return float(-res.fun)
+    x = np.rint(res.x)
+    if np.any(a_vert @ x > 1):
+        raise NumericalError("exact matching solve returned overlapping cliques")
+    return float(values @ x)
 
 
 def _vertex_loads(cliques: CliqueSet, fvec: np.ndarray) -> dict:

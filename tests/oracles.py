@@ -2,11 +2,12 @@
 
 Everything here takes the obviously-correct route: exhaustive search with
 memoization, all-tuples enumeration, and a dense tableau simplex, sharing no
-solver code with the scipy/HiGHS paths under test.  The one exception is
-min_max_factor_value, which keeps the direct min-max formulation of the
-factor certificate as a reference for the homogenized LP the library
-solves: it checks the formulation, so it builds its own dense constraint
-matrix and runs HiGHS's simplex on it.
+solver code with the scipy/HiGHS paths under test.  The two exceptions
+check a formulation rather than a solver, so each builds its own dense
+constraint matrix and runs HiGHS on it: min_max_factor_value keeps the
+direct min-max formulation of the factor certificate as a reference for the
+homogenized LP the library solves, and vertex_only_matching_value keeps the
+integral matching MILP without the library's cardinality row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
 from cfl.graphs import Graph, WeightedGraph
@@ -54,6 +55,29 @@ def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
         return None
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def vertex_only_matching_value(wg: WeightedGraph, t: int) -> float:
+    """max sum_T value(T) x_T s.t. vertex loads <= 1, x binary, zero gap.
+
+    The integral matching MILP with vertex rows only; value(T) is the least
+    edge weight inside T.
+    """
+    cliques = brute_force_cliques(wg.base, t)
+    a_vert = np.zeros((wg.n, len(cliques)))
+    values = np.zeros(len(cliques))
+    for j, tup in enumerate(cliques):
+        a_vert[list(tup), j] = 1.0
+        values[j] = min(wg.w[e] for e in itertools.combinations(tup, 2))
+    res = milp(
+        c=-values,
+        constraints=LinearConstraint(a_vert, -np.inf, np.ones(wg.n)),
+        integrality=np.ones(len(cliques)),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return float(-res.fun)
 
 
 def exhaustive_integral_matching(wg: WeightedGraph, t: int) -> float:

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import cfl.cli as cli_mod
 import cfl.factor_lp as factor_lp_mod
 import cfl.spectral as spectral_mod
 from cfl import InputError, check_prop3, gen_complete, parse_graph, second_eigenvalue, write_graph
@@ -314,6 +315,16 @@ class TestParserBehaviour:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "pipeline" in capsys.readouterr().out
+
+    def test_unexpected_exception_is_one_line_exit_3(self, k6_file, capsys, monkeypatch):
+        def broken(args):
+            raise TypeError("unsupported operand\n  on two lines")
+
+        monkeypatch.setattr(cli_mod, "_cmd_spectrum", broken)
+        assert main(["spectrum", "--in", k6_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: TypeError: unsupported operand on two lines\n"
 
 
 class TestSuiteCommand:

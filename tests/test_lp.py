@@ -4,19 +4,24 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog, milp
 
 import cfl.factor_lp as factor_lp_mod
 from cfl import (
     InputError,
+    NumericalError,
     ResourceError,
     WeightedGraph,
     check_prop3,
     complementary_slackness,
     corollary_ff_driver,
     enumerate_cliques,
+    from_edge_list,
     gen_complete,
     gen_paley,
+    gen_random_regular,
     has_fractional_factor,
     integral_matching_value,
     solve_dual,
@@ -30,6 +35,7 @@ from oracles import (
     min_max_factor_value,
     oracle_t_star,
     slackness_by_loops,
+    vertex_only_matching_value,
 )
 
 
@@ -236,6 +242,54 @@ class TestIntegralMatching:
         for seed in range(4):
             wg = _weighted_complete(7, 200 + seed)
             assert integral_matching_value(wg, 3) <= t_star(wg, 3) + 1e-7
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        t=st.sampled_from([3, 4]),
+        divisible=st.booleans(),
+        p=st.floats(0.5, 1.0),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_exhaustive_oracle_on_random_graphs(self, data, t, divisible, p, ties, seed):
+        n = data.draw(st.sampled_from([n for n in range(t, 12) if (n % t == 0) == divisible]))
+        rng = np.random.default_rng(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, pairs)
+        draw = (lambda: rng.choice([0.25, 0.5, 1.0])) if ties else rng.random
+        wg = WeightedGraph(g, {e: float(draw()) for e in g.edges})
+        got = integral_matching_value(wg, t)
+        assert got == pytest.approx(exhaustive_integral_matching(wg, t), abs=1e-9)
+
+    @pytest.mark.parametrize("n,t,rows", [(6, 3, 6), (7, 3, 8), (8, 4, 8), (7, 4, 8)])
+    def test_cardinality_row_only_when_t_does_not_divide_n(self, n, t, rows, monkeypatch):
+        shapes = []
+
+        def recording(*args, **kwargs):
+            cons = kwargs["constraints"]
+            shapes.append((cons.A.shape[0], cons.ub[-1]))
+            return milp(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "milp", recording)
+        integral_matching_value(uniform_weights(gen_complete(n)), t)
+        assert shapes == [(rows, 1.0 if n % t == 0 else n // t)]
+
+    @pytest.mark.parametrize("n", [20, 22])  # n = 2 and 1 mod 3
+    def test_agrees_with_the_vertex_only_milp(self, n):
+        g = gen_random_regular(n, 10, 7)
+        rng = np.random.default_rng(n)
+        wg = WeightedGraph(g, {e: float(rng.random()) for e in g.edges})
+        got = integral_matching_value(wg, 3)
+        assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
+
+    def test_overlapping_solution_is_refused(self, k6_unit, monkeypatch):
+        def overlapping(c, **kwargs):
+            return OptimizeResult(status=0, x=np.ones(len(c)), fun=float(c.sum()), message="")
+
+        monkeypatch.setattr(factor_lp_mod, "milp", overlapping)
+        with pytest.raises(NumericalError, match="overlapping"):
+            integral_matching_value(k6_unit, 3)
 
 
 class TestDualityChecks:
