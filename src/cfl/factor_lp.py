@@ -19,7 +19,12 @@ with a row per vertex and per edge and none per clique:
     max s  s.t.  A_vert y = s 1,  A_pair y <= s w,  0 <= y <= 1,  s >= 0.
 
 Its optimum s* is 1 / min max_T f(T) when a factor exists and 0 when none
-does, and the factor is f = y / s*.
+does, and the factor is f = y / s*.  The pair rows are generated lazily
+(Kelley's cutting planes): the LP is solved on the vertex rows alone, and
+only the pair rows its solution violates are added before the next solve.
+A row with w(uv) >= 1 never enters, since A_pair[uv] y <= A_vert[u] y = s
+already, and at the min-max optimum of a dense host almost every pair row
+is slack, so one solve on n rows usually settles it.
 
 The integral matching value t(G,w), which Prop 3 (i) bounds by t*, is an
 exact zero-gap MILP over binary x_T with the vertex rows A_vert x <= 1.  When
@@ -43,6 +48,8 @@ from .errors import InputError, NumericalError, ResourceError
 from .graphs import WeightedGraph, induced_weighted
 
 TOL_DEFAULT = 1e-7
+# HiGHS's default primal feasibility tolerance, in the factor LP's y-scale
+PAIR_ROW_TOL = 1e-7
 MATCHING_BUDGET = 10**4
 
 
@@ -224,7 +231,8 @@ def has_fractional_factor(
 ) -> FactorCert:
     """Decide whether a fractional K_t-factor exists and, if so, return one.
 
-    One homogenized LP (see the module docstring) gives both the verdict and
+    One homogenized LP (see the module docstring), solved on the vertex rows
+    plus whichever pair rows turn out to bind, gives both the verdict and
     the witness f, whose vertex loads are 1 and whose max_T f(T) is least.
     With a factor, t_star = sum f: a primal-feasible value, equal to |V|/t up
     to rounding since every clique spreads its weight over t unit loads.
@@ -256,33 +264,59 @@ def has_fractional_factor(
 def _min_max_factor(wg: WeightedGraph, cliques: CliqueSet) -> np.ndarray | None:
     """The factor minimizing max_T f(T), or None when no factor exists.
 
-    Solves max s s.t. A_vert y = s 1, A_pair y <= s w, 0 <= y <= 1, s >= 0.
+    Solves max s s.t. A_vert y = s 1, A_pair y <= s w, 0 <= y <= 1, s >= 0
+    by row generation: the first solve carries the vertex rows only, and
+    each later one adds every pair row the last solution violates by more
+    than PAIR_ROW_TOL, until none is violated.  Every round solves a
+    relaxation of the full LP, so its s* bounds the full one from above; the
+    last round's solution is feasible for the full LP, hence optimal for it.
+    Rows with w(uv) >= 1 never enter, being implied by the vertex rows:
+    A_pair[uv] y <= A_vert[u] y = s.  Each round adds a row, so there are at
+    most m + 1 solves.
+
     A factor has f(T) <= 1 for every T, because f(T) is part of a vertex load
     that equals 1; so y = f, s = 1 is feasible and s* >= 1 whenever a factor
-    exists.  Any s > 0 makes y / s a factor, so without one s* = 0.  The
-    threshold 1/2 sits between the two cases, far from solver tolerance on
-    either side.  Interior point first (fast on this degenerate objective at
+    exists.  Any s > 0 makes y / s a factor, so without one s* = 0, and a
+    relaxation with s* <= 1/2 already proves that.  The threshold 1/2 sits
+    between the two cases, far from solver tolerance on either side.  Each
+    round tries interior point first (fast on this degenerate objective at
     scale), simplex as fallback.
     """
     N = len(cliques.cliques)
     if N == 0:
         return None
     a_vert, a_pair, caps = _instance(wg, cliques)
-    n, m = a_vert.shape[0], len(caps)
-    # variables: y_0..y_{N-1}, s
+    n = a_vert.shape[0]
+    # variables: y_0..y_{N-1}, s; a pair row reads A_pair[uv] y - w(uv) s <= 0
     A_eq = sparse.hstack([a_vert, sparse.csc_matrix(-np.ones((n, 1)))], format="csc")
-    A_ub = sparse.hstack([a_pair, sparse.csc_matrix(-caps[:, None])], format="csc")
+    pair_rows = sparse.hstack([a_pair, sparse.csc_matrix(-caps[:, None])], format="csr")
     c = np.zeros(N + 1)
     c[-1] = -1.0
     bounds = np.column_stack([np.zeros(N + 1), np.append(np.ones(N), np.inf)])
-    for method in ("highs-ipm", "highs"):
-        res = linprog(
-            c, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=np.zeros(n), bounds=bounds, method=method
-        )
-        if res.status == 0:
-            s = res.x[-1]
-            return np.clip(res.x[:N], 0.0, None) / s if s > 0.5 else None
-    raise NumericalError(f"factor solve failed: {res.message}")
+    active = np.zeros(len(caps), dtype=bool)
+    while True:
+        A_ub = pair_rows[active]
+        for method in ("highs-ipm", "highs"):
+            res = linprog(
+                c,
+                A_ub=A_ub,
+                b_ub=np.zeros(A_ub.shape[0]),
+                A_eq=A_eq,
+                b_eq=np.zeros(n),
+                bounds=bounds,
+                method=method,
+            )
+            if res.status == 0:
+                break
+        else:
+            raise NumericalError(f"factor solve failed: {res.message}")
+        x = np.clip(res.x, 0.0, None)
+        if x[-1] <= 0.5:
+            return None
+        violated = ~active & (pair_rows @ x > PAIR_ROW_TOL)
+        if not violated.any():
+            return x[:N] / x[-1]
+        active |= violated
 
 
 @dataclass(frozen=True)

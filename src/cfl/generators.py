@@ -111,11 +111,20 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     edge means the leftover stubs admit no simple completion, so the whole
     pairing restarts from scratch.  Deterministic given the seed; gives up
     after MAX_RESTARTS restarts.
+
+    Near d = n - 1 almost every pairing collides and the restarts never end,
+    so for 2d > n the result is the complement of the (n-1-d)-regular graph
+    drawn with the same seed (n(n-1-d) is even whenever nd is).
     """
     if not (0 <= d < n):
         raise InputError(f"need 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise InputError(f"n*d must be even, got n={n}, d={d}")
+    if 2 * d > n:
+        h = gen_random_regular(n, n - 1 - d, seed)
+        return from_edge_list(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if not h.has_edge(u, v)]
+        )
     rng = np.random.default_rng(seed)
     restarts = 0
     while restarts <= MAX_RESTARTS:

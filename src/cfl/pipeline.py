@@ -671,7 +671,6 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
             "vacuous": bound >= g.n - t,
             "note": "asymptotic leftover bound, recorded for context only",
         },
-        "matcher_params": {"delta_prime": 1 / t, "gamma": 0.9},
     }
     return PipelineReport(
         parameters=parameters,

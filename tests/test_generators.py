@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cfl.errors import InputError
@@ -118,7 +120,17 @@ class TestRandomRegular:
     def test_dense_end(self):
         # d = n-1 forces the complete graph; the pairing must still finish
         g = gen_random_regular(8, 7, 3)
-        assert g.m == 28
+        assert g.edges == gen_complete(8).edges
+
+    @pytest.mark.parametrize("n,d", [(40, 36), (60, 55), (70, 66), (79, 76)])
+    def test_near_complete_degrees_finish(self, n, d):
+        start = time.perf_counter()
+        g = gen_random_regular(n, d, 5)
+        assert time.perf_counter() - start < 1.0
+        info = regularity(g)
+        assert info.is_regular and info.d == d
+        assert all(u < v for u, v in g.edges) and len(set(g.edges)) == g.m
+        assert gen_random_regular(n, d, 5).edges == g.edges
 
 
 class TestBuild:

@@ -187,20 +187,55 @@ class TestFactorCertificate:
             assert load == pytest.approx(1.0, abs=1e-7)
 
     @pytest.mark.parametrize(
-        "wg,solves",
-        [(uniform_weights(gen_complete(6)), 1), (uniform_weights(gen_complete(4), 0.2), 2)],
-        ids=["factor", "no_factor"],
+        "wg,rows",
+        [
+            (uniform_weights(gen_complete(6)), [0]),
+            # the vertex rows admit f = 1/3, whose pair loads of 2/3 exceed
+            # 0.2; the second round refutes it and the primal (n + m rows)
+            # gives t*
+            (uniform_weights(gen_complete(4), 0.2), [0, 6, 10]),
+            (_weighted_complete(9, 1, low=0.05), [0, 6, 7]),
+        ],
+        ids=["factor", "no_factor", "binding_pair_rows"],
     )
-    def test_solves_per_certificate(self, wg, solves, monkeypatch):
-        calls = []
+    def test_solves_per_certificate(self, wg, rows, monkeypatch):
+        # one solve per entry, each with that many inequality rows; the
+        # first factor solve has no pair rows
+        shapes = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("method"))
+        def recording(*args, **kwargs):
+            shapes.append(kwargs["A_ub"].shape[0])
             return linprog(*args, **kwargs)
 
-        monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        monkeypatch.setattr(factor_lp_mod, "linprog", recording)
         has_fractional_factor(wg, 3)
-        assert len(calls) == solves
+        assert shapes == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([3, 4, 5, 6, 7, 8, 9, 20]),
+        low=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lazy_rows_match_the_full_lp(self, n, low, seed):
+        # n = 20 is rr(20,10); low spreads the draws between binding pair
+        # rows with no factor and slack ones with a factor
+        g = gen_random_regular(20, 10, seed) if n == 20 else gen_complete(n)
+        rng = np.random.default_rng(seed)
+        wg = WeightedGraph(g, {e: float(rng.uniform(low, 1.0)) for e in g.edges})
+        cert = has_fractional_factor(wg, 3)
+        ref = min_max_factor_value(wg, 3)
+        assert cert.has_factor is (ref is not None)
+        if ref is None:
+            return
+        assert max(cert.f.values()) == pytest.approx(ref, abs=1e-7)
+        pair = {e: 0.0 for e in g.edges}
+        for tup, val in cert.f.items():
+            for e in itertools.combinations(tup, 2):
+                pair[e] += val
+        assert all(pair[e] <= wg.w[e] + 1e-7 for e in g.edges)
+        for load in cert.per_vertex_load.values():
+            assert load == pytest.approx(1.0, abs=1e-7)
 
     def test_to_dict_keys_and_filtering(self, k6_unit):
         d = has_fractional_factor(k6_unit, 3).to_dict()

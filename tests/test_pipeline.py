@@ -423,10 +423,6 @@ class TestEndToEnd:
         bound = rep.stage_audits["leftover_bound"]
         assert bound["value"] == pytest.approx(12 ** (1 - 1 / 648))
         assert bound["vacuous"] is True
-        assert rep.stage_audits["matcher_params"] == {
-            "delta_prime": pytest.approx(1 / 3),
-            "gamma": 0.9,
-        }
 
     @pytest.mark.parametrize("matcher", ["greedy", "nibble"])
     def test_both_matchers_run(self, matcher):
