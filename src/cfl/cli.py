@@ -217,7 +217,7 @@ def _cmd_lp(args) -> int:
     cliques = enumerate_cliques(wg.base, args.t)
     primal = solve_primal(wg, cliques, args.tol)
     dual = solve_dual(wg, cliques, args.tol)
-    cert = has_fractional_factor(wg, args.t, args.tol, cliques)
+    cert = has_fractional_factor(wg, args.t, args.tol, cliques, primal=primal)
     payload: dict = {
         "n": wg.n,
         "m": wg.base.m,

@@ -8,23 +8,21 @@ deterministic for a fixed instance; whichever of the two forms has fewer
 variables is used when only the optimum value is needed.
 
 A fractional factor is a weighting whose vertex loads are all exactly 1.
-Certification picks, among the factors, one minimizing max_T f(T).  The
-spread objective matters: a plain basic solution concentrates on few
-cliques, which both starves later extraction rounds of pair capacity and
-degrades the sampled hypergraph downstream.  That min-max problem is
-linear-fractional; the Charnes-Cooper substitution y = f / max f,
-s = 1 / max f makes it one LP over the incidence operators of the clique set,
-with a row per vertex and per edge and none per clique:
-
-    max s  s.t.  A_vert y = s 1,  A_pair y <= s w,  0 <= y <= 1,  s >= 0.
-
-Its optimum s* is 1 / min max_T f(T) when a factor exists and 0 when none
-does, and the factor is f = y / s*.  The pair rows are generated lazily
-(Kelley's cutting planes): the LP is solved on the vertex rows alone, and
-only the pair rows its solution violates are added before the next solve.
-A row with w(uv) >= 1 never enters, since A_pair[uv] y <= A_vert[u] y = s
-already, and at the min-max optimum of a dense host almost every pair row
-is slack, so one solve on n rows usually settles it.
+The certificate's witness is the factor of maximum entropy -sum f log f,
+which is unique and weights every clique some factor can use (a basic
+solution used 86 of the 14,705 triangles of rr(90,45); at ell = 2 it left
+the H_f matcher no more vertices uncovered, so spread is not claimed to
+help there).  It has the form f(T) = exp(sum_{v in T} phi(v) -
+sum_{uv in E(T)} mu(uv)), mu >= 0, where (phi, mu) minimizes the smooth
+convex dual D = sum_T f(T) - sum_v phi(v) + sum_uv w(uv) mu(uv).  Damped
+Newton on D is matrix scaling (Sinkhorn) on the clique hypergraph; pair
+multipliers enter as a projected-Newton active set.  Any factor f' gives
+D >= sum (f' - f' log f') >= |V|/t, so an iterate with D < |V|/t refutes a
+factor.  A witness is accepted only after the exact checks: vertex loads
+within tol of 1, pair loads at most w + tol, f >= 0.  When Newton reaches
+none within NEWTON_STEPS steps, one primal solve decides: t* < |V|/t - tol
+refutes a factor, and otherwise the primal optimum, whose loads must then
+all be 1, is the witness, a basic solution rather than a spread one.
 
 The integral matching value t(G,w), which Prop 3 (i) bounds by t*, is an
 exact zero-gap MILP over binary x_T with the vertex rows A_vert x <= 1.  When
@@ -37,10 +35,12 @@ inequality when t = 2) removes most of the gap branch-and-bound would close.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .cliques import CliqueSet, enumerate_cliques
@@ -48,9 +48,17 @@ from .errors import InputError, NumericalError, ResourceError
 from .graphs import WeightedGraph, induced_weighted
 
 TOL_DEFAULT = 1e-7
-# HiGHS's default primal feasibility tolerance, in the factor LP's y-scale
-PAIR_ROW_TOL = 1e-7
 MATCHING_BUDGET = 10**4
+# Newton scaling: step cap, stopping accuracy (or tol if finer), Armijo
+# fraction, halvings per step, cap on log f (a factor has f <= 1), ridge
+# floor, and the relative decrease below which D's rounding hides Armijo's
+NEWTON_STEPS = 60
+NEWTON_TOL = 1e-10
+ARMIJO = 1e-4
+HALVINGS = 40
+LOG_CAP = 50.0
+RIDGE_FLOOR = 1e-12
+ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,11 @@ class DualSolution:
 class FactorCert:
     """Verdict of the fractional-factor test.
 
-    has_factor implies every per_vertex_load is within tol of 1 and f (keyed
-    by clique tuple) realizes those loads.  slack = |V|/t - t_star.
+    has_factor implies f (keyed by clique tuple) is a witness that passed
+    the exact checks: f >= 0, every per_vertex_load within tol of 1, every
+    pair load at most w + tol.  It is the maximum-entropy factor, unless the
+    note says it is the primal optimum, a basic solution that is not spread.
+    slack = |V|/t - t_star.
     """
 
     has_factor: bool
@@ -83,18 +94,11 @@ class FactorCert:
 
     def to_dict(self, tol: float = TOL_DEFAULT) -> dict:
         return {
-            "has_factor": self.has_factor,
-            "t_star": self.t_star,
-            "slack": self.slack,
+            **vars(self),
             "per_vertex_load": {str(v): x for v, x in sorted(self.per_vertex_load.items())},
             "f": None
             if self.f is None
-            else {
-                " ".join(map(str, tup)): val
-                for tup, val in sorted(self.f.items())
-                if val > tol
-            },
-            "note": self.note,
+            else {" ".join(map(str, tup)): val for tup, val in sorted(self.f.items()) if val > tol},
         }
 
 
@@ -227,18 +231,19 @@ def _vertex_loads(cliques: CliqueSet, fvec: np.ndarray) -> dict:
 
 
 def has_fractional_factor(
-    wg: WeightedGraph, t: int, tol: float = TOL_DEFAULT, cliques: CliqueSet | None = None
+    wg: WeightedGraph,
+    t: int,
+    tol: float = TOL_DEFAULT,
+    cliques: CliqueSet | None = None,
+    primal: PrimalSolution | None = None,
 ) -> FactorCert:
     """Decide whether a fractional K_t-factor exists and, if so, return one.
 
-    One homogenized LP (see the module docstring), solved on the vertex rows
-    plus whichever pair rows turn out to bind, gives both the verdict and
-    the witness f, whose vertex loads are 1 and whose max_T f(T) is least.
-    With a factor, t_star = sum f: a primal-feasible value, equal to |V|/t up
-    to rounding since every clique spreads its weight over t unit loads.
-    Without one, a single primal solve gives t_star and the per-vertex loads
-    of an optimal fractional matching; the note marks a t_star within tol of
-    |V|/t whose unit-load programme is infeasible all the same.
+    The witness is the maximum-entropy factor (see the module docstring).
+    When Newton reaches none, the primal optimum decides; a caller holding
+    the primal of (wg, t, tol) passes it in.  With a factor t_star = sum f;
+    without, the loads are an optimal fractional matching's, and the note
+    marks a t_star within tol of |V|/t with an infeasible unit-load programme.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -247,76 +252,103 @@ def has_fractional_factor(
     n = wg.n
     if n == 0:
         return FactorCert(True, 0.0, 0.0, {}, f={})
-    fvec = _min_max_factor(wg, cliques)
-    if fvec is not None:
-        ts = _within_bound(float(fvec.sum()), n, t, tol)
-        f = {cliques.cliques[j]: float(fvec[j]) for j in np.flatnonzero(fvec > 0)}
-        return FactorCert(True, ts, n / t - ts, _vertex_loads(cliques, fvec), f=f)
-    sol = solve_primal(wg, cliques, tol)
-    ts = _within_bound(sol.objective, n, t, tol)
-    note = ""
-    if ts >= n / t - tol:
-        note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
-    loads = _vertex_loads(cliques, cliques.vector(sol.f))
-    return FactorCert(False, ts, n / t - ts, loads, f=None, note=note)
+    caps = _instance(wg, cliques)[2]
+    fvec, note = _max_entropy_factor(cliques, caps, tol), ""
+    if fvec is None or not _is_factor(cliques, caps, fvec, tol):
+        if primal is None:
+            primal = solve_primal(wg, cliques, tol)
+        ts = _within_bound(primal.objective, n, t, tol)
+        fvec = cliques.vector(primal.f)
+        if ts < n / t - tol or not _is_factor(cliques, caps, fvec, tol):
+            if ts >= n / t - tol:
+                note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
+            return FactorCert(False, ts, n / t - ts, _vertex_loads(cliques, fvec), note=note)
+        note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
+    ts = _within_bound(float(fvec.sum()), n, t, tol)
+    support = fvec > 0
+    f = dict(zip(itertools.compress(cliques.cliques, support), fvec[support].tolist()))
+    return FactorCert(True, ts, n / t - ts, _vertex_loads(cliques, fvec), f=f, note=note)
 
 
-def _min_max_factor(wg: WeightedGraph, cliques: CliqueSet) -> np.ndarray | None:
-    """The factor minimizing max_T f(T), or None when no factor exists.
+def _is_factor(cliques: CliqueSet, caps: np.ndarray, fvec: np.ndarray, tol: float) -> bool:
+    """f >= 0, every vertex load within tol of 1, every pair load <= w + tol."""
+    return bool(
+        np.all(fvec >= 0)
+        and np.all(np.abs(cliques.A_vert @ fvec - 1.0) <= tol)
+        and np.all(cliques.A_pair @ fvec <= caps + tol)
+    )
 
-    Solves max s s.t. A_vert y = s 1, A_pair y <= s w, 0 <= y <= 1, s >= 0
-    by row generation: the first solve carries the vertex rows only, and
-    each later one adds every pair row the last solution violates by more
-    than PAIR_ROW_TOL, until none is violated.  Every round solves a
-    relaxation of the full LP, so its s* bounds the full one from above; the
-    last round's solution is feasible for the full LP, hence optimal for it.
-    Rows with w(uv) >= 1 never enter, being implied by the vertex rows:
-    A_pair[uv] y <= A_vert[u] y = s.  Each round adds a row, so there are at
-    most m + 1 solves.
 
-    A factor has f(T) <= 1 for every T, because f(T) is part of a vertex load
-    that equals 1; so y = f, s = 1 is feasible and s* >= 1 whenever a factor
-    exists.  Any s > 0 makes y / s a factor, so without one s* = 0, and a
-    relaxation with s* <= 1/2 already proves that.  The threshold 1/2 sits
-    between the two cases, far from solver tolerance on either side.  Each
-    round tries interior point first (fast on this degenerate objective at
-    scale), simplex as fallback.
+def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.ndarray | None:
+    """The maximum-entropy factor by damped Newton on D, or None if not reached.
+
+    Starts from uniform f (phi = log(n/(tN))/t, mu = 0) on the cliques with
+    no pair of capacity <= 0.  A pair row is active while its load exceeds
+    0 < w < 1 or mu > 0 (w >= 1 never binds: a pair load is at most a
+    vertex load).  The Hessian's vertex block is diag(vertex loads) with
+    the pair loads off the diagonal.  Stops when every check holds to within
+    min(tol, NEWTON_TOL) and every pair with mu > 0 is that close to tight.
     """
-    N = len(cliques.cliques)
-    if N == 0:
-        return None
-    a_vert, a_pair, caps = _instance(wg, cliques)
-    n = a_vert.shape[0]
-    # variables: y_0..y_{N-1}, s; a pair row reads A_pair[uv] y - w(uv) s <= 0
-    A_eq = sparse.hstack([a_vert, sparse.csc_matrix(-np.ones((n, 1)))], format="csc")
-    pair_rows = sparse.hstack([a_pair, sparse.csc_matrix(-caps[:, None])], format="csr")
-    c = np.zeros(N + 1)
-    c[-1] = -1.0
-    bounds = np.column_stack([np.zeros(N + 1), np.append(np.ones(N), np.inf)])
+    n, N = cliques.A_vert.shape
+    V, P = cliques.A_vert, cliques.A_pair
+    live = np.minimum.reduceat(caps[P.indices], P.indptr[:-1]) > 0
+    V, P = (V, P) if live.all() else (V[:, live], P[:, live])
+    if not live.any() or np.bincount(V.indices, minlength=n).min() == 0:
+        return None  # a vertex in no live clique has load 0
+    Vt, Pt, P_rows = V.T.tocsr(), P.T.tocsr(), None
+    u, v = np.asarray(cliques.edges, dtype=np.int64).reshape(-1, 2).T
+    i, target, t, binds = np.arange(n), min(tol, NEWTON_TOL), cliques.t, (0 < caps) & (caps < 1)
+    phi, mu = np.full(n, np.log(n / (t * V.shape[1])) / t), np.zeros(len(caps))
     active = np.zeros(len(caps), dtype=bool)
-    while True:
-        A_ub = pair_rows[active]
-        for method in ("highs-ipm", "highs"):
-            res = linprog(
-                c,
-                A_ub=A_ub,
-                b_ub=np.zeros(A_ub.shape[0]),
-                A_eq=A_eq,
-                b_eq=np.zeros(n),
-                bounds=bounds,
-                method=method,
-            )
-            if res.status == 0:
+    f = np.exp(Vt @ phi)
+    dual = f.sum() - phi.sum()
+    for _ in range(NEWTON_STEPS):
+        vload, pload = V @ f, P @ f
+        excess = pload - caps
+        worst_pair = max(excess[binds].max(initial=0), np.abs(excess[mu > 0]).max(initial=0))
+        if max(np.abs(vload - 1.0).max(), worst_pair) <= target:
+            out = np.zeros(N)
+            out[live] = f
+            return out
+        active = (active & ((mu > 0) | (excess >= 0))) | (binds & (excess > 0))
+        S = np.flatnonzero(active)
+        grad = np.concatenate([vload - 1.0, -excess[S]])
+        H = np.zeros((n + S.size, n + S.size))
+        H[u, v] = H[v, u] = pload
+        H[i, i] = vload
+        if S.size:
+            P_rows = P.tocsr() if P_rows is None else P_rows
+            PSf = P_rows[S] @ sparse.diags(f)
+            H[n:, :n] = -(PSf @ Vt).toarray()
+            H[:n, n:] = H[n:, :n].T
+            H[n:, n:] = (PSf @ P_rows[S].T).toarray()
+        # Levenberg-Marquardt ridge r = min(g, g^2), g = |grad|_inf: H is
+        # singular where active rows are dependent (all pairs at a vertex),
+        # and the ridge bounds the step there while vanishing with grad
+        g = float(np.abs(grad).max())
+        H[np.diag_indices_from(H)] += max(g * min(g, 1.0), RIDGE_FLOOR * H.diagonal().max())
+        try:
+            step = -cho_solve(cho_factor(H, check_finite=False), grad, check_finite=False)
+        except LinAlgError:
+            return None
+        for halving in range(HALVINGS):
+            alpha = 0.5**halving
+            new_phi, new_mu = phi + alpha * step[:n], mu.copy()
+            new_mu[S] = np.maximum(mu[S] + alpha * step[n:], 0.0)
+            z = Vt @ new_phi - Pt @ new_mu
+            if not z.max() <= LOG_CAP:  # also catches nan
+                continue
+            new_f = np.exp(z)
+            new_dual = new_f.sum() - new_phi.sum() + caps @ new_mu
+            moved = grad @ np.concatenate([new_phi - phi, new_mu[S] - mu[S]])
+            if new_dual <= dual + ARMIJO * moved or -(grad @ step) <= ROUNDING * (1 + abs(dual)):
                 break
         else:
-            raise NumericalError(f"factor solve failed: {res.message}")
-        x = np.clip(res.x, 0.0, None)
-        if x[-1] <= 0.5:
             return None
-        violated = ~active & (pair_rows @ x > PAIR_ROW_TOL)
-        if not violated.any():
-            return x[:N] / x[-1]
-        active |= violated
+        phi, mu, f, dual = new_phi, new_mu, new_f, new_dual
+        if dual < n / t - tol:
+            return None
+    return None
 
 
 @dataclass(frozen=True)
@@ -341,21 +373,9 @@ class Prop3Report:
 
     def to_dict(self) -> dict:
         return {
-            "t_star": self.t_star,
-            "integral_value": self.integral_value,
-            "i_pass": self.i_pass,
-            "ii_bound": self.ii_bound,
-            "ii_pass": self.ii_pass,
-            "ii_equality_case": self.ii_equality_case,
+            **vars(self),
             "iii_subset": list(self.iii_subset),
-            "iii_restricted_value": self.iii_restricted_value,
-            "iii_induced_t_star": self.iii_induced_t_star,
-            "iii_feasible": self.iii_feasible,
-            "iii_pass": self.iii_pass,
             "v1_sizes": {f"{thr:.0e}": sz for thr, sz in sorted(self.v1_sizes.items())},
-            "iv_threshold": self.iv_threshold,
-            "iv_pass": self.iv_pass,
-            "all_pass": self.all_pass,
         }
 
 
@@ -404,7 +424,7 @@ def check_prop3(
     ii_equality_case = False
     if abs(ts - ii_bound) <= tol:
         if cert is None:
-            cert = has_fractional_factor(wg, t, tol, cliques)
+            cert = has_fractional_factor(wg, t, tol, cliques, primal=primal)
         ii_equality_case = bool(cert.has_factor)
         ii_pass = ii_pass and ii_equality_case
 
@@ -456,15 +476,7 @@ class SlacknessReport:
     all_pass: bool
 
     def to_dict(self) -> dict:
-        return {
-            "worst_vertex_slack": self.worst_vertex_slack,
-            "worst_edge_slack": self.worst_edge_slack,
-            "worst_clique_slack": self.worst_clique_slack,
-            "checked_vertices": self.checked_vertices,
-            "checked_edges": self.checked_edges,
-            "checked_cliques": self.checked_cliques,
-            "all_pass": self.all_pass,
-        }
+        return dict(vars(self))
 
 
 def complementary_slackness(
@@ -533,20 +545,7 @@ class DriverReport:
     cert: FactorCert
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "D": self.D,
-            "rich_edge_count": self.rich_edge_count,
-            "hyp_family_pass": self.hyp_family_pass,
-            "hyp_family_worst_vertex": self.hyp_family_worst_vertex,
-            "hyp_family_target": self.hyp_family_target,
-            "hyp_span_pass": self.hyp_span_pass,
-            "hyp_span_failures": self.hyp_span_failures,
-            "hyp_span_size": self.hyp_span_size,
-            "hyp_propP_pass": self.hyp_propP_pass,
-            "hyp_propP_failures": self.hyp_propP_failures,
-            "cert": self.cert.to_dict(),
-        }
+        return {**vars(self), "cert": self.cert.to_dict()}
 
 
 def corollary_ff_driver(

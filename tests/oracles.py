@@ -2,12 +2,13 @@
 
 Everything here takes the obviously-correct route: exhaustive search with
 memoization, all-tuples enumeration, and a dense tableau simplex, sharing no
-solver code with the scipy/HiGHS paths under test.  The two exceptions
-check a formulation rather than a solver, so each builds its own dense
-constraint matrix and runs HiGHS on it: min_max_factor_value keeps the
-direct min-max formulation of the factor certificate as a reference for the
-homogenized LP the library solves, and vertex_only_matching_value keeps the
-integral matching MILP without the library's cardinality row.
+solver code with the scipy/HiGHS paths under test.  The exceptions check a
+formulation rather than a solver, so each builds its own dense constraint
+matrix and runs a scipy solver on it: min_max_factor_value decides whether
+a fractional factor exists by the direct min-max LP, vertex_only_matching_value
+keeps the integral matching MILP without the library's cardinality row, and
+max_entropy_fit tests a witness against the optimality conditions of the
+maximum-entropy factor by bounded least squares.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, lsq_linear, milp
 
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
 from cfl.graphs import Graph, WeightedGraph
@@ -55,6 +56,39 @@ def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
         return None
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def pair_loads(wg: WeightedGraph, f: dict) -> dict:
+    """Edge -> sum of f(T) over the cliques T (tuples) containing it."""
+    load = {e: 0.0 for e in wg.base.edges}
+    for tup, val in f.items():
+        for e in itertools.combinations(tup, 2):
+            load[e] += val
+    return load
+
+
+def max_entropy_fit(wg: WeightedGraph, t: int, f: dict, tight_tol: float = 1e-9) -> tuple:
+    """(max residual, least mu) of log f fitted by phi and mu >= 0 over f's support.
+
+    The maximum-entropy factor has log f(T) = sum_{v in T} phi(v) -
+    sum_{uv in E(T)} mu(uv) with mu >= 0 and mu(uv) > 0 only on tight pairs
+    (load >= w - tight_tol); the fit is that system, one row per clique with
+    f(T) > 0, solved by bounded-variable least squares.  A witness of that
+    form fits with residual at rounding level.
+    """
+    support = [tup for tup in brute_force_cliques(wg.base, t) if f.get(tup, 0.0) > 0]
+    load = pair_loads(wg, f)
+    tight = {e: i for i, e in enumerate(e for e in wg.base.edges if load[e] >= wg.w[e] - tight_tol)}
+    A = np.zeros((len(support), wg.n + len(tight)))
+    for row, tup in enumerate(support):
+        A[row, list(tup)] = 1.0
+        for e in itertools.combinations(tup, 2):
+            if e in tight:
+                A[row, wg.n + tight[e]] = -1.0
+    b = np.log([f[tup] for tup in support])
+    lower = np.concatenate([np.full(wg.n, -np.inf), np.zeros(len(tight))])
+    fit = lsq_linear(A, b, bounds=(lower, np.inf), method="bvls", tol=1e-15)
+    return float(np.max(np.abs(A @ fit.x - b))), float(np.min(fit.x[wg.n :], initial=0.0))
 
 
 def vertex_only_matching_value(wg: WeightedGraph, t: int) -> float:

@@ -11,7 +11,15 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import cfl.cli as cli_mod
 import cfl.factor_lp as factor_lp_mod
 import cfl.spectral as spectral_mod
-from cfl import InputError, check_prop3, gen_complete, parse_graph, second_eigenvalue, write_graph
+from cfl import (
+    InputError,
+    check_prop3,
+    gen_complete,
+    gen_random_regular,
+    parse_graph,
+    second_eigenvalue,
+    write_graph,
+)
 from cfl.cli import atomic_write, canonical_json, main, serialize_report
 
 
@@ -235,7 +243,8 @@ class TestAnalysisCommands:
         assert payload["slackness"]["all_pass"] is True
 
     def test_lp_prop3_reuses_the_commands_solves(self, k6_file, k6_unit, capsys, monkeypatch):
-        # primal, dual and factor LPs once each, plus t* of the induced subgraph
+        # primal and dual LPs once each, plus t* of the induced subgraph; the
+        # factor certificate solves no LP
         bare = canonical_json(check_prop3(k6_unit, 3, 1e-7, 5))
         calls = []
 
@@ -246,9 +255,28 @@ class TestAnalysisCommands:
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         code = main(["lp", "--in", k6_file, "--t", "3", "--prop3", "--seed", "5", "--slackness"])
         assert code == 0
-        assert len(calls) == 4
+        assert len(calls) == 3
         payload = json.loads(capsys.readouterr().out)
         assert canonical_json(payload["prop3"]) == bare
+
+    def test_lp_refutation_reuses_the_commands_primal(self, tmp_path, capsys, monkeypatch):
+        # K_4 at w = 0.2 has no factor: the certificate takes t* from the
+        # command's primal, so only the primal and the dual are solved
+        lines = ["4 6"] + [f"{u} {v} 0.2" for u, v in gen_complete(4).edges]
+        path = tmp_path / "k4.txt"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        assert main(["lp", "--in", str(path), "--t", "3"]) == 0
+        assert len(calls) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cert"]["has_factor"] is False
+        assert payload["cert"]["t_star"] == pytest.approx(payload["primal_objective"], abs=1e-12)
 
 
 class TestPipelineCommand:
@@ -289,6 +317,20 @@ class TestPipelineCommand:
         assert rows[0] == "seed,ell_achieved,uncovered_count,runtime_ms"
         assert len(rows) == 3
         assert rows[1].startswith("0,2,") and rows[2].startswith("1,2,")
+
+    def test_sparse_reports_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        # with CFL_THREADS = 2 the two part certificates run concurrently
+        path = tmp_path / "rr.txt"
+        path.write_text(write_graph(gen_random_regular(90, 45, 31)))
+        argv = ["pipeline", "--in", str(path), "--t", "3", "--seed", "0", "--force",
+                "--mode", "sparse", "--ell", "2"]
+        monkeypatch.delenv("CFL_THREADS", raising=False)
+        assert main([*argv, "--out", str(tmp_path / "serial.json")]) == 1
+        monkeypatch.setenv("CFL_THREADS", "2")
+        assert main([*argv, "--out", str(tmp_path / "threaded.json")]) == 1
+        serial = (tmp_path / "serial.json").read_bytes()
+        assert json.loads(serial)["parameters"]["ell_achieved"] == 2
+        assert (tmp_path / "threaded.json").read_bytes() == serial
 
     def test_seed_and_seeds_are_exclusive(self, k6_file, capsys):
         code = main(

@@ -1,6 +1,7 @@
 """Fractional clique-matching LP: primal/dual, factor certificates, audits."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -29,11 +30,13 @@ from cfl import (
     t_star,
     uniform_weights,
 )
-from cfl.factor_lp import DualSolution
+from cfl.factor_lp import DualSolution, PrimalSolution
 from oracles import (
     exhaustive_integral_matching,
+    max_entropy_fit,
     min_max_factor_value,
     oracle_t_star,
+    pair_loads,
     slackness_by_loops,
     vertex_only_matching_value,
 )
@@ -113,7 +116,8 @@ class TestFactorCertificate:
             assert load == pytest.approx(1.0, abs=1e-6)
 
     def test_k6_witness_spreads_mass(self, k6_unit):
-        # min-max over 20 triangles carrying total mass 2 bottoms out at 0.1
+        # K_6 is triangle-transitive, so the maximum-entropy factor is uniform:
+        # 20 triangles carrying total mass 2
         cert = has_fractional_factor(k6_unit, 3)
         assert max(cert.f.values()) == pytest.approx(0.1, abs=1e-6)
 
@@ -155,14 +159,18 @@ class TestFactorCertificate:
         wg = uniform_weights(gen_complete(4), 0.2)
         ts = t_star(wg, 3)
         assert ts == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
-        cert = has_fractional_factor(wg, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # Newton's refutation stays quiet
+            cert = has_fractional_factor(wg, 3)
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(ts, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_negative_path_reports_the_oracle_t_star(self, seed):
         wg = _weighted_complete(6 + seed % 2, 400 + seed, low=0.05, high=0.3)
-        cert = has_fractional_factor(wg, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = has_fractional_factor(wg, 3)
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
         assert cert.slack == pytest.approx(wg.n / 3 - cert.t_star, abs=1e-12)
@@ -178,29 +186,32 @@ class TestFactorCertificate:
         ids=["k6", "paley13", "weighted_k9"],
     )
     def test_witness_reaches_the_min_max_optimum(self, instance):
+        # on these three the uniform weighting is a factor with every pair
+        # slack, so it is both the maximum-entropy and a min-max optimum
         wg = instance()
         cert = has_fractional_factor(wg, 3)
         assert cert.has_factor is True
-        assert max(cert.f.values()) == pytest.approx(min_max_factor_value(wg, 3), abs=1e-7)
+        assert max(cert.f.values()) == pytest.approx(min_max_factor_value(wg, 3), abs=1e-9)
+        assert min(cert.f.values()) == pytest.approx(max(cert.f.values()), abs=1e-9)
         assert sum(cert.f.values()) == pytest.approx(cert.t_star, abs=1e-12)
         for load in cert.per_vertex_load.values():
-            assert load == pytest.approx(1.0, abs=1e-7)
+            assert load == pytest.approx(1.0, abs=1e-9)
+        residual, least_mu = max_entropy_fit(wg, 3, cert.f)
+        assert residual <= 1e-8 and least_mu >= -1e-9
 
     @pytest.mark.parametrize(
         "wg,rows",
         [
-            (uniform_weights(gen_complete(6)), [0]),
-            # the vertex rows admit f = 1/3, whose pair loads of 2/3 exceed
-            # 0.2; the second round refutes it and the primal (n + m rows)
-            # gives t*
-            (uniform_weights(gen_complete(4), 0.2), [0, 6, 10]),
-            (_weighted_complete(9, 1, low=0.05), [0, 6, 7]),
+            (uniform_weights(gen_complete(6)), []),
+            # Newton refutes the factor, and the primal (n + m rows) gives t*
+            (uniform_weights(gen_complete(4), 0.2), [10]),
+            (_weighted_complete(9, 1, low=0.05), []),
         ],
         ids=["factor", "no_factor", "binding_pair_rows"],
     )
     def test_solves_per_certificate(self, wg, rows, monkeypatch):
-        # one solve per entry, each with that many inequality rows; the
-        # first factor solve has no pair rows
+        # one LP per entry, with that many inequality rows: none when Newton
+        # scaling finds the factor, the primal alone when there is none
         shapes = []
 
         def recording(*args, **kwargs):
@@ -208,8 +219,22 @@ class TestFactorCertificate:
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(factor_lp_mod, "linprog", recording)
-        has_fractional_factor(wg, 3)
+        cert = has_fractional_factor(wg, 3)
         assert shapes == rows
+        assert cert.has_factor is (not rows)
+
+    def test_binding_pair_rows_enter_the_witness(self):
+        # the low weights bind: some pair loads reach w, and mu > 0 there
+        wg = _weighted_complete(9, 1, low=0.05)
+        cert = has_fractional_factor(wg, 3)
+        load = pair_loads(wg, cert.f)
+        tight = [e for e in wg.base.edges if load[e] >= wg.w[e] - 1e-9]
+        assert tight
+        assert all(load[e] <= wg.w[e] + 1e-9 for e in wg.base.edges)
+        residual, least_mu = max_entropy_fit(wg, 3, cert.f)
+        assert residual <= 1e-8 and least_mu >= -1e-9
+        # the fit fails once the tight pairs are left out of it
+        assert max_entropy_fit(wg, 3, cert.f, tight_tol=-1.0)[0] > 1e-3
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -217,25 +242,62 @@ class TestFactorCertificate:
         low=st.floats(0.05, 1.0),
         seed=st.integers(0, 2**16),
     )
-    def test_lazy_rows_match_the_full_lp(self, n, low, seed):
+    def test_witness_matches_the_oracle_verdict(self, n, low, seed):
         # n = 20 is rr(20,10); low spreads the draws between binding pair
         # rows with no factor and slack ones with a factor
         g = gen_random_regular(20, 10, seed) if n == 20 else gen_complete(n)
         rng = np.random.default_rng(seed)
         wg = WeightedGraph(g, {e: float(rng.uniform(low, 1.0)) for e in g.edges})
-        cert = has_fractional_factor(wg, 3)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return linprog(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factor_lp_mod, "linprog", counting)
+            cert = has_fractional_factor(wg, 3)
         ref = min_max_factor_value(wg, 3)
         assert cert.has_factor is (ref is not None)
         if ref is None:
+            assert len(calls) == 1  # the primal gives t*
             return
-        assert max(cert.f.values()) == pytest.approx(ref, abs=1e-7)
-        pair = {e: 0.0 for e in g.edges}
-        for tup, val in cert.f.items():
-            for e in itertools.combinations(tup, 2):
-                pair[e] += val
-        assert all(pair[e] <= wg.w[e] + 1e-7 for e in g.edges)
+        assert len(calls) == 0
         for load in cert.per_vertex_load.values():
-            assert load == pytest.approx(1.0, abs=1e-7)
+            assert load == pytest.approx(1.0, abs=1e-9)
+        load = pair_loads(wg, cert.f)
+        assert all(load[e] <= wg.w[e] + 1e-9 for e in g.edges)
+        residual, least_mu = max_entropy_fit(wg, 3, cert.f)
+        assert residual <= 1e-8 and least_mu >= -1e-9
+
+    @pytest.mark.parametrize("steps", [factor_lp_mod.NEWTON_STEPS, 0], ids=["newton", "fallback"])
+    def test_factor_only_on_a_face(self, steps, monkeypatch):
+        # triangles 012 and 345 plus 234: vertex 0 lies in 012 alone, so
+        # every factor puts 1 on 012 and 345 and 0 on 234, and no f > 0 is a
+        # factor; with no Newton steps the primal optimum is the witness
+        g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (2, 4)])
+        monkeypatch.setattr(factor_lp_mod, "NEWTON_STEPS", steps)
+        cert = has_fractional_factor(uniform_weights(g), 3)
+        assert cert.has_factor is True
+        assert cert.f.get((2, 3, 4), 0.0) <= factor_lp_mod.TOL_DEFAULT
+        assert cert.f[(0, 1, 2)] == pytest.approx(1.0, abs=1e-7)
+        assert cert.f[(3, 4, 5)] == pytest.approx(1.0, abs=1e-7)
+        assert ("not spread" in cert.note) is (steps == 0)
+
+    def test_witnesses_failing_the_exact_checks_are_refused(self, monkeypatch):
+        # uniform 1/3 on K_4 has unit vertex loads but pair loads 2/3 > 0.2,
+        # so the primal decides; a primal at t* = |V|/t whose loads are not
+        # all 1 is no witness either
+        monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: np.full(4, 1 / 3))
+        thin = uniform_weights(gen_complete(4), 0.2)
+        cert = has_fractional_factor(thin, 3)
+        assert cert.has_factor is False
+        assert cert.t_star == pytest.approx(oracle_t_star(thin, 3), abs=1e-6)
+        monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: None)
+        lopsided = PrimalSolution(f={0: 1.0}, objective=4 / 3)
+        cert = has_fractional_factor(uniform_weights(gen_complete(4)), 3, primal=lopsided)
+        assert cert.has_factor is False
+        assert "infeasible" in cert.note
 
     def test_to_dict_keys_and_filtering(self, k6_unit):
         d = has_fractional_factor(k6_unit, 3).to_dict()
