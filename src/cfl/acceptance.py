@@ -86,11 +86,7 @@ def simplex_lp_value(c, A, b, tol: float = 1e-9, max_iter: int = 200000) -> floa
 
 def oracle_t_star(wg: WeightedGraph, t: int) -> float:
     """t*(G,w) via the simplex oracle on the explicitly built primal."""
-    cliques = [
-        tup
-        for tup in itertools.combinations(range(wg.n), t)
-        if all(wg.base.has_edge(u, v) for u, v in itertools.combinations(tup, 2))
-    ]
+    cliques = brute_force_cliques(wg.base, t)
     if not cliques:
         return 0.0
     edges = wg.base.edges
@@ -198,11 +194,11 @@ def criterion_2() -> dict:
             worst = max(worst, abs(lib - ora))
             if abs(lib - ora) > 1e-6:
                 failures.append(f"{name}: t_star {lib:.9f} vs oracle {ora:.9f}")
-        lib_cliques = sorted(enumerate_cliques(wg.base, t).cliques)
+        lib_cliques = list(map(tuple, enumerate_cliques(wg.base, t).members.tolist()))
         if lib_cliques != brute_force_cliques(wg.base, t):
             failures.append(f"{name}: clique enumeration mismatch")
     paley_triangles = len(brute_force_cliques(gen_paley(13), 3))
-    lib_paley = len(enumerate_cliques(gen_paley(13), 3).cliques)
+    lib_paley = len(enumerate_cliques(gen_paley(13), 3))
     if not (paley_triangles == lib_paley == 26):
         failures.append(f"paley_13 triangles: oracle {paley_triangles}, library {lib_paley}")
     runtime = time.perf_counter() - start
@@ -272,6 +268,8 @@ def criterion_4() -> dict:
             floor_checked += 1
             if not ok:
                 failures.append(f"{name}: lambda {cert.lam:.6f} below sqrt(d/2)")
+    if floor_checked == 0:
+        failures.append("no corpus graph was checked against the lambda floor")
     cert_p = second_eigenvalue(petersen())
     if lambda_floor_check(cert_p) is False:
         failures.append("petersen: lambda below sqrt(d/2)")
@@ -304,6 +302,8 @@ def criterion_5() -> dict:
                 failures.append(
                     f"i={i} |U|={len(U)}: count {count} outside [{lower:.3f}, {upper:.3f}]"
                 )
+    if checked == 0:
+        failures.append("no window was checked")
     runtime = time.perf_counter() - start
     return {
         "criterion": 5,
@@ -348,16 +348,18 @@ def criterion_6() -> dict:
     }
 
 
-def _one_part_per_clique(bundle, label: str) -> list:
-    """Failures for cliques positive in more than one factor of a sparse bundle."""
-    failures = []
+def _one_part_per_clique(bundle, label: str, failures: list) -> int:
+    """Record cliques positive in more than one factor of a sparse bundle;
+    returns how many (factor, clique) weights were positive."""
     seen: dict = {}
-    for i, fac in enumerate(bundle.factors):
-        for cid, val in fac.items():
-            if val > 0 and cid in seen:
+    positive = 0
+    for i, (ids, weights) in enumerate(bundle.factors):
+        for cid in ids[weights > 0].tolist():
+            positive += 1
+            if cid in seen:
                 failures.append(f"{label}: clique {cid} positive in parts {seen[cid]},{i}")
             seen[cid] = i
-    return failures
+    return positive
 
 
 def criterion_7() -> dict:
@@ -374,6 +376,7 @@ def criterion_7() -> dict:
     sigma = math.sqrt(g.m * (1 / ell) * (1 - 1 / ell))
     failures = []
     achieved: dict = {"ell=5": [], "ell=2": []}
+    positive = 0
     for seed in range(20):
         parts = sparse_split(g, ell, seed)
         union = [e for p in parts for e in p.edges]
@@ -384,20 +387,28 @@ def criterion_7() -> dict:
                 failures.append(f"seed {seed}: part {i} has {p.m} edges vs {mean:.0f}")
         bundle = sparse_extract(g, 3, ell, seed, cliques=cliques)
         achieved["ell=5"].append(bundle.ell)
-        failures += _one_part_per_clique(bundle, f"seed {seed}")
+        positive += _one_part_per_clique(bundle, f"seed {seed}", failures)
     for seed in range(3):
         bundle = sparse_extract(g, 3, 2, seed, cliques=cliques)
         achieved["ell=2"].append(bundle.ell)
         if bundle.ell < 1:
             failures.append(f"ell=2 seed {seed}: no factor extracted")
-        failures += _one_part_per_clique(bundle, f"ell=2 seed {seed}")
+        positive += _one_part_per_clique(bundle, f"ell=2 seed {seed}", failures)
+    if positive == 0:
+        failures.append("the per-clique check saw no positive clique")
     runtime = time.perf_counter() - start
     return {
         "criterion": 7,
         "name": "sparse-split-structure",
         "passed": not failures,
         "runtime_s": runtime,
-        "details": {"seeds": 20, "sigma": sigma, "achieved": achieved, "failures": failures},
+        "details": {
+            "seeds": 20,
+            "sigma": sigma,
+            "achieved": achieved,
+            "positive": positive,
+            "failures": failures,
+        },
     }
 
 
@@ -411,8 +422,10 @@ def criterion_8() -> dict:
     max_codeg = 0
     bound = 1 + 3 * math.log(12)
     codeg_violations = 0
+    hyperedges = 0
     for seed in range(200):
         hf = build_Hf(g, 3, bundle, seed, cliques)
+        hyperedges += len(hf.hyperedges)
         degree_sums += hf_degrees(hf)
         codeg = hf_codegrees(hf)
         worst = max(codeg.values(), default=0)
@@ -427,6 +440,8 @@ def criterion_8() -> dict:
         failures.append(f"mean degree range [{means.min():.3f}, {means.max():.3f}]")
     if codeg_violations:
         failures.append(f"{codeg_violations} samples broke the codegree bound")
+    if hyperedges == 0:
+        failures.append("the 200 samples hold no hyperedge")
     runtime = time.perf_counter() - start
     return {
         "criterion": 8,
@@ -438,6 +453,7 @@ def criterion_8() -> dict:
             "mean_degree_max": float(means.max()),
             "max_codegree": max_codeg,
             "codegree_bound": bound,
+            "hyperedges": hyperedges,
             "failures": failures,
         },
     }

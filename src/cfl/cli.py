@@ -148,6 +148,14 @@ def _read_maybe_weighted(path: str):
     return uniform_weights(parse_graph(text))
 
 
+def _int_list(text: str, flag: str) -> list:
+    """The integers of a comma-separated list flag; anything else is an input error."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -182,7 +190,7 @@ def _cmd_audit_mixing(args) -> int:
 def _cmd_cliques(args) -> int:
     g = _read_graph(args.infile)
     cliques = enumerate_cliques(g, args.t)
-    payload: dict = {"n": g.n, "m": g.m, "t": args.t, "count": len(cliques.cliques)}
+    payload: dict = {"n": g.n, "m": g.m, "t": args.t, "count": len(cliques)}
     failed = False
     if args.window is not None:
         count, lower, upper, within = count_cliques_window(
@@ -222,7 +230,7 @@ def _cmd_lp(args) -> int:
         "n": wg.n,
         "m": wg.base.m,
         "t": args.t,
-        "cliques": len(cliques.cliques),
+        "cliques": len(cliques),
         "primal_objective": primal.objective,
         "dual_objective": dual.objective,
         "gap": abs(primal.objective - dual.objective),
@@ -261,7 +269,7 @@ def _pipeline_config(args, seed: int) -> PipelineConfig:
 def _cmd_pipeline(args) -> int:
     g = _read_graph(args.infile)
     if args.seeds:
-        seeds = [int(x) for x in args.seeds.split(",")]
+        seeds = _int_list(args.seeds, "--seeds")
     else:
         seeds = [args.seed]
 
@@ -306,9 +314,12 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import CRITERIA, run_all
 
-    only = [int(x) for x in args.only.split(",")] if args.only else None
+    only = _int_list(args.only, "--only") if args.only else None
+    unknown = sorted(set(only or ()) - set(CRITERIA))
+    if unknown:
+        raise InputError(f"--only: no criterion {unknown[0]}; criteria are 1-{len(CRITERIA)}")
     results = run_all(only)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"

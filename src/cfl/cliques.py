@@ -1,12 +1,20 @@
 """K_t enumeration, density-window counting, and local clique-family audits.
 
-Enumeration is ordered-vertex backtracking over sorted adjacency, so clique
-tuples come out strictly increasing and in lexicographic order; every greedy
-construction below is first-fit over that order and therefore deterministic.
+A clique set is an (N, t) int32 array with one clique per row, each row
+strictly increasing and the rows in lexicographic order.  Enumeration is
+ordered-vertex listing (Chiba & Nishizeki 1985) done one level at a time on
+arrays: the 2-cliques are the sorted edge array, and each k-clique is
+extended by the upper neighbours w of its last vertex, read from a CSR over
+the edge list.  A candidate w survives when, for every earlier member a, the
+key a*n + w is among the sorted edge keys.  Parents stay in order and upper
+neighbours are ascending, so the rows come out lexicographic with no sort;
+every greedy construction below is first-fit over that order and therefore
+deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -18,104 +26,119 @@ from .errors import InputError, ResourceError
 from .graphs import Graph, graph_difference, induced_subgraph, regularity
 
 ENUMERATION_CAP = 10**7
+# Bytes one level of enumeration may allocate: what the cap allowed when a
+# K_3 was a tuple of ~233 bytes at its peak.  At the peak of level k a
+# candidate costs at most CANDIDATE_BYTES plus its 4k-byte row (measured
+# 37 bytes at k = 3 on rr(160,80) and rr(300,150), 51 at k = 4 on K_60).
+ENUMERATION_BUDGET = 233 * 10**7
+CANDIDATE_BYTES = 40
 
 
-def _clique_stream(g: Graph, t: int):
-    """Yield strictly-increasing t-tuples inducing complete subgraphs, lexicographically."""
-    if t == 1:
-        for v in range(g.n):
-            yield (v,)
-        return
-    adjsets = [set(a) for a in g.adj]
-    for u in range(g.n):
-        yield from _extend(adjsets, t, (u,), [x for x in g.adj[u] if x > u])
-
-
-def _extend(adjsets: list, t: int, prefix: tuple, cand: list):
-    # Not a closure: a nested generator calling itself forms a reference cycle
-    # that keeps adjsets alive until the cyclic collector runs.
-    if len(prefix) == t:
-        yield prefix
-        return
-    need = t - len(prefix) - 1
-    for i, v in enumerate(cand):
-        rest = [u for u in cand[i + 1 :] if u in adjsets[v]]
-        if len(rest) >= need:
-            yield from _extend(adjsets, t, prefix + (v,), rest)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliqueSet:
-    """All K_t copies of a host graph, with its vertex and pair incidence operators.
+    """All K_t copies of a graph as one array, with its incidence operators.
 
-    A_vert (n x N) and A_pair (m x N, rows in the host's edge order) are
-    built on first use and kept, so every LP and load computation over the
-    same clique set shares one copy: vertex loads of a clique weighting f
-    are A_vert @ f, pair loads A_pair @ f.
+    members is the (N, t) int32 array of the module docstring, in
+    enumeration order; a clique's id is its row.  A_vert (n x N) and A_pair
+    (m x N, rows in the order of edges) are built from members on first use
+    and kept, so every LP and load computation over the same clique set
+    shares one copy: vertex loads of a clique weighting f are A_vert @ f,
+    pair loads A_pair @ f.
     """
 
     t: int
-    cliques: tuple  # strictly increasing t-tuples, lexicographic order
-    n: int  # host vertex count
-    edges: tuple = field(repr=False)  # host edges, the row order of A_pair
+    members: np.ndarray = field(repr=False)
+    n: int  # vertex count of the graph
+    edges: tuple = field(repr=False)  # its edges, the row order of A_pair
 
     def __len__(self) -> int:
-        return len(self.cliques)
+        return len(self.members)
 
     def vector(self, f: dict) -> np.ndarray:
         """Length-N weight vector of a clique id -> weight map, for the operators."""
-        x = np.zeros(len(self.cliques))
+        x = np.zeros(len(self))
         x[list(f)] = list(f.values())
         return x
-
-    def _members(self) -> np.ndarray:
-        return np.asarray(self.cliques, dtype=np.int64).reshape(-1, self.t)
 
     @cached_property
     def A_vert(self) -> sparse.csc_matrix:
         """Entry (v, j) is 1 iff vertex v lies in clique j."""
-        return _incidence(self._members().ravel(), self.t, (self.n, len(self.cliques)))
+        return _incidence(self.members.ravel(), self.t, (self.n, len(self)))
 
     @cached_property
     def A_pair(self) -> sparse.csc_matrix:
         """Entry (e, j) is 1 iff both ends of edge e lie in clique j."""
-        mem, n = self._members(), self.n
+        mem, n = self.members.astype(np.int64), self.n
         pairs = [(a, b) for a in range(self.t) for b in range(a + 1, self.t)]
         # u < v keyed as u*n + v sorts exactly like the lexicographic edge list
         keys = np.stack([mem[:, a] * n + mem[:, b] for a, b in pairs], axis=1).ravel()
-        edge_keys = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
-        rows = np.searchsorted(edge_keys, keys)
-        return _incidence(rows, len(pairs), (len(self.edges), len(self.cliques)))
+        rows = np.searchsorted(_edge_keys(_edge_array(self.edges), n), keys)
+        return _incidence(rows, len(pairs), (len(self.edges), len(self)))
 
 
 def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
     """0/1 matrix whose column j has its ones at rows[j*per : (j+1)*per].
 
-    Clique tuples are increasing, so each column's rows come out sorted.
+    Clique rows are increasing, so each column's rows come out sorted.
     """
     indptr = np.arange(shape[1] + 1) * per
     return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=shape)
 
 
-def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
-    """Exact, duplicate-free K_t enumeration.
+def _edge_array(edges: tuple) -> np.ndarray:
+    flat = itertools.chain.from_iterable(edges)
+    return np.fromiter(flat, dtype=np.int32, count=2 * len(edges)).reshape(-1, 2)
 
-    Raises ResourceError carrying the partial count past ENUMERATION_CAP,
-    which is set so the guard trips before memory runs out: a K_3 costs ~72
-    bytes as a tuple, ~152 once both incidence operators are built and ~233
-    at the peak of building them (measured on rr(160,80)), so 10**7 cliques
-    stay within ~2.3 GB.
+
+def _edge_keys(ends: np.ndarray, n: int) -> np.ndarray:
+    return ends[:, 0].astype(np.int64) * n + ends[:, 1]
+
+
+def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
+    """Exact, duplicate-free K_t enumeration, level by level (module docstring).
+
+    Before a level allocates, its exact candidate count is known: the sum,
+    over the parents, of the upper degree of each parent's last vertex (for
+    t = 3, the wedge count).  ResourceError is raised when those candidates
+    would take more than ENUMERATION_BUDGET bytes, or when a level k >= 3
+    keeps more than ENUMERATION_CAP cliques; past the cap on the last level
+    it carries partial = ENUMERATION_CAP + 1, as a count that stops at the
+    cap would.  A K_3 costs 12 bytes as a row, 80 once both incidence operators
+    are built and 160 at the peak of building them (measured on rr(160,80)
+    and rr(300,150)), so the cap of 10**7 cliques stays within ~1.6 GB.
     """
     if t < 2:
         raise InputError(f"t must be >= 2, got {t}")
-    cliques = []
-    for tup in _clique_stream(g, t):
-        cliques.append(tup)
-        if len(cliques) > ENUMERATION_CAP:
+    n = g.n
+    ends = _edge_array(g.edges)
+    keys = _edge_keys(ends, n)
+    # CSR of upper neighbours: edges are sorted, so row u is ends[start[u]:start[u+1], 1]
+    start = np.searchsorted(ends[:, 0], np.arange(n + 1))
+    upper = ends[:, 1]
+    rows = ends
+    for k in range(3, t + 1):
+        last = rows[:, -1]
+        deg = start[last + 1] - start[last]
+        total = int(deg.sum())
+        if total * (CANDIDATE_BYTES + 4 * k) > ENUMERATION_BUDGET:
             raise ResourceError(
-                f"clique enumeration exceeded {ENUMERATION_CAP}", partial=len(cliques)
+                f"K_{k} enumeration needs {total} candidates, over the "
+                f"{ENUMERATION_BUDGET}-byte budget"
             )
-    return CliqueSet(t=t, cliques=tuple(cliques), n=g.n, edges=g.edges)
+        parent = np.repeat(np.arange(len(rows)), deg)
+        # the j-th candidate of a parent is its last vertex's j-th upper neighbour
+        w = upper[np.arange(total) + np.repeat(start[last] - np.cumsum(deg) + deg, deg)]
+        for a in range(k - 2):
+            q = rows[parent, a].astype(np.int64) * n + w
+            hit = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
+            parent, w = parent[hit], w[hit]
+        rows = np.column_stack([rows[parent], w])
+        if len(rows) > ENUMERATION_CAP:
+            raise ResourceError(
+                f"clique enumeration exceeded {ENUMERATION_CAP}: {len(rows)} K_{k}",
+                partial=ENUMERATION_CAP + 1 if k == t else None,
+            )
+    return CliqueSet(t=t, members=rows, n=n, edges=g.edges)
 
 
 def count_cliques_window(g: Graph, gprime: Graph | None, U, i: int):
@@ -134,7 +157,7 @@ def count_cliques_window(g: Graph, gprime: Graph | None, U, i: int):
     d, n = info.d, g.n
     diff = graph_difference(g, gprime) if gprime is not None else g
     sub, _ = induced_subgraph(diff, U)
-    count = sum(1 for _ in _clique_stream(sub, i))
+    count = len(enumerate_cliques(sub, i))
     u_sz = sub.n
     if n == 0 or d == 0:
         center = 0.0
@@ -161,7 +184,7 @@ def vertex_family(
     """Greedy family of K_t copies through v in g \\ gprime, overlapping only at v.
 
     Each member is v plus a K_{t-1} in the surviving neighborhood of v;
-    first-fit over the lexicographic (t-1)-clique stream, skipping cliques
+    first-fit over the lexicographic (t-1)-clique rows, skipping cliques
     that reuse a vertex.  Shortfall is data, not an error.
     """
     if t < 3:
@@ -174,8 +197,8 @@ def vertex_family(
     found = []
     used: set = set()
     if target > 0:
-        for tup in _clique_stream(sub, t - 1):
-            members = [verts[x] for x in tup]
+        for row in enumerate_cliques(sub, t - 1).members.tolist():
+            members = [verts[x] for x in row]
             if any(u in used for u in members):
                 continue
             used.update(members)
@@ -196,17 +219,8 @@ class PropertyPReport:
     witness: tuple | None  # (U, U_0) of the first failing trial
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "D": self.D,
-            "Dprime": self.Dprime,
-            "n": self.n,
-            "trials": self.trials,
-            "failures": self.failures,
-            "witness": None
-            if self.witness is None
-            else {"U": list(self.witness[0]), "U0": list(self.witness[1])},
-        }
+        w = self.witness
+        return {**vars(self), "witness": None if w is None else {"U": list(w[0]), "U0": list(w[1])}}
 
 
 def property_P_audit(
@@ -236,8 +250,8 @@ def property_P_audit(
         found = 0
         used: set = set()
         if target > 0:
-            for tup in _clique_stream(sub, t):
-                members = [verts[x] for x in tup]
+            for row in enumerate_cliques(sub, t).members.tolist():
+                members = [verts[x] for x in row]
                 inside = [u for u in members if u in u0]
                 if len(inside) != 1:
                     continue
@@ -277,8 +291,7 @@ def span_clique_audit(g: Graph, t: int, size: int, trials: int, seed: int):
     for _ in range(trials):
         subset = np.sort(rng.permutation(g.n)[:size])
         sub, _ = induced_subgraph(g, subset)
-        has = next(_clique_stream(sub, t), None) is not None
-        if not has:
+        if not len(enumerate_cliques(sub, t)):
             failures += 1
             if witness is None:
                 witness = tuple(int(x) for x in subset)

@@ -35,7 +35,6 @@ inequality when t = 2) removes most of the gap branch-and-bound would close.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +73,16 @@ class DualSolution:
     objective: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorCert:
     """Verdict of the fractional-factor test.
 
-    has_factor implies f (keyed by clique tuple) is a witness that passed
-    the exact checks: f >= 0, every per_vertex_load within tol of 1, every
-    pair load at most w + tol.  It is the maximum-entropy factor, unless the
-    note says it is the primal optimum, a basic solution that is not spread.
+    has_factor implies the witness f passed the exact checks: f >= 0, every
+    per_vertex_load within tol of 1, every pair load at most w + tol.  It is
+    the maximum-entropy factor, unless the note says it is the primal
+    optimum, a basic solution that is not spread.  Its support is carried
+    as arrays: ids are the ascending clique ids (rows of the certified
+    clique set) with f > 0, weights their f and members their vertex rows.
     slack = |V|/t - t_star.
     """
 
@@ -89,16 +90,29 @@ class FactorCert:
     t_star: float
     slack: float
     per_vertex_load: dict
-    f: dict | None = None
+    ids: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    members: np.ndarray | None = None
     note: str = ""
 
+    @property
+    def f(self) -> dict | None:
+        """The witness as clique tuple -> weight over its support."""
+        if self.ids is None:
+            return None
+        return dict(zip(map(tuple, self.members.tolist()), self.weights.tolist()))
+
     def to_dict(self, tol: float = TOL_DEFAULT) -> dict:
+        f = self.f
         return {
-            **vars(self),
+            "has_factor": self.has_factor,
+            "t_star": self.t_star,
+            "slack": self.slack,
             "per_vertex_load": {str(v): x for v, x in sorted(self.per_vertex_load.items())},
             "f": None
-            if self.f is None
-            else {" ".join(map(str, tup)): val for tup, val in sorted(self.f.items()) if val > tol},
+            if f is None
+            else {" ".join(map(str, tup)): val for tup, val in f.items() if val > tol},
+            "note": self.note,
         }
 
 
@@ -113,7 +127,7 @@ def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
     """Maximize sum f(T) subject to vertex loads <= 1, pair loads <= w."""
     if tol <= 0:
         raise InputError("tol must be positive")
-    N = len(cliques.cliques)
+    N = len(cliques)
     if N == 0:
         return PrimalSolution(f={}, objective=0.0)
     a_vert, a_pair, caps = _instance(wg, cliques)
@@ -132,7 +146,7 @@ def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) 
         raise InputError("tol must be positive")
     n = wg.n
     edges = wg.base.edges
-    N = len(cliques.cliques)
+    N = len(cliques)
     if N == 0:
         return DualSolution(
             g={v: 0.0 for v in range(n)}, h={e: 0.0 for e in edges}, objective=0.0
@@ -159,7 +173,7 @@ def t_star(
     """
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
-    N = len(cliques.cliques)
+    N = len(cliques)
     if N == 0:
         return 0.0
     if N <= wg.n + wg.base.m:
@@ -195,7 +209,7 @@ def integral_matching_value(
     """
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
-    N = len(cliques.cliques)
+    N = len(cliques)
     if N == 0:
         return 0.0
     if N > MATCHING_BUDGET:
@@ -251,7 +265,7 @@ def has_fractional_factor(
         cliques = enumerate_cliques(wg.base, t)
     n = wg.n
     if n == 0:
-        return FactorCert(True, 0.0, 0.0, {}, f={})
+        return FactorCert(True, 0.0, 0.0, {}, **_support(cliques, np.zeros(0)))
     caps = _instance(wg, cliques)[2]
     fvec, note = _max_entropy_factor(cliques, caps, tol), ""
     if fvec is None or not _is_factor(cliques, caps, fvec, tol):
@@ -265,9 +279,13 @@ def has_fractional_factor(
             return FactorCert(False, ts, n / t - ts, _vertex_loads(cliques, fvec), note=note)
         note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
     ts = _within_bound(float(fvec.sum()), n, t, tol)
-    support = fvec > 0
-    f = dict(zip(itertools.compress(cliques.cliques, support), fvec[support].tolist()))
-    return FactorCert(True, ts, n / t - ts, _vertex_loads(cliques, fvec), f=f, note=note)
+    loads = _vertex_loads(cliques, fvec)
+    return FactorCert(True, ts, n / t - ts, loads, **_support(cliques, fvec), note=note)
+
+
+def _support(cliques: CliqueSet, fvec: np.ndarray) -> dict:
+    ids = np.flatnonzero(fvec > 0)
+    return {"ids": ids, "weights": fvec[ids], "members": cliques.members[ids]}
 
 
 def _is_factor(cliques: CliqueSet, caps: np.ndarray, fvec: np.ndarray, tol: float) -> bool:
@@ -406,7 +424,7 @@ def check_prop3(
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
     n = wg.n
-    N = len(cliques.cliques)
+    N = len(cliques)
     if dual is None:
         dual = solve_dual(wg, cliques, tol)
     if N == 0:

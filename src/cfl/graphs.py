@@ -120,9 +120,6 @@ class WeightedGraph:
     def n(self) -> int:
         return self.base.n
 
-    def weight(self, u: int, v: int) -> float:
-        return self.w[edge_key(u, v)]
-
 
 def uniform_weights(g: Graph, value: float = 1.0) -> WeightedGraph:
     """Give every edge the same weight (w == 1 starts both extraction engines)."""
@@ -204,8 +201,8 @@ def _edge_lines(text: str):
             yield i, line
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the plain text format; malformed lines raise ParseError with line numbers."""
+def _parse(text: str, weighted: bool) -> tuple:
+    """(graph, edge -> weight) of either text format; no weights for plain text."""
     lines = list(_edge_lines(text))
     if not lines:
         raise ParseError(1, "empty input, expected 'n m' header")
@@ -213,22 +210,33 @@ def parse_graph(text: str) -> Graph:
     n, m = _parse_header(hdr, hdr_no)
     if len(rest) != m:
         raise ParseError(hdr_no, f"header declares {m} edges, found {len(rest)} edge lines")
-    pairs = []
+    form = "u v w" if weighted else "u v"
+    pairs, weights = [], {}
     for line_no, line in rest:
         parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected 'u v', got {line!r}")
+        if len(parts) != 2 + weighted:
+            raise ParseError(line_no, f"expected '{form}', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
+            x = float(parts[2]) if weighted else 1.0
         except ValueError:
-            raise ParseError(line_no, f"non-integer vertex in {line!r}") from None
+            raise ParseError(line_no, f"malformed edge line {line!r}") from None
         if not (0 <= u < v < n):
             raise ParseError(line_no, f"edge ({u},{v}) violates 0 <= u < v < n={n}")
+        if not (0 <= x <= 1):
+            raise ParseError(line_no, f"weight {x} outside [0,1]")
         pairs.append((u, v))
+        if weighted:
+            weights[(u, v)] = x
     g = from_edge_list(n, pairs)
     if g.m != m:
         raise ParseError(hdr_no, f"duplicate edges: {m} declared, {g.m} distinct")
-    return g
+    return g, weights
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the plain text format; malformed lines raise ParseError with line numbers."""
+    return _parse(text, weighted=False)[0]
 
 
 def write_graph(g: Graph) -> str:
@@ -239,33 +247,7 @@ def write_graph(g: Graph) -> str:
 
 def parse_weighted_graph(text: str) -> WeightedGraph:
     """Parse the weighted variant ('u v w' lines, w a decimal in [0,1])."""
-    lines = list(_edge_lines(text))
-    if not lines:
-        raise ParseError(1, "empty input, expected 'n m' header")
-    (hdr_no, hdr), rest = lines[0], lines[1:]
-    n, m = _parse_header(hdr, hdr_no)
-    if len(rest) != m:
-        raise ParseError(hdr_no, f"header declares {m} edges, found {len(rest)} edge lines")
-    pairs, weights = [], {}
-    for line_no, line in rest:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(line_no, f"expected 'u v w', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            x = float(parts[2])
-        except ValueError:
-            raise ParseError(line_no, f"malformed edge line {line!r}") from None
-        if not (0 <= u < v < n):
-            raise ParseError(line_no, f"edge ({u},{v}) violates 0 <= u < v < n={n}")
-        if not (0 <= x <= 1):
-            raise ParseError(line_no, f"weight {x} outside [0,1]")
-        pairs.append((u, v))
-        weights[(u, v)] = x
-    g = from_edge_list(n, pairs)
-    if g.m != m:
-        raise ParseError(hdr_no, f"duplicate edges: {m} declared, {g.m} distinct")
-    return WeightedGraph(g, weights)
+    return WeightedGraph(*_parse(text, weighted=True))
 
 
 def write_weighted_graph(wg: WeightedGraph) -> str:

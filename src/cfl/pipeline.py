@@ -15,8 +15,10 @@ so identical (graph, config) runs produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -50,8 +52,9 @@ def worker_count() -> int:
 class FactorBundle:
     """A list of fractional factors extracted from one host graph.
 
-    factors[i] maps source-graph clique ids (positions in the deterministic
-    enumeration order of enumerate_cliques(g, t)) to weights.  ell is the
+    factors[i] is an (ids, weights) pair of arrays: ascending source-graph
+    clique ids (rows of enumerate_cliques(g, t).members) and the factor's
+    weights on them, zero weights left out.  ell is the
     achieved count, which may fall short of the request; audits carry the
     per-iteration or per-part diagnostics.
     """
@@ -104,7 +107,6 @@ def dense_extract(
         alpha = default_alpha(g.n, info.d, t) if g.n else 0.0
     if cliques is None:
         cliques = enumerate_cliques(g, t)
-    cid = {tup: j for j, tup in enumerate(cliques.cliques)}
     ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     w = np.ones(g.m)
     load = np.zeros(g.m)
@@ -121,8 +123,7 @@ def dense_extract(
                 {"iteration": i, "t_star": cert.t_star, "rich_edges": rich, "extracted": False}
             )
             break
-        factor = {cid[tup]: val for tup, val in sorted(cert.f.items())}
-        dec = cliques.A_pair @ cliques.vector(factor)
+        dec = cliques.A_pair[:, cert.ids] @ cert.weights
         # an edge's decrement lowers the weighted degree of both of its ends
         drop = np.bincount(ends.ravel(), weights=np.repeat(dec, 2), minlength=g.n)
         residual = float(np.max(np.abs(drop - (t - 1)))) if g.n else 0.0
@@ -141,7 +142,7 @@ def dense_extract(
         min_pre = float(np.min(nw, initial=0.0))
         w = np.clip(nw, 0.0, 1.0)
         load += dec
-        factors.append(factor)
+        factors.append((cert.ids, cert.weights))
         iterations.append(
             {
                 "iteration": i,
@@ -151,7 +152,7 @@ def dense_extract(
                 "degree_residual": residual,
                 "clamp_violations": clamped,
                 "min_weight_pre_clamp": min_pre,
-                "support": len(cert.f),
+                "support": len(cert.ids),
             }
         )
     audits = {
@@ -171,18 +172,39 @@ def dense_extract(
     )
 
 
-def sparse_split(g: Graph, ell: int, seed: int) -> list:
-    """Partition E(g) into ell spanning subgraphs, edges assigned i.i.d. uniform."""
+def _split(g: Graph, ell: int, seed: int) -> tuple:
+    """(part of each edge in edge order, the parts): edges assigned i.i.d. uniform."""
     if ell < 1:
         raise InputError(f"ell must be >= 1, got {ell}")
     if ell == 1:
-        return [g]
-    rng = np.random.default_rng(seed)
-    assign = rng.integers(0, ell, size=g.m)
+        return np.zeros(g.m, dtype=np.int64), [g]
+    assign = np.random.default_rng(seed).integers(0, ell, size=g.m)
     buckets = [[] for _ in range(ell)]
-    for e, i in zip(g.edges, assign):
-        buckets[int(i)].append(e)
-    return [from_edge_list(g.n, part) for part in buckets]
+    for e, i in zip(g.edges, assign.tolist()):
+        buckets[i].append(e)
+    return assign, [from_edge_list(g.n, part) for part in buckets]
+
+
+def sparse_split(g: Graph, ell: int, seed: int) -> list:
+    """Partition E(g) into ell spanning subgraphs, edges assigned i.i.d. uniform."""
+    return _split(g, ell, seed)[1]
+
+
+def part_cliques(cliques: CliqueSet, assign: np.ndarray, parts: list) -> list:
+    """Each part's clique set cut from the host's, with the host ids of its rows.
+
+    assign[e] is the part of host edge e.  A host clique lies in part i iff
+    the split put all of its pairs in i, which one gather of assign through
+    A_pair's rows decides for every clique.  Keeping the host's order, part
+    i's rows are exactly enumerate_cliques(parts[i], t).members.
+    """
+    pair_part = assign[cliques.A_pair.indices].reshape(len(cliques), math.comb(cliques.t, 2))
+    home = np.where((pair_part == pair_part[:, :1]).all(axis=1), pair_part[:, 0], -1)
+    out = []
+    for i, part in enumerate(parts):
+        ids = np.flatnonzero(home == i)
+        out.append((ids, CliqueSet(cliques.t, cliques.members[ids], cliques.n, part.edges)))
+    return out
 
 
 def sparse_extract(
@@ -193,28 +215,30 @@ def sparse_extract(
     tol: float = TOL_DEFAULT,
     cliques: CliqueSet | None = None,
 ) -> FactorBundle:
-    """Random-split extraction: unit weights, alpha = 0, one LP per part.
+    """Random-split extraction: unit weights, alpha = 0, one certificate per part.
 
-    Hosts are edge-disjoint, so each clique receives positive weight in at
-    most one factor and aggregate pair loads never exceed 1.  Parts without a
+    Parts are edge-disjoint, so each clique receives positive weight in at
+    most one factor and aggregate pair loads never exceed 1.  No part is
+    enumerated: its clique set is cut from the host's (part_cliques), so
+    its factor maps back to host ids by indexing.  Parts without a
     fractional factor are reported, not fatal.
     """
     if t < 3:
         raise InputError(f"t must be >= 3, got {t}")
-    parts = sparse_split(g, ell, seed)
+    assign, parts = _split(g, ell, seed)
     if cliques is None:
         cliques = enumerate_cliques(g, t)
-    cid = {tup: j for j, tup in enumerate(cliques.cliques)}
+    cut = part_cliques(cliques, assign, parts)
 
-    def solve(part: Graph) -> FactorCert:
-        return has_fractional_factor(uniform_weights(part), t, tol)
+    def solve(i: int) -> FactorCert:
+        return has_fractional_factor(uniform_weights(parts[i]), t, tol, cut[i][1])
 
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(solve, parts))
+            certs = list(pool.map(solve, range(ell)))
     else:
-        certs = [solve(part) for part in parts]
+        certs = [solve(i) for i in range(ell)]
 
     total = np.zeros(len(cliques))
     factors = []
@@ -223,9 +247,9 @@ def sparse_extract(
         if not cert.has_factor:
             failed.append(i)
             continue
-        factor = {cid[tup]: val for tup, val in sorted(cert.f.items())}
-        factors.append(factor)
-        total += cliques.vector(factor)
+        ids = cut[i][0][cert.ids]
+        factors.append((ids, cert.weights))
+        total[ids] += cert.weights
     load = cliques.A_pair @ total
     audits = {
         "requested": ell,
@@ -259,8 +283,7 @@ class RandomHypergraph:
 
     def to_dict(self) -> dict:
         return {
-            "t": self.t,
-            "vertices": self.vertices,
+            **vars(self),
             "hyperedges": [list(e) for e in self.hyperedges],
             "inclusion_prob": {str(j): p for j, p in sorted(self.inclusion_prob.items())},
         }
@@ -278,32 +301,28 @@ def build_Hf(
 
     f(T) sums the bundle's factors; values beyond 1 + 10 tol indicate a
     corrupted bundle and raise, values in (1, 1+10 tol] are solver noise and
-    clamp to 1.  Candidates are visited in ascending clique id so a fixed
-    seed yields a fixed hypergraph.
+    clamp to 1.  Candidates, the cliques with f(T) > 0, take one uniform draw
+    each, in ascending clique id, so a fixed seed yields a fixed hypergraph.
     """
     if cliques is None:
         cliques = enumerate_cliques(g, t)
-    f_total: dict = {}
-    for fac in bundle.factors:
-        for j, val in fac.items():
-            f_total[j] = f_total.get(j, 0.0) + val
-    for j, val in f_total.items():
-        if val > 1 + 10 * tol:
-            raise InvariantError(
-                f"aggregate f({cliques.cliques[j]}) = {val:.9g} exceeds 1 + 10 tol"
-            )
-    rng = np.random.default_rng(seed)
-    hyperedges = []
-    probs = {}
-    for j in sorted(f_total):
-        p = min(f_total[j], 1.0)
-        if p <= 0.0:
-            continue
-        probs[j] = p
-        if rng.random() < p:
-            hyperedges.append(cliques.cliques[j])
+    f = np.zeros(len(cliques))
+    for ids, weights in bundle.factors:
+        f[ids] += weights
+    over = np.flatnonzero(f > 1 + 10 * tol)
+    if over.size:
+        j = over[0]
+        raise InvariantError(
+            f"aggregate f({tuple(cliques.members[j].tolist())}) = {f[j]:.9g} exceeds 1 + 10 tol"
+        )
+    candidates = np.flatnonzero(f > 0)
+    p = np.minimum(f[candidates], 1.0)
+    kept = candidates[np.random.default_rng(seed).random(candidates.size) < p]
     return RandomHypergraph(
-        t=t, vertices=g.n, hyperedges=tuple(hyperedges), inclusion_prob=probs
+        t=t,
+        vertices=g.n,
+        hyperedges=tuple(map(tuple, cliques.members[kept].tolist())),
+        inclusion_prob=dict(zip(candidates.tolist(), p.tolist())),
     )
 
 
@@ -331,38 +350,15 @@ class ConcentrationReport:
     empty: bool
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "ell": self.ell,
-            "band_low": self.band_low,
-            "band_high": self.band_high,
-            "degrees_outside": self.degrees_outside,
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "mean_degree": self.mean_degree,
-            "codegree_bound": self.codegree_bound,
-            "max_codegree": self.max_codegree,
-            "codegrees_outside": self.codegrees_outside,
-            "empty": self.empty,
-        }
+        return dict(vars(self))
 
 
 def hf_degrees(hf: RandomHypergraph) -> np.ndarray:
-    deg = np.zeros(hf.vertices, dtype=int)
-    for e in hf.hyperedges:
-        for v in e:
-            deg[v] += 1
-    return deg
+    return np.bincount(np.ravel(hf.hyperedges).astype(int), minlength=hf.vertices)
 
 
 def hf_codegrees(hf: RandomHypergraph) -> dict:
-    codeg: dict = {}
-    for e in hf.hyperedges:
-        for a in range(len(e)):
-            for b in range(a + 1, len(e)):
-                key = (e[a], e[b])
-                codeg[key] = codeg.get(key, 0) + 1
-    return codeg
+    return Counter(pair for e in hf.hyperedges for pair in itertools.combinations(e, 2))
 
 
 def concentration_audit(hf: RandomHypergraph, ell: int, n: int) -> ConcentrationReport:
@@ -469,17 +465,10 @@ def nibble_matching(
             alive = [e for e in alive if all(not covered[v] for v in e)]
             if not alive:
                 break
-            deg = np.zeros(n, dtype=int)
-            for e in alive:
-                for v in e:
-                    deg[v] += 1
-            delta = int(deg.max())
+            delta = int(np.bincount(np.ravel(alive)).max())
             p = min(1.0, epsilon / delta)
             active = np.flatnonzero(rng.random(len(alive)) < p)
-            use = np.zeros(n, dtype=int)
-            for i in active:
-                for v in alive[i]:
-                    use[v] += 1
+            use = np.bincount(np.ravel([alive[i] for i in active]).astype(int), minlength=n)
             for i in active:
                 e = alive[i]
                 if all(use[v] == 1 for v in e):
@@ -503,11 +492,11 @@ def greedy_completion(g: Graph, t: int, uncovered, seed: int) -> tuple:
     if len(unc) >= t:
         sub, verts = induced_subgraph(g, unc)
         cs = enumerate_cliques(sub, t)
-        if cs.cliques:
+        if len(cs):
             rng = np.random.default_rng(seed)
             covered = [False] * sub.n
-            for tup in _greedy_pass(rng.permutation(len(cs.cliques)), list(cs.cliques), covered):
-                added.append(tuple(verts[x] for x in tup))
+            for row in _greedy_pass(rng.permutation(len(cs)), cs.members.tolist(), covered):
+                added.append(tuple(verts[x] for x in row))
     taken = {v for e in added for v in e}
     remaining = tuple(v for v in unc if v not in taken)
     return added, remaining
@@ -536,12 +525,7 @@ class PipelineReport:
     uncovered_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "stage_audits": self.stage_audits,
-            "result": self.result.to_dict(),
-            "uncovered_fraction": self.uncovered_fraction,
-        }
+        return {**vars(self), "result": self.result.to_dict()}
 
 
 class HypothesisRejected(InputError):

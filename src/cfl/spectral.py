@@ -50,17 +50,9 @@ class SpectralCert:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lambda": self.lam,
-            "method": self.method,
-            "residual": self.residual,
-            "mu2": self.mu2,
-            "mu_n": self.mu_n,
-            "lambda_equals_d": self.lambda_equals_d,
-            "tol": self.tol,
-        }
+        out = dict(vars(self))
+        out["lambda"] = out.pop("lam")
+        return out
 
 
 @dataclass(frozen=True)
@@ -72,13 +64,7 @@ class MixingAuditReport:
     worst_b_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "violated": self.violated,
-            "worst_a_size": self.worst_a_size,
-            "worst_b_size": self.worst_b_size,
-        }
+        return dict(vars(self))
 
 
 def adjacency_matrix(g: Graph) -> sparse.csr_matrix:
@@ -268,21 +254,7 @@ class HypothesisReport:
     degree_floor_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "c": self.c,
-            "lambda_bound": self.lambda_bound,
-            "lambda_ok": self.lambda_ok,
-            "beta": self.beta,
-            "delta": self.delta,
-            "dense_degree_threshold": self.dense_degree_threshold,
-            "dense_degree_ok": self.dense_degree_ok,
-            "sparse_degree_threshold": self.sparse_degree_threshold,
-            "sparse_degree_ok": self.sparse_degree_ok,
-            "branch": self.branch,
-            "degree_floor": self.degree_floor,
-            "degree_floor_ok": self.degree_floor_ok,
-        }
+        return dict(vars(self))
 
 
 def eigenvalue_constant(t: int) -> float:

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import cfl.cli as cli_mod
+import cfl.cliques as cliques_mod
 import cfl.factor_lp as factor_lp_mod
 import cfl.spectral as spectral_mod
 from cfl import (
@@ -210,6 +211,14 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["span_audit"]["failures"] == 2
 
+    def test_cliques_window_over_the_cap_exits_3(self, k6_file, capsys, monkeypatch):
+        # the 15 edges of K_6 fit under the cap, the window's 20 triangles do not
+        monkeypatch.setattr(cliques_mod, "ENUMERATION_CAP", 16)
+        assert main(["cliques", "--in", k6_file, "--t", "2", "--window", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: clique enumeration exceeded 16: 20 K_3\n"
+
     def test_cliques_span_requires_seed(self, petersen_file, capsys):
         code = main(["cliques", "--in", petersen_file, "--t", "3", "--span-trials", "2"])
         assert code == 2
@@ -339,6 +348,13 @@ class TestPipelineCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_non_integer_seed_list_exits_2(self, k6_file, capsys):
+        code = main(["pipeline", "--in", k6_file, "--t", "3", "--seeds", "1,x"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seeds takes comma-separated integers, got '1,x'\n"
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["pipeline", "--in", str(tmp_path / "nope.txt"), "--t", "3", "--seed", "0"])
         assert code == 2
@@ -375,3 +391,16 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert out.startswith("PASS")
         assert "1/1 criteria passed" in out
+
+    @pytest.mark.parametrize(
+        "only,message",
+        [
+            ("1,z", "--only takes comma-separated integers, got '1,z'"),
+            ("42", "--only: no criterion 42; criteria are 1-9"),
+        ],
+    )
+    def test_bad_criterion_list_exits_2(self, only, message, capsys):
+        assert main(["suite", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

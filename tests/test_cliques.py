@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfl.cliques as cliques_mod
 from cfl import (
@@ -43,18 +45,30 @@ class TestEnumeration:
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_matches_brute_force(self, rr_20_6, t):
         cs = enumerate_cliques(rr_20_6, t)
-        assert set(cs.cliques) == set(brute_force_cliques(rr_20_6, t))
+        assert set(_rows(cs)) == set(brute_force_cliques(rr_20_6, t))
 
     def test_tuples_sorted_and_lexicographic(self, paley13):
         cs = enumerate_cliques(paley13, 3)
-        for tup in cs.cliques:
+        assert cs.members.shape == (26, 3) and cs.members.dtype == np.int32
+        for tup in _rows(cs):
             assert list(tup) == sorted(tup)
             assert len(set(tup)) == 3
-        assert list(cs.cliques) == sorted(cs.cliques)
+        assert _rows(cs) == sorted(_rows(cs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 14),
+        p=st.floats(0.0, 1.0),
+        t=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_brute_force_list(self, n, p, t, seed):
+        g = _gnp(n, p, seed)
+        assert _rows(enumerate_cliques(g, t)) == sorted(brute_force_cliques(g, t))
 
     def test_two_cliques_are_the_edges(self, k6):
         cs = enumerate_cliques(k6, 2)
-        assert set(cs.cliques) == set(k6.edges)
+        assert set(_rows(cs)) == set(k6.edges)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_vertex_operator_inverts_membership(self, rr_20_6, t):
@@ -63,7 +77,7 @@ class TestEnumeration:
         assert A.shape == (rr_20_6.n, len(cs))
         for v in range(rr_20_6.n):
             assert set(np.flatnonzero(A[v])) == {
-                cid for cid, tup in enumerate(cs.cliques) if v in tup
+                cid for cid, tup in enumerate(_rows(cs)) if v in tup
             }
         assert set(np.unique(A)) <= {0.0, 1.0}
 
@@ -74,7 +88,7 @@ class TestEnumeration:
         assert A.shape == (rr_20_6.m, len(cs))
         for row, (u, v) in enumerate(rr_20_6.edges):
             assert set(np.flatnonzero(A[row])) == {
-                cid for cid, tup in enumerate(cs.cliques) if u in tup and v in tup
+                cid for cid, tup in enumerate(_rows(cs)) if u in tup and v in tup
             }
         assert set(np.unique(A)) <= {0.0, 1.0}
 
@@ -105,6 +119,27 @@ class TestEnumeration:
         with pytest.raises(ResourceError) as exc:
             enumerate_cliques(k6, 3)
         assert exc.value.partial == 6
+
+    def test_candidate_budget_trips_under_the_cap(self, k6, monkeypatch):
+        # K_6 has 20 wedges u < v < w, each a K_3 candidate costing
+        # CANDIDATE_BYTES + 12 bytes; 20 triangles are far under the cap
+        per = cliques_mod.CANDIDATE_BYTES + 12
+        monkeypatch.setattr(cliques_mod, "ENUMERATION_BUDGET", 20 * per - 1)
+        with pytest.raises(ResourceError, match="20 candidates") as exc:
+            enumerate_cliques(k6, 3)
+        assert exc.value.partial is None
+        monkeypatch.setattr(cliques_mod, "ENUMERATION_BUDGET", 20 * per)
+        assert len(enumerate_cliques(k6, 3)) == 20
+
+
+def _rows(cs) -> list:
+    return list(map(tuple, cs.members.tolist()))
+
+
+def _gnp(n: int, p: float, seed: int):
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return from_edge_list(n, [e for e, x in zip(pairs, rng.random(len(pairs))) if x < p])
 
 
 class TestDensityWindow:

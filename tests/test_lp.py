@@ -484,7 +484,8 @@ class TestComplementarySlackness:
         p = solve_primal(wg, cliques)
         d = solve_dual(wg, cliques)
         rep = complementary_slackness(p, d, wg, cliques)
-        ref = slackness_by_loops(p.f, d.g, d.h, wg, cliques.cliques, 1e-6)
+        rows = list(map(tuple, cliques.members.tolist()))
+        ref = slackness_by_loops(p.f, d.g, d.h, wg, rows, 1e-6)
         got = [
             (rep.worst_vertex_slack, rep.checked_vertices),
             (rep.worst_edge_slack, rep.checked_edges),

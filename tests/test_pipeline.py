@@ -27,7 +27,7 @@ from cfl import (
     sparse_extract,
     sparse_split,
 )
-from cfl.pipeline import hf_codegrees, hf_degrees
+from cfl.pipeline import _split, hf_codegrees, hf_degrees, part_cliques
 
 
 def _vertex_drops(g, bundle):
@@ -71,8 +71,8 @@ class TestDenseExtraction:
     def test_factors_are_keyed_by_source_clique_ids(self, k6):
         cliques = enumerate_cliques(k6, 3)
         bundle = dense_extract(k6, 3, 2, cliques=cliques)
-        for fac in bundle.factors:
-            for cid, val in fac.items():
+        for ids, weights in bundle.factors:
+            for cid, val in zip(ids.tolist(), weights.tolist()):
                 assert 0 <= cid < len(cliques)
                 assert val > 0
 
@@ -123,6 +123,27 @@ class TestSparseSplit:
         with pytest.raises(InputError):
             sparse_split(k6, 0, 0)
 
+    @pytest.mark.parametrize("t,ell", [(3, 2), (3, 4), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_part_clique_sets_equal_enumerating_each_part(self, t, ell, seed):
+        g = gen_random_regular(30, 16, 7 + seed)
+        parts = sparse_split(g, ell, seed)
+        # the assignment, rebuilt from the parts rather than taken from the split
+        row = {e: i for i, e in enumerate(g.edges)}
+        assign = np.zeros(g.m, dtype=np.int64)
+        for i, part in enumerate(parts):
+            assign[[row[e] for e in part.edges]] = i
+        host = enumerate_cliques(g, t)
+        for (ids, cs), part in zip(part_cliques(host, assign, parts), parts):
+            assert np.array_equal(cs.members, enumerate_cliques(part, t).members)
+            assert np.array_equal(host.members[ids], cs.members)
+            assert cs.edges == part.edges
+
+    def test_split_assignment_matches_the_parts(self, rr_20_6):
+        assign, parts = _split(rr_20_6, 3, seed=5)
+        for i, part in enumerate(parts):
+            assert part.edges == tuple(e for e, a in zip(rr_20_6.edges, assign) if a == i)
+
 
 class TestSparseExtraction:
     def test_whole_graph_as_one_part(self, k6):
@@ -148,8 +169,8 @@ class TestSparseExtraction:
     def test_each_clique_funds_at_most_one_factor(self):
         bundle = sparse_extract(gen_complete(30), 3, 2, seed=0)
         seen = set()
-        for fac in bundle.factors:
-            ids = {cid for cid, val in fac.items() if val > 1e-9}
+        for cids, weights in bundle.factors:
+            ids = set(cids[weights > 1e-9].tolist())
             assert not (ids & seen)
             seen |= ids
 
@@ -159,15 +180,14 @@ class TestSparseExtraction:
 
 
 class TestRandomHypergraph:
-    def _bundle(self, ids):
-        return FactorBundle(
-            factors=({cid: 1.0 for cid in ids},), ell=1, mode="dense", per_edge_load={}
-        )
+    def _bundle(self, *factors):
+        pairs = tuple((np.array(list(f)), np.array(list(f.values()))) for f in factors)
+        return FactorBundle(factors=pairs, ell=len(pairs), mode="dense", per_edge_load={})
 
     def test_unit_probabilities_are_kept_surely(self, k6):
         cliques = enumerate_cliques(k6, 3)
-        hf = build_Hf(k6, 3, self._bundle([0, 19]), seed=123, cliques=cliques)
-        assert hf.hyperedges == (cliques.cliques[0], cliques.cliques[19])
+        hf = build_Hf(k6, 3, self._bundle({0: 1.0, 19: 1.0}), seed=123, cliques=cliques)
+        assert hf.hyperedges == (tuple(cliques.members[0]), tuple(cliques.members[19]))
         assert hf.inclusion_prob == {0: 1.0, 19: 1.0}
 
     def test_zero_mass_bundle_gives_empty_hypergraph(self, k6):
@@ -177,16 +197,12 @@ class TestRandomHypergraph:
         assert hf.inclusion_prob == {}
 
     def test_aggregate_mass_above_tolerance_raises(self, k6):
-        bundle = FactorBundle(
-            factors=({0: 0.5}, {0: 0.5 + 1e-5}), ell=2, mode="dense", per_edge_load={}
-        )
+        bundle = self._bundle({0: 0.5}, {0: 0.5 + 1e-5})
         with pytest.raises(InvariantError, match="exceeds"):
             build_Hf(k6, 3, bundle, seed=0)
 
     def test_solver_noise_above_one_clamps(self, k6):
-        bundle = FactorBundle(
-            factors=({0: 0.5}, {0: 0.5 + 5e-7}), ell=2, mode="dense", per_edge_load={}
-        )
+        bundle = self._bundle({0: 0.5}, {0: 0.5 + 5e-7})
         hf = build_Hf(k6, 3, bundle, seed=0)
         assert hf.inclusion_prob[0] == 1.0
 
@@ -260,7 +276,7 @@ def _full_k6_hypergraph(k6):
     return RandomHypergraph(
         t=3,
         vertices=6,
-        hyperedges=cliques.cliques,
+        hyperedges=tuple(map(tuple, cliques.members.tolist())),
         inclusion_prob={j: 1.0 for j in range(len(cliques))},
     )
 
