@@ -225,13 +225,13 @@ def criterion_3() -> dict:
             default=math.inf,
         )
         residuals[f"K_{n}"] = worst
-        loads[f"K_{n}"] = bundle.max_edge_load()
+        loads[f"K_{n}"] = load = bundle.audits["max_per_edge_load"]
         if bundle.ell != 2:
             failures.append(f"K_{n}: only {bundle.ell} factors extracted")
         if worst > 1e-6:
             failures.append(f"K_{n}: degree residual {worst:.3e}")
-        if bundle.max_edge_load() > 1 + 1e-7:
-            failures.append(f"K_{n}: per_edge_load {bundle.max_edge_load():.9f}")
+        if load > 1 + 1e-7:
+            failures.append(f"K_{n}: per_edge_load {load:.9f}")
     runtime = time.perf_counter() - start
     return {
         "criterion": 3,

@@ -1,7 +1,10 @@
 """Command-line front end: generators, audits, LP runs, and the pipeline.
 
 Subcommands write canonical JSON (sorted keys, 12 significant digits, NaN
-forbidden) so identical runs produce byte-identical artifacts.  Exit codes:
+forbidden) so identical runs produce byte-identical artifacts.  The
+serializer alone decides that shape: tuples render as lists, numpy scalars
+as their values, and a report dataclass through its to_dict when it has one,
+otherwise from its fields.  Exit codes:
 0 success, 1 audit failure (mixing violation, failed window/span audit,
 hypothesis failure in pipeline runs, failing suite criteria), 2 input error
 (an unreadable input or unwritable output path included), 3 resource or
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -94,6 +98,9 @@ def _emit(x, out: list) -> None:
     if hasattr(x, "to_dict"):
         _emit(x.to_dict(), out)
         return
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        _emit({f.name: getattr(x, f.name) for f in dataclasses.fields(x)}, out)
+        return
     raise InputError(f"cannot serialize object of type {type(x).__name__}")
 
 
@@ -162,8 +169,8 @@ def _int_list(text: str, flag: str) -> list:
 def _cmd_gen(args) -> int:
     kind = args.kind.replace("-", "_")
     conn = None
-    if args.connection_set:
-        conn = tuple(int(x) for x in args.connection_set.split(","))
+    if args.connection_set is not None:
+        conn = tuple(_int_list(args.connection_set, "--connection-set"))
     spec = GenSpec(kind=kind, n=args.n, d=args.d, q=args.q, connection_set=conn, seed=args.seed)
     g = build(spec)
     atomic_write(args.out, write_graph(g))
@@ -174,7 +181,7 @@ def _cmd_spectrum(args) -> int:
     g = _read_graph(args.infile)
     method = {"dense": "dense_eig", "lanczos": "lanczos", None: None}[args.method]
     cert = second_eigenvalue(g, tol=args.tol, method=method)
-    _deliver(cert.to_dict(), args.out)
+    _deliver(cert, args.out)
     return 0
 
 
@@ -182,7 +189,7 @@ def _cmd_audit_mixing(args) -> int:
     g = _read_graph(args.infile)
     cert = second_eigenvalue(g)
     report = mixing_audit(g, cert, args.samples, args.seed)
-    payload = {"cert": cert.to_dict(), "mixing": report.to_dict()}
+    payload = {"cert": cert, "mixing": report}
     _deliver(payload, args.out)
     return 1 if report.violated else 0
 
@@ -243,11 +250,11 @@ def _cmd_lp(args) -> int:
         report = check_prop3(
             wg, args.t, args.tol, args.seed, cliques=cliques, primal=primal, dual=dual, cert=cert
         )
-        payload["prop3"] = report.to_dict()
+        payload["prop3"] = report
         failed = failed or not report.all_pass
     if args.slackness:
         report = complementary_slackness(primal, dual, wg, cliques, args.tol)
-        payload["slackness"] = report.to_dict()
+        payload["slackness"] = report
         failed = failed or not report.all_pass
     _deliver(payload, args.out)
     return 1 if failed else 0
@@ -268,7 +275,7 @@ def _pipeline_config(args, seed: int) -> PipelineConfig:
 
 def _cmd_pipeline(args) -> int:
     g = _read_graph(args.infile)
-    if args.seeds:
+    if args.seeds is not None:
         seeds = _int_list(args.seeds, "--seeds")
     else:
         seeds = [args.seed]
@@ -287,7 +294,7 @@ def _cmd_pipeline(args) -> int:
         else:
             runs = [run_one(s) for s in seeds]
     except HypothesisRejected as exc:
-        payload = {"error": str(exc), "hypothesis": exc.report.to_dict()}
+        payload = {"error": str(exc), "hypothesis": exc.report}
         _deliver(payload, args.out)
         return 1
 
@@ -307,16 +314,16 @@ def _cmd_pipeline(args) -> int:
             )
         atomic_write(args.csv, buf.getvalue())
     if len(seeds) == 1:
-        _deliver(runs[0][0].to_dict(), args.out)
+        _deliver(runs[0][0], args.out)
     elif args.out or not args.csv:
-        _deliver([r.to_dict() for r, _ in runs], args.out)
+        _deliver([r for r, _ in runs], args.out)
     return 1 if flagged else 0
 
 
 def _cmd_suite(args) -> int:
     from .acceptance import CRITERIA, run_all
 
-    only = _int_list(args.only, "--only") if args.only else None
+    only = _int_list(args.only, "--only") if args.only is not None else None
     unknown = sorted(set(only or ()) - set(CRITERIA))
     if unknown:
         raise InputError(f"--only: no criterion {unknown[0]}; criteria are 1-{len(CRITERIA)}")

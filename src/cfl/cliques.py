@@ -14,7 +14,6 @@ deterministic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,40 +39,33 @@ class CliqueSet:
 
     members is the (N, t) int32 array of the module docstring, in
     enumeration order; a clique's id is its row.  A_vert (n x N) and A_pair
-    (m x N, rows in the order of edges) are built from members on first use
-    and kept, so every LP and load computation over the same clique set
-    shares one copy: vertex loads of a clique weighting f are A_vert @ f,
-    pair loads A_pair @ f.
+    (m x N, rows in the order of graph.edges) are built from members on
+    first use and kept, so every LP and load computation over the same
+    clique set shares one copy: vertex loads of a clique weighting f are
+    A_vert @ f, pair loads A_pair @ f.
     """
 
     t: int
     members: np.ndarray = field(repr=False)
-    n: int  # vertex count of the graph
-    edges: tuple = field(repr=False)  # its edges, the row order of A_pair
+    graph: Graph = field(repr=False)  # the graph whose cliques these are
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def vector(self, f: dict) -> np.ndarray:
-        """Length-N weight vector of a clique id -> weight map, for the operators."""
-        x = np.zeros(len(self))
-        x[list(f)] = list(f.values())
-        return x
-
     @cached_property
     def A_vert(self) -> sparse.csc_matrix:
         """Entry (v, j) is 1 iff vertex v lies in clique j."""
-        return _incidence(self.members.ravel(), self.t, (self.n, len(self)))
+        return _incidence(self.members.ravel(), self.t, (self.graph.n, len(self)))
 
     @cached_property
     def A_pair(self) -> sparse.csc_matrix:
         """Entry (e, j) is 1 iff both ends of edge e lie in clique j."""
-        mem, n = self.members.astype(np.int64), self.n
+        mem, n = self.members.astype(np.int64), self.graph.n
         pairs = [(a, b) for a in range(self.t) for b in range(a + 1, self.t)]
         # u < v keyed as u*n + v sorts exactly like the lexicographic edge list
         keys = np.stack([mem[:, a] * n + mem[:, b] for a, b in pairs], axis=1).ravel()
-        rows = np.searchsorted(_edge_keys(_edge_array(self.edges), n), keys)
-        return _incidence(rows, len(pairs), (len(self.edges), len(self)))
+        rows = np.searchsorted(_edge_keys(self.graph.edge_array, n), keys)
+        return _incidence(rows, len(pairs), (self.graph.m, len(self)))
 
 
 def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
@@ -83,11 +75,6 @@ def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
     """
     indptr = np.arange(shape[1] + 1) * per
     return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=shape)
-
-
-def _edge_array(edges: tuple) -> np.ndarray:
-    flat = itertools.chain.from_iterable(edges)
-    return np.fromiter(flat, dtype=np.int32, count=2 * len(edges)).reshape(-1, 2)
 
 
 def _edge_keys(ends: np.ndarray, n: int) -> np.ndarray:
@@ -110,7 +97,7 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
     if t < 2:
         raise InputError(f"t must be >= 2, got {t}")
     n = g.n
-    ends = _edge_array(g.edges)
+    ends = g.edge_array
     keys = _edge_keys(ends, n)
     # CSR of upper neighbours: edges are sorted, so row u is ends[start[u]:start[u+1], 1]
     start = np.searchsorted(ends[:, 0], np.arange(n + 1))
@@ -138,7 +125,7 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
                 f"clique enumeration exceeded {ENUMERATION_CAP}: {len(rows)} K_{k}",
                 partial=ENUMERATION_CAP + 1 if k == t else None,
             )
-    return CliqueSet(t=t, members=rows, n=n, edges=g.edges)
+    return CliqueSet(t=t, members=rows, graph=g)
 
 
 def count_cliques_window(g: Graph, gprime: Graph | None, U, i: int):

@@ -42,7 +42,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from .cliques import CliqueSet, enumerate_cliques
+from .cliques import CliqueSet, _edge_keys, enumerate_cliques
 from .errors import InputError, NumericalError, ResourceError
 from .graphs import WeightedGraph, induced_weighted
 
@@ -60,16 +60,22 @@ RIDGE_FLOOR = 1e-12
 ROUNDING = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimalSolution:
-    f: dict  # clique id -> weight, zeros kept implicit
+    """An optimal clique weighting: f[j] is the weight of clique j (length N,
+    the column order of the clique set's operators), clipped at 0."""
+
+    f: np.ndarray
     objective: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSolution:
-    g: dict  # vertex -> value
-    h: dict  # edge -> value
+    """An optimal dual: g[v] per vertex (length n) and h[e] per edge (length
+    m, in the order of the graph's edges, the row order of A_pair)."""
+
+    g: np.ndarray
+    h: np.ndarray
     objective: float
 
 
@@ -83,42 +89,40 @@ class FactorCert:
     optimum, a basic solution that is not spread.  Its support is carried
     as arrays: ids are the ascending clique ids (rows of the certified
     clique set) with f > 0, weights their f and members their vertex rows.
-    slack = |V|/t - t_star.
+    per_vertex_load[v] is the load on vertex v (length n), of the witness or,
+    without a factor, of the primal optimum.  slack = |V|/t - t_star.
     """
 
     has_factor: bool
     t_star: float
     slack: float
-    per_vertex_load: dict
+    per_vertex_load: np.ndarray
     ids: np.ndarray | None = None
     weights: np.ndarray | None = None
     members: np.ndarray | None = None
     note: str = ""
 
-    @property
-    def f(self) -> dict | None:
-        """The witness as clique tuple -> weight over its support."""
-        if self.ids is None:
-            return None
-        return dict(zip(map(tuple, self.members.tolist()), self.weights.tolist()))
-
     def to_dict(self, tol: float = TOL_DEFAULT) -> dict:
-        f = self.f
+        """Vertex loads keyed by str(v); the witness's cliques above tol as "a b c" -> f."""
+        f = None
+        if self.ids is not None:
+            keep = self.weights > tol
+            rows = (" ".join(map(str, row)) for row in self.members[keep].tolist())
+            f = dict(zip(rows, self.weights[keep].tolist()))
+        loads = self.per_vertex_load.tolist()
         return {
             "has_factor": self.has_factor,
             "t_star": self.t_star,
             "slack": self.slack,
-            "per_vertex_load": {str(v): x for v, x in sorted(self.per_vertex_load.items())},
-            "f": None
-            if f is None
-            else {" ".join(map(str, tup)): val for tup, val in f.items() if val > tol},
+            "per_vertex_load": dict(zip(map(str, range(len(loads))), loads)),
+            "f": f,
             "note": self.note,
         }
 
 
 def _instance(wg: WeightedGraph, cliques: CliqueSet):
     """Vertex incidence, pair incidence and pair capacities w, in edge order."""
-    if cliques.n != wg.n or cliques.edges != wg.base.edges:
+    if cliques.graph != wg.base:
         raise InputError("clique set was enumerated on a different graph")
     return cliques.A_vert, cliques.A_pair, np.array([wg.w[e] for e in wg.base.edges])
 
@@ -129,15 +133,14 @@ def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
         raise InputError("tol must be positive")
     N = len(cliques)
     if N == 0:
-        return PrimalSolution(f={}, objective=0.0)
+        return PrimalSolution(f=np.zeros(0), objective=0.0)
     a_vert, a_pair, caps = _instance(wg, cliques)
     A = sparse.vstack([a_vert, a_pair], format="csc")
     b = np.concatenate([np.ones(wg.n), caps])
     res = linprog(-np.ones(N), A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     if res.status != 0:
         raise NumericalError(f"primal solve failed: {res.message}")
-    f = {j: float(x) for j, x in enumerate(res.x) if x > 0.0}
-    return PrimalSolution(f=f, objective=float(-res.fun))
+    return PrimalSolution(f=np.maximum(res.x, 0.0), objective=float(-res.fun))
 
 
 def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> DualSolution:
@@ -145,22 +148,16 @@ def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) 
     if tol <= 0:
         raise InputError("tol must be positive")
     n = wg.n
-    edges = wg.base.edges
-    N = len(cliques)
-    if N == 0:
-        return DualSolution(
-            g={v: 0.0 for v in range(n)}, h={e: 0.0 for e in edges}, objective=0.0
-        )
+    if len(cliques) == 0:
+        return DualSolution(g=np.zeros(n), h=np.zeros(wg.base.m), objective=0.0)
     a_vert, a_pair, caps = _instance(wg, cliques)
     # dual variables: g (n entries) then h (m entries); constraints transpose
     A = sparse.hstack([a_vert.T, a_pair.T], format="csc")
     c = np.concatenate([np.ones(n), caps])
-    res = linprog(c, A_ub=-A, b_ub=-np.ones(N), bounds=(0, None), method="highs")
+    res = linprog(c, A_ub=-A, b_ub=-np.ones(len(cliques)), bounds=(0, None), method="highs")
     if res.status != 0:
         raise NumericalError(f"dual solve failed: {res.message}")
-    g = {v: float(res.x[v]) for v in range(n)}
-    h = {e: float(res.x[n + i]) for i, e in enumerate(edges)}
-    return DualSolution(g=g, h=h, objective=float(res.fun))
+    return DualSolution(g=res.x[:n], h=res.x[n:], objective=float(res.fun))
 
 
 def t_star(
@@ -240,10 +237,6 @@ def integral_matching_value(
     return float(values @ x)
 
 
-def _vertex_loads(cliques: CliqueSet, fvec: np.ndarray) -> dict:
-    return dict(enumerate((cliques.A_vert @ fvec).tolist()))
-
-
 def has_fractional_factor(
     wg: WeightedGraph,
     t: int,
@@ -265,21 +258,21 @@ def has_fractional_factor(
         cliques = enumerate_cliques(wg.base, t)
     n = wg.n
     if n == 0:
-        return FactorCert(True, 0.0, 0.0, {}, **_support(cliques, np.zeros(0)))
+        return FactorCert(True, 0.0, 0.0, np.zeros(0), **_support(cliques, np.zeros(0)))
     caps = _instance(wg, cliques)[2]
     fvec, note = _max_entropy_factor(cliques, caps, tol), ""
     if fvec is None or not _is_factor(cliques, caps, fvec, tol):
         if primal is None:
             primal = solve_primal(wg, cliques, tol)
         ts = _within_bound(primal.objective, n, t, tol)
-        fvec = cliques.vector(primal.f)
+        fvec = primal.f
         if ts < n / t - tol or not _is_factor(cliques, caps, fvec, tol):
             if ts >= n / t - tol:
                 note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
-            return FactorCert(False, ts, n / t - ts, _vertex_loads(cliques, fvec), note=note)
+            return FactorCert(False, ts, n / t - ts, cliques.A_vert @ fvec, note=note)
         note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
     ts = _within_bound(float(fvec.sum()), n, t, tol)
-    loads = _vertex_loads(cliques, fvec)
+    loads = cliques.A_vert @ fvec
     return FactorCert(True, ts, n / t - ts, loads, **_support(cliques, fvec), note=note)
 
 
@@ -314,7 +307,7 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
     if not live.any() or np.bincount(V.indices, minlength=n).min() == 0:
         return None  # a vertex in no live clique has load 0
     Vt, Pt, P_rows = V.T.tocsr(), P.T.tocsr(), None
-    u, v = np.asarray(cliques.edges, dtype=np.int64).reshape(-1, 2).T
+    u, v = cliques.graph.edge_array.T
     i, target, t, binds = np.arange(n), min(tol, NEWTON_TOL), cliques.t, (0 < caps) & (caps < 1)
     phi, mu = np.full(n, np.log(n / (t * V.shape[1])) / t), np.zeros(len(caps))
     active = np.zeros(len(caps), dtype=bool)
@@ -451,8 +444,10 @@ def check_prop3(
     subset = tuple(int(x) for x in np.sort(rng.permutation(n)[:size]))
     sub_wg, verts = induced_weighted(wg, subset)
     sub_cliques = enumerate_cliques(sub_wg.base, t)
-    g_sub = np.array([dual.g[v] for v in verts])
-    h_sub = np.array([dual.h[(verts[a], verts[b])] for (a, b) in sub_wg.base.edges])
+    # the dual on G[U]: each induced edge's h is found by its host key u*n + v
+    host = np.asarray(verts, dtype=np.int64)
+    keys = _edge_keys(host[sub_wg.base.edge_array], n)
+    g_sub, h_sub = dual.g[host], dual.h[np.searchsorted(_edge_keys(wg.base.edge_array, n), keys)]
     a_vert, a_pair, caps = _instance(sub_wg, sub_cliques)
     restricted_value = g_sub.sum() + h_sub @ caps
     feasible = bool(np.all(a_vert.T @ g_sub + a_pair.T @ h_sub >= 1 - tol))
@@ -460,7 +455,7 @@ def check_prop3(
     iii_pass = feasible and restricted_value >= induced_ts - tol
 
     thresholds = (tol, 10 * tol, 100 * tol, 1e-3)
-    v1_sizes = {thr: sum(1 for v in range(n) if dual.g[v] > thr) for thr in thresholds}
+    v1_sizes = {thr: int(np.count_nonzero(dual.g > thr)) for thr in thresholds}
     iv_threshold = 10 * tol
     iv_pass = ts >= v1_sizes[iv_threshold] / t - tol
 
@@ -493,9 +488,6 @@ class SlacknessReport:
     checked_cliques: int
     all_pass: bool
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def complementary_slackness(
     p: PrimalSolution,
@@ -518,12 +510,9 @@ def complementary_slackness(
         )
     thr = 10 * tol
     a_vert, a_pair, caps = _instance(wg, cliques)
-    fvec = cliques.vector(p.f)
-    g = np.array([d.g[v] for v in range(wg.n)])
-    h = np.array([d.h[e] for e in wg.base.edges])
-    worst_v, n_v = _worst(g > thr, a_vert @ fvec - 1.0)
-    worst_e, n_e = _worst(h > thr, a_pair @ fvec - caps)
-    worst_t, n_t = _worst(fvec > thr, a_vert.T @ g + a_pair.T @ h - 1.0)
+    worst_v, n_v = _worst(d.g > thr, a_vert @ p.f - 1.0)
+    worst_e, n_e = _worst(d.h > thr, a_pair @ p.f - caps)
+    worst_t, n_t = _worst(p.f > thr, a_vert.T @ d.g + a_pair.T @ d.h - 1.0)
     ok = worst_v <= thr and worst_e <= thr and worst_t <= thr
     return SlacknessReport(
         worst_vertex_slack=float(worst_v),
@@ -561,9 +550,6 @@ class DriverReport:
     hyp_propP_pass: bool
     hyp_propP_failures: int
     cert: FactorCert
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "cert": self.cert.to_dict()}
 
 
 def corollary_ff_driver(

@@ -7,8 +7,12 @@ All values are immutable after construction; derived views are cached.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InputError, ParseError
 
@@ -47,6 +51,14 @@ class Graph:
         if u == v:
             return False
         return ((u, v) if u < v else (v, u)) in self.edge_set
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """`edges` as a read-only (m, 2) int32 array: row i is edge i."""
+        flat = itertools.chain.from_iterable(self.edges)
+        ends = np.fromiter(flat, dtype=np.int32, count=2 * self.m).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
 
 
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:

@@ -48,25 +48,24 @@ def worker_count() -> int:
         return 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorBundle:
     """A list of fractional factors extracted from one host graph.
 
     factors[i] is an (ids, weights) pair of arrays: ascending source-graph
     clique ids (rows of enumerate_cliques(g, t).members) and the factor's
-    weights on them, zero weights left out.  ell is the
-    achieved count, which may fall short of the request; audits carry the
-    per-iteration or per-part diagnostics.
+    weights on them, zero weights left out.  per_edge_load[e] is the
+    factors' summed load on edge e (length m, in the order of g.edges), and
+    audits["max_per_edge_load"] its maximum.  ell is the achieved count,
+    which may fall short of the request; audits carry the per-iteration or
+    per-part diagnostics.
     """
 
     factors: tuple
     ell: int
     mode: str  # dense | sparse
-    per_edge_load: dict
+    per_edge_load: np.ndarray
     audits: dict = field(default_factory=dict)
-
-    def max_edge_load(self) -> float:
-        return max(self.per_edge_load.values(), default=0.0)
 
 
 def default_alpha(n: int, d: int, t: int) -> float:
@@ -107,7 +106,7 @@ def dense_extract(
         alpha = default_alpha(g.n, info.d, t) if g.n else 0.0
     if cliques is None:
         cliques = enumerate_cliques(g, t)
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = g.edge_array
     w = np.ones(g.m)
     load = np.zeros(g.m)
     factors = []
@@ -167,7 +166,7 @@ def dense_extract(
         factors=tuple(factors),
         ell=len(factors),
         mode="dense",
-        per_edge_load=dict(zip(g.edges, load.tolist())),
+        per_edge_load=load,
         audits=audits,
     )
 
@@ -203,7 +202,7 @@ def part_cliques(cliques: CliqueSet, assign: np.ndarray, parts: list) -> list:
     out = []
     for i, part in enumerate(parts):
         ids = np.flatnonzero(home == i)
-        out.append((ids, CliqueSet(cliques.t, cliques.members[ids], cliques.n, part.edges)))
+        out.append((ids, CliqueSet(cliques.t, cliques.members[ids], part)))
     return out
 
 
@@ -262,31 +261,32 @@ def sparse_extract(
         factors=tuple(factors),
         ell=len(factors),
         mode="sparse",
-        per_edge_load=dict(zip(g.edges, load.tolist())),
+        per_edge_load=load,
         audits=audits,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomHypergraph:
     """Sampled t-uniform hypergraph on the host's vertex set.
 
-    hyperedges are the surviving cliques (tuples of source labels);
-    inclusion_prob records f(T) for every clique with positive mass, kept for
-    the concentration audit and reproducibility checks.
+    hyperedges are the surviving cliques (tuples of source labels).
+    candidates and inclusion_prob are aligned arrays: the ascending ids of
+    the cliques with f(T) > 0 and their probabilities min(f(T), 1).
     """
 
     t: int
     vertices: int
     hyperedges: tuple
-    inclusion_prob: dict  # clique id -> f(T), positive entries only
+    candidates: np.ndarray
+    inclusion_prob: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            **vars(self),
-            "hyperedges": [list(e) for e in self.hyperedges],
-            "inclusion_prob": {str(j): p for j, p in sorted(self.inclusion_prob.items())},
-        }
+        """The fields, with the candidates' probabilities as a str(id) -> p map."""
+        out = dict(vars(self))
+        ids = out.pop("candidates").tolist()
+        out["inclusion_prob"] = dict(zip(map(str, ids), self.inclusion_prob.tolist()))
+        return out
 
 
 def build_Hf(
@@ -322,7 +322,8 @@ def build_Hf(
         t=t,
         vertices=g.n,
         hyperedges=tuple(map(tuple, cliques.members[kept].tolist())),
-        inclusion_prob=dict(zip(candidates.tolist(), p.tolist())),
+        candidates=candidates,
+        inclusion_prob=p,
     )
 
 
@@ -348,9 +349,6 @@ class ConcentrationReport:
     max_codegree: int
     codegrees_outside: int
     empty: bool
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def hf_degrees(hf: RandomHypergraph) -> np.ndarray:
@@ -409,13 +407,6 @@ class MatchingResult:
     matched: tuple  # disjoint t-tuples
     uncovered: tuple  # sorted vertex labels
     uncovered_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "matched": [list(e) for e in self.matched],
-            "uncovered": list(self.uncovered),
-            "uncovered_count": self.uncovered_count,
-        }
 
 
 def _greedy_pass(order, hyperedges, covered) -> list:
@@ -524,9 +515,6 @@ class PipelineReport:
     result: MatchingResult
     uncovered_fraction: float
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "result": self.result.to_dict()}
-
 
 class HypothesisRejected(InputError):
     """Raised without force when the eigenvalue hypothesis fails."""
@@ -559,6 +547,8 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
     """
     if config.mode not in ("auto", "dense", "sparse"):
         raise InputError(f"unknown mode {config.mode!r}")
+    if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {config.seed!r}")
     info = regularity(g)
     if not info.is_regular:
         raise InputError("pipeline requires a regular input graph")
@@ -631,15 +621,15 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
         "force": config.force,
     }
     stage_audits = {
-        "spectral": cert.to_dict(),
-        "hypothesis": hyp.to_dict(),
+        "spectral": cert,
+        "hypothesis": hyp,
         "hypothesis_failed": hyp.branch == "fails",
         "extraction": bundle.audits,
         "hf": {
             "hyperedges": len(hf.hyperedges),
-            "candidates": len(hf.inclusion_prob),
-            "max_inclusion_prob": max(hf.inclusion_prob.values(), default=0.0),
-            "concentration": conc.to_dict(),
+            "candidates": len(hf.candidates),
+            "max_inclusion_prob": float(hf.inclusion_prob.max(initial=0.0)),
+            "concentration": conc,
         },
         "matching": {
             "matcher": config.matcher,

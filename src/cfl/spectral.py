@@ -11,7 +11,6 @@ mixing audit counts edges between sampled subsets with the same matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,14 +62,10 @@ class MixingAuditReport:
     worst_a_size: int
     worst_b_size: int
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def adjacency_matrix(g: Graph) -> sparse.csr_matrix:
     """The symmetric 0/1 adjacency matrix in CSR form, one entry per edge end."""
-    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
-    u, v = ends[0::2], ends[1::2]
+    u, v = g.edge_array.T
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
     return sparse.csr_matrix((np.ones(2 * g.m), (rows, cols)), shape=(g.n, g.n))
 
@@ -252,9 +247,6 @@ class HypothesisReport:
     branch: str
     degree_floor: float
     degree_floor_ok: bool
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def eigenvalue_constant(t: int) -> float:

@@ -141,6 +141,15 @@ class TestGenCommand:
         assert err.startswith("error: ") and "requires" in err
         assert not out.exists()
 
+    def test_non_integer_connection_set_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        argv = ["gen", "--kind", "circulant", "--n", "10", "--connection-set", "1,x"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --connection-set takes comma-separated integers, got '1,x'\n"
+        assert not out.exists()
+
     def test_out_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.mkdir()
@@ -355,6 +364,16 @@ class TestPipelineCommand:
         assert captured.out == ""
         assert captured.err == "error: --seeds takes comma-separated integers, got '1,x'\n"
 
+    def test_empty_seed_list_exits_2(self, k6_file, tmp_path, capsys):
+        # an empty list is not "no list": it would run one pipeline with seed null
+        out = tmp_path / "r.json"
+        argv = ["pipeline", "--in", k6_file, "--t", "3", "--seeds", "", "--force"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seeds takes comma-separated integers, got ''\n"
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["pipeline", "--in", str(tmp_path / "nope.txt"), "--t", "3", "--seed", "0"])
         assert code == 2
@@ -397,6 +416,7 @@ class TestSuiteCommand:
         [
             ("1,z", "--only takes comma-separated integers, got '1,z'"),
             ("42", "--only: no criterion 42; criteria are 1-9"),
+            ("", "--only takes comma-separated integers, got ''"),
         ],
     )
     def test_bad_criterion_list_exits_2(self, only, message, capsys):

@@ -96,7 +96,7 @@ class TestEnumeration:
         cs = enumerate_cliques(petersen, 3)
         assert cs.A_vert.shape == (10, 0)
         assert cs.A_pair.shape == (15, 0)
-        assert (cs.A_vert @ cs.vector({})).tolist() == [0.0] * 10
+        assert (cs.A_vert @ np.zeros(len(cs))).tolist() == [0.0] * 10
 
     def test_enumeration_leaves_no_cyclic_garbage(self, rr_20_6):
         # garbage in a reference cycle (the adjacency sets) outlives the call

@@ -1,8 +1,13 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfl.cli import _read_maybe_weighted
 from cfl.errors import InputError, ParseError
 from cfl.generators import gen_complete, gen_random_regular
 from cfl.graphs import (
@@ -57,6 +62,16 @@ class TestGraphConstruction:
         assert g.n == 0 and g.m == 0
         info = regularity(g)
         assert info.is_regular and info.d == 0
+
+    @pytest.mark.parametrize("n,pairs", [(0, []), (4, [(2, 1), (0, 3), (1, 2)])])
+    def test_edge_array_is_the_edges_read_only(self, n, pairs):
+        g = from_edge_list(n, pairs)
+        ends = g.edge_array
+        assert ends.shape == (g.m, 2) and ends.dtype == np.int32
+        assert list(map(tuple, ends.tolist())) == list(g.edges)
+        assert g.edge_array is ends
+        with pytest.raises(ValueError):
+            ends[0:1] = 0
 
     def test_edge_key_orders(self):
         assert edge_key(5, 2) == (2, 5)
@@ -207,6 +222,27 @@ class TestTextFormat:
         assert back.w == w
         assert write_weighted_graph(back) == text
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 20), p=st.floats(0.0, 1.0))
+    def test_round_trips_of_random_graphs(self, data, n, p):
+        # G(n, p) with weights drawn from [0, 1]: both formats give the same
+        # graph back, the weights bit for bit, and the CLI reader tells them apart
+        g = _gnp(n, p, data.draw(st.integers(0, 2**32 - 1)))
+        assert parse_graph(write_graph(g)) == g
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=g.m, max_size=g.m))
+        wg = WeightedGraph(g, dict(zip(g.edges, weights)))
+        back = parse_weighted_graph(write_weighted_graph(wg))
+        assert back.base == g
+        assert [back.w[e].hex() for e in g.edges] == [x.hex() for x in weights]
+        with tempfile.TemporaryDirectory() as tmp:
+            for text, want in ((write_graph(g), [1.0] * g.m), (write_weighted_graph(wg), weights)):
+                path = os.path.join(tmp, "g.txt")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                read = _read_maybe_weighted(path)
+                assert read.base == g
+                assert [read.w[e].hex() for e in g.edges] == [x.hex() for x in want]
+
     def test_weighted_parse_rejects_bad_weight(self):
         with pytest.raises(ParseError):
             parse_weighted_graph("2 1\n0 1 1.5\n")
@@ -216,3 +252,9 @@ class TestTextFormat:
     def test_weighted_detects_missing_column(self):
         with pytest.raises(ParseError):
             parse_weighted_graph("2 1\n0 1\n")
+
+
+def _gnp(n: int, p: float, seed: int) -> Graph:
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return from_edge_list(n, [e for e, x in zip(pairs, rng.random(len(pairs))) if x < p])

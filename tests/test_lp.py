@@ -1,6 +1,7 @@
 """Fractional clique-matching LP: primal/dual, factor certificates, audits."""
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from cfl import (
     t_star,
     uniform_weights,
 )
+from cfl.cli import canonical_json
 from cfl.factor_lp import DualSolution, PrimalSolution
 from oracles import (
     exhaustive_integral_matching,
@@ -40,6 +42,11 @@ from oracles import (
     slackness_by_loops,
     vertex_only_matching_value,
 )
+
+
+def _witness(cert) -> dict:
+    """A certificate's support as clique tuple -> weight."""
+    return dict(zip(map(tuple, cert.members.tolist()), cert.weights.tolist()))
 
 
 def _weighted_complete(n, seed, low=0.2, high=1.0):
@@ -93,10 +100,10 @@ class TestTStar:
         cliques = enumerate_cliques(petersen, 3)
         assert len(cliques) == 0
         assert solve_primal(wg, cliques).objective == 0.0
-        assert solve_primal(wg, cliques).f == {}
+        assert solve_primal(wg, cliques).f.tolist() == []
         d = solve_dual(wg, cliques)
         assert d.objective == 0.0
-        assert all(v == 0.0 for v in d.g.values())
+        assert d.g.tolist() == [0.0] * 10 and d.h.tolist() == [0.0] * 15
 
     def test_nonpositive_tol_rejected(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
@@ -112,19 +119,19 @@ class TestFactorCertificate:
         cert = has_fractional_factor(uniform_weights(gen_complete(n)), 3)
         assert cert.has_factor is True
         assert cert.t_star == pytest.approx(n / 3, abs=1e-7)
-        for load in cert.per_vertex_load.values():
+        for load in cert.per_vertex_load:
             assert load == pytest.approx(1.0, abs=1e-6)
 
     def test_k6_witness_spreads_mass(self, k6_unit):
         # K_6 is triangle-transitive, so the maximum-entropy factor is uniform:
         # 20 triangles carrying total mass 2
         cert = has_fractional_factor(k6_unit, 3)
-        assert max(cert.f.values()) == pytest.approx(0.1, abs=1e-6)
+        assert max(cert.weights) == pytest.approx(0.1, abs=1e-6)
 
     def test_witness_load_identity(self, k6_unit):
         cert = has_fractional_factor(k6_unit, 3)
         loads = {v: 0.0 for v in range(6)}
-        for tup, val in cert.f.items():
+        for tup, val in _witness(cert).items():
             for v in tup:
                 loads[v] += val
         for v in range(6):
@@ -136,7 +143,7 @@ class TestFactorCertificate:
         w[(0, 1)] = 0.0
         cert = has_fractional_factor(WeightedGraph(k6, w), 3)
         assert cert.has_factor is True
-        stray = sum(val for tup, val in cert.f.items() if 0 in tup and 1 in tup)
+        stray = sum(val for tup, val in _witness(cert).items() if 0 in tup and 1 in tup)
         assert stray <= 1e-6
 
     def test_half_weights_factor(self, k6):
@@ -147,12 +154,12 @@ class TestFactorCertificate:
     def test_k4_single_clique_factor(self):
         cert = has_fractional_factor(uniform_weights(gen_complete(4)), 4)
         assert cert.has_factor is True
-        assert cert.f == {(0, 1, 2, 3): pytest.approx(1.0, abs=1e-7)}
+        assert _witness(cert) == {(0, 1, 2, 3): pytest.approx(1.0, abs=1e-7)}
 
     def test_triangle_free_graph_has_none(self, petersen):
         cert = has_fractional_factor(uniform_weights(petersen), 3)
         assert cert.has_factor is False
-        assert cert.f is None
+        assert cert.ids is None and cert.weights is None and cert.members is None
         assert cert.slack == pytest.approx(10 / 3, abs=1e-7)
 
     def test_thin_weights_cap_t_star_below_factor(self):
@@ -191,12 +198,12 @@ class TestFactorCertificate:
         wg = instance()
         cert = has_fractional_factor(wg, 3)
         assert cert.has_factor is True
-        assert max(cert.f.values()) == pytest.approx(min_max_factor_value(wg, 3), abs=1e-9)
-        assert min(cert.f.values()) == pytest.approx(max(cert.f.values()), abs=1e-9)
-        assert sum(cert.f.values()) == pytest.approx(cert.t_star, abs=1e-12)
-        for load in cert.per_vertex_load.values():
+        assert max(cert.weights) == pytest.approx(min_max_factor_value(wg, 3), abs=1e-9)
+        assert min(cert.weights) == pytest.approx(max(cert.weights), abs=1e-9)
+        assert sum(cert.weights.tolist()) == pytest.approx(cert.t_star, abs=1e-12)
+        for load in cert.per_vertex_load:
             assert load == pytest.approx(1.0, abs=1e-9)
-        residual, least_mu = max_entropy_fit(wg, 3, cert.f)
+        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
         assert residual <= 1e-8 and least_mu >= -1e-9
 
     @pytest.mark.parametrize(
@@ -227,14 +234,14 @@ class TestFactorCertificate:
         # the low weights bind: some pair loads reach w, and mu > 0 there
         wg = _weighted_complete(9, 1, low=0.05)
         cert = has_fractional_factor(wg, 3)
-        load = pair_loads(wg, cert.f)
+        load = pair_loads(wg, _witness(cert))
         tight = [e for e in wg.base.edges if load[e] >= wg.w[e] - 1e-9]
         assert tight
         assert all(load[e] <= wg.w[e] + 1e-9 for e in wg.base.edges)
-        residual, least_mu = max_entropy_fit(wg, 3, cert.f)
+        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
         assert residual <= 1e-8 and least_mu >= -1e-9
         # the fit fails once the tight pairs are left out of it
-        assert max_entropy_fit(wg, 3, cert.f, tight_tol=-1.0)[0] > 1e-3
+        assert max_entropy_fit(wg, 3, _witness(cert), tight_tol=-1.0)[0] > 1e-3
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -263,11 +270,11 @@ class TestFactorCertificate:
             assert len(calls) == 1  # the primal gives t*
             return
         assert len(calls) == 0
-        for load in cert.per_vertex_load.values():
+        for load in cert.per_vertex_load:
             assert load == pytest.approx(1.0, abs=1e-9)
-        load = pair_loads(wg, cert.f)
+        load = pair_loads(wg, _witness(cert))
         assert all(load[e] <= wg.w[e] + 1e-9 for e in g.edges)
-        residual, least_mu = max_entropy_fit(wg, 3, cert.f)
+        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
         assert residual <= 1e-8 and least_mu >= -1e-9
 
     @pytest.mark.parametrize("steps", [factor_lp_mod.NEWTON_STEPS, 0], ids=["newton", "fallback"])
@@ -279,9 +286,10 @@ class TestFactorCertificate:
         monkeypatch.setattr(factor_lp_mod, "NEWTON_STEPS", steps)
         cert = has_fractional_factor(uniform_weights(g), 3)
         assert cert.has_factor is True
-        assert cert.f.get((2, 3, 4), 0.0) <= factor_lp_mod.TOL_DEFAULT
-        assert cert.f[(0, 1, 2)] == pytest.approx(1.0, abs=1e-7)
-        assert cert.f[(3, 4, 5)] == pytest.approx(1.0, abs=1e-7)
+        f = _witness(cert)
+        assert f.get((2, 3, 4), 0.0) <= factor_lp_mod.TOL_DEFAULT
+        assert f[(0, 1, 2)] == pytest.approx(1.0, abs=1e-7)
+        assert f[(3, 4, 5)] == pytest.approx(1.0, abs=1e-7)
         assert ("not spread" in cert.note) is (steps == 0)
 
     def test_witnesses_failing_the_exact_checks_are_refused(self, monkeypatch):
@@ -294,7 +302,7 @@ class TestFactorCertificate:
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(oracle_t_star(thin, 3), abs=1e-6)
         monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: None)
-        lopsided = PrimalSolution(f={0: 1.0}, objective=4 / 3)
+        lopsided = PrimalSolution(f=np.array([1.0, 0.0, 0.0, 0.0]), objective=4 / 3)
         cert = has_fractional_factor(uniform_weights(gen_complete(4)), 3, primal=lopsided)
         assert cert.has_factor is False
         assert "infeasible" in cert.note
@@ -421,13 +429,17 @@ class TestDualityChecks:
     def test_restricted_dual_value_matches_a_loop(self, seed):
         wg = _weighted_complete(7, 300 + seed)
         rep = check_prop3(wg, 3, seed=seed)
+        assert len(rep.iii_subset) >= 3
+        assert rep.iii_restricted_value == pytest.approx(_restricted_by_loop(wg, rep), abs=1e-12)
+
+    def test_restricted_dual_carries_the_subsets_pair_duals(self):
+        # low weights make pair rows bind, so h > 0 on edges inside the subset
+        wg = _weighted_complete(8, 5, low=0.05, high=0.4)
+        rep = check_prop3(wg, 3, seed=1)
         d = solve_dual(wg, enumerate_cliques(wg.base, 3))
-        U = rep.iii_subset
-        value = sum(d.g[v] for v in U) + sum(
-            d.h[e] * wg.w[e] for e in itertools.combinations(U, 2)
-        )
-        assert len(U) >= 3
-        assert rep.iii_restricted_value == pytest.approx(value, abs=1e-12)
+        h = dict(zip(wg.base.edges, d.h.tolist()))
+        assert any(h[e] > 1e-9 for e in itertools.combinations(rep.iii_subset, 2))
+        assert rep.iii_restricted_value == pytest.approx(_restricted_by_loop(wg, rep), abs=1e-12)
 
     @pytest.mark.parametrize(
         "wg", [uniform_weights(gen_complete(6)), _weighted_complete(7, 300)],
@@ -460,6 +472,14 @@ class TestDualityChecks:
         assert len(d["v1_sizes"]) == 4
 
 
+def _restricted_by_loop(wg, rep) -> float:
+    """sum of g over the report's subset U plus sum of h w over the edges inside U."""
+    d = solve_dual(wg, enumerate_cliques(wg.base, 3))
+    h = dict(zip(wg.base.edges, d.h.tolist()))
+    U = rep.iii_subset
+    return sum(d.g[v] for v in U) + sum(h[e] * wg.w[e] for e in itertools.combinations(U, 2))
+
+
 class TestComplementarySlackness:
     def test_optimal_pair_passes(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
@@ -485,7 +505,8 @@ class TestComplementarySlackness:
         d = solve_dual(wg, cliques)
         rep = complementary_slackness(p, d, wg, cliques)
         rows = list(map(tuple, cliques.members.tolist()))
-        ref = slackness_by_loops(p.f, d.g, d.h, wg, rows, 1e-6)
+        f, g = dict(enumerate(p.f.tolist())), dict(enumerate(d.g.tolist()))
+        ref = slackness_by_loops(f, g, dict(zip(wg.base.edges, d.h.tolist())), wg, rows, 1e-6)
         got = [
             (rep.worst_vertex_slack, rep.checked_vertices),
             (rep.worst_edge_slack, rep.checked_edges),
@@ -500,7 +521,7 @@ class TestComplementarySlackness:
         cliques = enumerate_cliques(k6_unit.base, 3)
         p = solve_primal(k6_unit, cliques)
         d = solve_dual(k6_unit, cliques)
-        g = dict(d.g)
+        g = d.g.copy()
         g[0] += 0.5
         bad = DualSolution(g=g, h=d.h, objective=d.objective + 0.5)
         with pytest.raises(InputError, match="gap"):
@@ -518,7 +539,7 @@ class TestFactorDriver:
         assert rep.hyp_span_pass is True
         assert rep.hyp_propP_pass is True
         assert rep.cert.has_factor is True
-        d = rep.to_dict()
+        d = json.loads(canonical_json(rep))
         assert d["cert"]["has_factor"] is True
 
     def test_alpha_bound_enforced(self, k6_unit):

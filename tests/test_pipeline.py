@@ -1,5 +1,6 @@
 """Extraction engines, random hypergraph, matching, and the end-to-end runner."""
 
+import json
 import math
 
 import numpy as np
@@ -27,12 +28,14 @@ from cfl import (
     sparse_extract,
     sparse_split,
 )
+from cfl.cli import canonical_json, serialize_report
 from cfl.pipeline import _split, hf_codegrees, hf_degrees, part_cliques
 
 
 def _vertex_drops(g, bundle):
+    assert bundle.per_edge_load.shape == (g.m,)
     drop = np.zeros(g.n)
-    for (u, v), x in bundle.per_edge_load.items():
+    for (u, v), x in zip(g.edges, bundle.per_edge_load.tolist()):
         drop[u] += x
         drop[v] += x
     return drop
@@ -49,7 +52,7 @@ class TestDenseExtraction:
         assert bundle.ell == 2
         assert bundle.audits["achieved"] == 2
         assert _vertex_drops(k6, bundle) == pytest.approx(np.full(6, 4.0), abs=1e-6)
-        assert bundle.max_edge_load() <= 1 + 1e-7
+        assert bundle.audits["max_per_edge_load"] == bundle.per_edge_load.max() <= 1 + 1e-7
         for it in bundle.audits["iterations"]:
             assert it["extracted"] is True
             assert it["degree_residual"] <= 1e-6
@@ -66,7 +69,7 @@ class TestDenseExtraction:
     def test_k12_loads_stay_capped(self):
         bundle = dense_extract(gen_complete(12), 3, 2)
         assert bundle.ell == 2
-        assert bundle.max_edge_load() <= 1 + 1e-7
+        assert bundle.audits["max_per_edge_load"] == bundle.per_edge_load.max() <= 1 + 1e-7
 
     def test_factors_are_keyed_by_source_clique_ids(self, k6):
         cliques = enumerate_cliques(k6, 3)
@@ -137,7 +140,7 @@ class TestSparseSplit:
         for (ids, cs), part in zip(part_cliques(host, assign, parts), parts):
             assert np.array_equal(cs.members, enumerate_cliques(part, t).members)
             assert np.array_equal(host.members[ids], cs.members)
-            assert cs.edges == part.edges
+            assert cs.graph is part
 
     def test_split_assignment_matches_the_parts(self, rr_20_6):
         assign, parts = _split(rr_20_6, 3, seed=5)
@@ -151,7 +154,7 @@ class TestSparseExtraction:
         assert bundle.mode == "sparse"
         assert bundle.ell == 1
         assert bundle.audits["failed_parts"] == []
-        assert bundle.max_edge_load() <= 1 + 1e-7
+        assert bundle.audits["max_per_edge_load"] == bundle.per_edge_load.max() <= 1 + 1e-7
 
     def test_overshredded_graph_fails_every_part(self, k6):
         # 15 parts of a 15-edge graph: no part can hold a triangle factor
@@ -182,19 +185,20 @@ class TestSparseExtraction:
 class TestRandomHypergraph:
     def _bundle(self, *factors):
         pairs = tuple((np.array(list(f)), np.array(list(f.values()))) for f in factors)
-        return FactorBundle(factors=pairs, ell=len(pairs), mode="dense", per_edge_load={})
+        return FactorBundle(factors=pairs, ell=len(pairs), mode="dense", per_edge_load=np.zeros(15))
 
     def test_unit_probabilities_are_kept_surely(self, k6):
         cliques = enumerate_cliques(k6, 3)
         hf = build_Hf(k6, 3, self._bundle({0: 1.0, 19: 1.0}), seed=123, cliques=cliques)
         assert hf.hyperedges == (tuple(cliques.members[0]), tuple(cliques.members[19]))
-        assert hf.inclusion_prob == {0: 1.0, 19: 1.0}
+        assert hf.candidates.tolist() == [0, 19]
+        assert hf.inclusion_prob.tolist() == [1.0, 1.0]
 
     def test_zero_mass_bundle_gives_empty_hypergraph(self, k6):
-        bundle = FactorBundle(factors=(), ell=0, mode="dense", per_edge_load={})
+        bundle = FactorBundle(factors=(), ell=0, mode="dense", per_edge_load=np.zeros(15))
         hf = build_Hf(k6, 3, bundle, seed=0)
         assert hf.hyperedges == ()
-        assert hf.inclusion_prob == {}
+        assert hf.candidates.size == hf.inclusion_prob.size == 0
 
     def test_aggregate_mass_above_tolerance_raises(self, k6):
         bundle = self._bundle({0: 0.5}, {0: 0.5 + 1e-5})
@@ -204,7 +208,7 @@ class TestRandomHypergraph:
     def test_solver_noise_above_one_clamps(self, k6):
         bundle = self._bundle({0: 0.5}, {0: 0.5 + 5e-7})
         hf = build_Hf(k6, 3, bundle, seed=0)
-        assert hf.inclusion_prob[0] == 1.0
+        assert hf.candidates[0] == 0 and hf.inclusion_prob[0] == 1.0
 
     def test_same_seed_reproduces_sample(self, k6):
         bundle = dense_extract(k6, 3, 2)
@@ -222,40 +226,34 @@ class TestRandomHypergraph:
     def test_candidates_recorded_in_id_order(self, k6):
         bundle = dense_extract(k6, 3, 2)
         hf = build_Hf(k6, 3, bundle, seed=0)
-        assert list(hf.inclusion_prob) == sorted(hf.inclusion_prob)
-        assert all(0 < p <= 1 for p in hf.inclusion_prob.values())
+        assert hf.candidates.shape == hf.inclusion_prob.shape
+        assert hf.candidates.tolist() == sorted(set(hf.candidates.tolist()))
+        assert all(0 < p <= 1 for p in hf.inclusion_prob.tolist())
 
 
 class TestConcentrationAudit:
     def test_single_factor_band_not_applicable(self):
-        hf = RandomHypergraph(t=3, vertices=6, hyperedges=(), inclusion_prob={})
-        rep = concentration_audit(hf, 1, 6)
+        rep = concentration_audit(_hypergraph(6), 1, 6)
         assert rep.applicable is False
         assert rep.empty is True
 
     def test_empty_hypergraph_sits_inside_the_wide_band(self):
         # at ell=2 the half-width (k/2)sqrt(2 ln 2) with k = 8/sqrt(beta)
         # exceeds 2, so degree 0 is inside the band; emptiness is its own flag
-        hf = RandomHypergraph(t=3, vertices=10, hyperedges=(), inclusion_prob={})
-        rep = concentration_audit(hf, 2, 10)
+        rep = concentration_audit(_hypergraph(10), 2, 10)
         assert rep.applicable is True
         assert rep.empty is True
         assert rep.band_low < 0
         assert rep.degrees_outside == 0
 
     def test_disjoint_hyperedges_keep_codegree_at_one(self):
-        hf = RandomHypergraph(
-            t=3, vertices=6, hyperedges=((0, 1, 2), (3, 4, 5)), inclusion_prob={}
-        )
-        rep = concentration_audit(hf, 2, 6)
+        rep = concentration_audit(_hypergraph(6, ((0, 1, 2), (3, 4, 5))), 2, 6)
         assert rep.max_codegree == 1
         assert rep.codegrees_outside == 0
         assert rep.empty is False
 
     def test_degree_statistics(self):
-        hf = RandomHypergraph(
-            t=3, vertices=6, hyperedges=((0, 1, 2), (0, 1, 3)), inclusion_prob={}
-        )
+        hf = _hypergraph(6, ((0, 1, 2), (0, 1, 3)))
         deg = hf_degrees(hf)
         assert list(deg) == [2, 2, 1, 1, 0, 0]
         assert hf_codegrees(hf)[(0, 1)] == 2
@@ -265,20 +263,19 @@ class TestConcentrationAudit:
         assert rep.max_codegree == 2
         assert rep.codegree_bound == pytest.approx(1 + 3 * math.log(6))
 
-    def test_to_dict_is_json_ready(self):
-        hf = RandomHypergraph(t=3, vertices=6, hyperedges=(), inclusion_prob={})
-        d = concentration_audit(hf, 2, 6).to_dict()
+    def test_renders_as_json(self):
+        d = json.loads(canonical_json(concentration_audit(_hypergraph(6), 2, 6)))
         assert d["applicable"] is True and d["empty"] is True
 
 
+def _hypergraph(vertices, hyperedges=()):
+    """A t = 3 hypergraph whose hyperedges are candidates 0, 1, ... at p = 1."""
+    ids = np.arange(len(hyperedges))
+    return RandomHypergraph(3, vertices, hyperedges, ids, np.ones(len(hyperedges)))
+
+
 def _full_k6_hypergraph(k6):
-    cliques = enumerate_cliques(k6, 3)
-    return RandomHypergraph(
-        t=3,
-        vertices=6,
-        hyperedges=tuple(map(tuple, cliques.members.tolist())),
-        inclusion_prob={j: 1.0 for j in range(len(cliques))},
-    )
+    return _hypergraph(6, tuple(map(tuple, enumerate_cliques(k6, 3).members.tolist())))
 
 
 class TestMatching:
@@ -303,15 +300,13 @@ class TestMatching:
         assert all(e in hf.hyperedges for e in res.matched)
 
     def test_single_hyperedge(self):
-        hf = RandomHypergraph(
-            t=3, vertices=6, hyperedges=((1, 3, 5),), inclusion_prob={0: 1.0}
-        )
+        hf = _hypergraph(6, ((1, 3, 5),))
         res = nibble_matching(hf, "nibble", 0.1, seed=0)
         assert res.matched == ((1, 3, 5),)
         assert res.uncovered == (0, 2, 4)
 
     def test_empty_hypergraph_leaves_everything(self):
-        hf = RandomHypergraph(t=3, vertices=7, hyperedges=(), inclusion_prob={})
+        hf = _hypergraph(7)
         for mode in ("greedy", "nibble"):
             assert nibble_matching(hf, mode, 0.1, seed=0).uncovered_count == 7
 
@@ -386,7 +381,7 @@ class TestEndToEnd:
         cfg = PipelineConfig(seed=9, mode="dense", ell=2, force=True)
         a = run_end_to_end(g, 3, cfg)
         b = run_end_to_end(g, 3, cfg)
-        assert a.to_dict() == b.to_dict()
+        assert serialize_report(a) == serialize_report(b)
 
     def test_auto_mode_picks_dense_on_dense_graphs(self):
         rep = run_end_to_end(
@@ -421,6 +416,12 @@ class TestEndToEnd:
     def test_unknown_mode_rejected(self, k6):
         with pytest.raises(InputError, match="mode"):
             run_end_to_end(k6, 3, PipelineConfig(seed=0, mode="both"))
+
+    @pytest.mark.parametrize("seed", [None, "0", 1.5, -1])
+    def test_seed_must_be_a_non_negative_integer(self, k6, seed):
+        # numpy would draw a None seed from OS entropy and refuse the others late
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            run_end_to_end(k6, 3, PipelineConfig(seed=seed, force=True))
 
     def test_irregular_graph_rejected(self):
         with pytest.raises(InputError, match="regular"):
