@@ -17,7 +17,7 @@ from .graphs import (
     Graph,
     RegularityInfo,
     WeightedGraph,
-    edge_key,
+    edge_ids,
     from_edge_list,
     graph_difference,
     induced_subgraph,
@@ -27,7 +27,6 @@ from .graphs import (
     regularity,
     rich_subgraph,
     uniform_weights,
-    weighted_degree,
     write_graph,
     write_weighted_graph,
 )

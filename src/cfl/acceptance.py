@@ -23,7 +23,7 @@ from .cliques import count_cliques_window, enumerate_cliques
 from .errors import NumericalError
 from .factor_lp import check_prop3, solve_dual, solve_primal, t_star
 from .generators import gen_complete, gen_paley, gen_random_regular
-from .graphs import Graph, WeightedGraph, from_edge_list, uniform_weights, write_graph
+from .graphs import Graph, WeightedGraph, edge_ids, from_edge_list, uniform_weights, write_graph
 from .pipeline import (
     PipelineConfig,
     build_Hf,
@@ -89,15 +89,11 @@ def oracle_t_star(wg: WeightedGraph, t: int) -> float:
     cliques = brute_force_cliques(wg.base, t)
     if not cliques:
         return 0.0
-    edges = wg.base.edges
-    eidx = {e: i for i, e in enumerate(edges)}
-    A = np.zeros((wg.n + len(edges), len(cliques)))
+    A = np.zeros((wg.n + wg.base.m, len(cliques)))
     for j, tup in enumerate(cliques):
-        for u in tup:
-            A[u, j] = 1.0
-        for u, v in itertools.combinations(tup, 2):
-            A[wg.n + eidx[(u, v)], j] = 1.0
-    b = np.concatenate([np.ones(wg.n), [wg.w[e] for e in edges]])
+        A[list(tup), j] = 1.0
+        A[wg.n + edge_ids(wg.base, list(itertools.combinations(tup, 2))), j] = 1.0
+    b = np.concatenate([np.ones(wg.n), wg.w])
     return simplex_lp_value(np.ones(len(cliques)), A, b)
 
 

@@ -19,13 +19,13 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .cliques import count_cliques_window, default_span_size, enumerate_cliques, span_clique_audit
 from .errors import (
@@ -43,8 +43,8 @@ from .factor_lp import (
     solve_primal,
 )
 from .generators import GenSpec, build
-from .graphs import parse_graph, parse_weighted_graph, uniform_weights, write_graph
-from .pipeline import HypothesisRejected, PipelineConfig, run_end_to_end, worker_count
+from .graphs import _edge_lines, parse_graph, parse_weighted_graph, uniform_weights, write_graph
+from .pipeline import HypothesisRejected, PipelineConfig, fan_out, run_end_to_end
 from .spectral import mixing_audit, second_eigenvalue
 
 
@@ -144,14 +144,12 @@ def _read_graph(path: str):
 
 
 def _read_maybe_weighted(path: str):
-    """Weighted files carry three tokens per edge line, plain files two."""
+    """Weighted files carry three tokens per edge line (the second non-blank line), plain two."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    for line in text.splitlines()[1:]:
-        if line.strip():
-            if len(line.split()) == 3:
-                return parse_weighted_graph(text)
-            break
+    lines = [line for _, line in itertools.islice(_edge_lines(text), 2)]
+    if len(lines) == 2 and len(lines[1].split()) == 3:
+        return parse_weighted_graph(text)
     return uniform_weights(parse_graph(text))
 
 
@@ -287,12 +285,7 @@ def _cmd_pipeline(args) -> int:
         return report, ms
 
     try:
-        workers = worker_count()
-        if workers > 1 and len(seeds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                runs = list(pool.map(run_one, seeds))
-        else:
-            runs = [run_one(s) for s in seeds]
+        runs = fan_out(run_one, seeds)
     except HypothesisRejected as exc:
         payload = {"error": str(exc), "hypothesis": exc.report}
         _deliver(payload, args.out)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, graph_difference, induced_subgraph, regularity
+from .graphs import Graph, edge_ids, graph_difference, induced_subgraph, regularity
 
 ENUMERATION_CAP = 10**7
 # Bytes one level of enumeration may allocate: what the cap allowed when a
@@ -60,12 +60,13 @@ class CliqueSet:
     @cached_property
     def A_pair(self) -> sparse.csc_matrix:
         """Entry (e, j) is 1 iff both ends of edge e lie in clique j."""
-        mem, n = self.members.astype(np.int64), self.graph.n
-        pairs = [(a, b) for a in range(self.t) for b in range(a + 1, self.t)]
-        # u < v keyed as u*n + v sorts exactly like the lexicographic edge list
-        keys = np.stack([mem[:, a] * n + mem[:, b] for a, b in pairs], axis=1).ravel()
-        rows = np.searchsorted(_edge_keys(self.graph.edge_array, n), keys)
+        pairs = np.stack(np.triu_indices(self.t, 1), axis=1)  # member positions (a, b), a < b
+        rows = edge_ids(self.graph, self.members.take(pairs, axis=1))
         return _incidence(rows, len(pairs), (self.graph.m, len(self)))
+
+    def least_weight(self, w: np.ndarray) -> np.ndarray:
+        """Each clique's least pair weight under edge weights w (in edge order)."""
+        return np.minimum.reduceat(w[self.A_pair.indices], self.A_pair.indptr[:-1])
 
 
 def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
@@ -75,10 +76,6 @@ def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
     """
     indptr = np.arange(shape[1] + 1) * per
     return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=shape)
-
-
-def _edge_keys(ends: np.ndarray, n: int) -> np.ndarray:
-    return ends[:, 0].astype(np.int64) * n + ends[:, 1]
 
 
 def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
@@ -97,8 +94,7 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
     if t < 2:
         raise InputError(f"t must be >= 2, got {t}")
     n = g.n
-    ends = g.edge_array
-    keys = _edge_keys(ends, n)
+    ends, keys = g.edge_array, g.edge_keys
     # CSR of upper neighbours: edges are sorted, so row u is ends[start[u]:start[u+1], 1]
     start = np.searchsorted(ends[:, 0], np.arange(n + 1))
     upper = ends[:, 1]

@@ -42,9 +42,9 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from .cliques import CliqueSet, _edge_keys, enumerate_cliques
+from .cliques import CliqueSet, enumerate_cliques
 from .errors import InputError, NumericalError, ResourceError
-from .graphs import WeightedGraph, induced_weighted
+from .graphs import WeightedGraph, edge_ids, induced_weighted
 
 TOL_DEFAULT = 1e-7
 MATCHING_BUDGET = 10**4
@@ -124,7 +124,7 @@ def _instance(wg: WeightedGraph, cliques: CliqueSet):
     """Vertex incidence, pair incidence and pair capacities w, in edge order."""
     if cliques.graph != wg.base:
         raise InputError("clique set was enumerated on a different graph")
-    return cliques.A_vert, cliques.A_pair, np.array([wg.w[e] for e in wg.base.edges])
+    return cliques.A_vert, cliques.A_pair, wg.w
 
 
 def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> PrimalSolution:
@@ -215,9 +215,8 @@ def integral_matching_value(
             "use a greedy lower bound instead",
             partial=None,
         )
-    a_vert, a_pair, caps = _instance(wg, cliques)
-    # each clique's value is the least capacity over its column of A_pair
-    values = np.minimum.reduceat(caps[a_pair.indices], a_pair.indptr[:-1])
+    a_vert, _, caps = _instance(wg, cliques)
+    values = cliques.least_weight(caps)
     rows, upper = a_vert, np.ones(wg.n)
     if wg.n % cliques.t:
         rows = sparse.vstack([a_vert, np.ones((1, N))], format="csc")
@@ -302,7 +301,7 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
     """
     n, N = cliques.A_vert.shape
     V, P = cliques.A_vert, cliques.A_pair
-    live = np.minimum.reduceat(caps[P.indices], P.indptr[:-1]) > 0
+    live = cliques.least_weight(caps) > 0
     V, P = (V, P) if live.all() else (V[:, live], P[:, live])
     if not live.any() or np.bincount(V.indices, minlength=n).min() == 0:
         return None  # a vertex in no live clique has load 0
@@ -444,10 +443,8 @@ def check_prop3(
     subset = tuple(int(x) for x in np.sort(rng.permutation(n)[:size]))
     sub_wg, verts = induced_weighted(wg, subset)
     sub_cliques = enumerate_cliques(sub_wg.base, t)
-    # the dual on G[U]: each induced edge's h is found by its host key u*n + v
     host = np.asarray(verts, dtype=np.int64)
-    keys = _edge_keys(host[sub_wg.base.edge_array], n)
-    g_sub, h_sub = dual.g[host], dual.h[np.searchsorted(_edge_keys(wg.base.edge_array, n), keys)]
+    g_sub, h_sub = dual.g[host], dual.h[edge_ids(wg.base, host[sub_wg.base.edge_array])]
     a_vert, a_pair, caps = _instance(sub_wg, sub_cliques)
     restricted_value = g_sub.sum() + h_sub @ caps
     feasible = bool(np.all(a_vert.T @ g_sub + a_pair.T @ h_sub >= 1 - tol))

@@ -1,8 +1,8 @@
 """Simple undirected graphs and edge-weighted graphs.
 
-Vertices are dense integers 0..n-1.  Edges are stored canonically as
-(min, max) tuples so that weight maps and file round-trips are bit-exact.
-All values are immutable after construction; derived views are cached.
+Vertices are dense integers 0..n-1.  Edges are canonical (min, max) tuples
+in lexicographic order, the index order of every per-edge array (weights,
+pair loads, duals) and of edge_ids.  Values are immutable; views are cached.
 """
 
 from __future__ import annotations
@@ -60,6 +60,25 @@ class Graph:
         ends.flags.writeable = False
         return ends
 
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """u*n + v of each edge as int64: ascending, since the edges are sorted."""
+        return self.edge_array[:, 0].astype(np.int64) * self.n + self.edge_array[:, 1]
+
+
+def edge_ids(g: Graph, pairs) -> np.ndarray:
+    """Index in g.edges of each (u, v) pair of an (..., 2) array, found by one
+    binary search of u*n + v in g.edge_keys; a non-edge raises InputError."""
+    p = np.asarray(pairs).reshape(-1, 2)
+    q = p[:, 0].astype(np.int64) * g.n + p[:, 1]
+    ids = np.searchsorted(g.edge_keys, q)
+    # while 0 <= v < n, q decodes to (u, v), so a key match is exactly an edge
+    found = np.take(g.edge_keys, ids, mode="clip") == q if g.m else False
+    hit = (0 <= p[:, 1]) & (p[:, 1] < g.n) & found
+    if not hit.all():
+        raise InputError(f"{tuple(p[np.flatnonzero(~hit)[0]].tolist())} is not an edge")
+    return ids
+
 
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from (u, v) pairs, deduplicating undirected edges.
@@ -103,30 +122,34 @@ def regularity(g: Graph) -> RegularityInfo:
     return RegularityInfo(False, None, lo, hi)
 
 
-def edge_key(u: int, v: int) -> tuple:
-    return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """A Graph plus an edge-weight map w: E -> [0,1].
+    """A Graph plus edge weights w: E -> [0,1].
 
-    Every edge of `base` must carry a weight; weights slightly outside [0,1]
-    (beyond WEIGHT_SLACK) are rejected.
+    w is a read-only float64 array in the order of base.edges, given in that
+    order or as an edge -> weight Mapping.  It is copied and checked once:
+    no edge missing, no non-edge, no NaN, nothing beyond WEIGHT_SLACK of [0,1].
     """
 
     base: Graph
-    w: Mapping = field(default_factory=dict)
+    w: np.ndarray
 
     def __post_init__(self):
-        missing = [e for e in self.base.edges if e not in self.w]
-        if missing:
-            raise InputError(f"missing weight for edge {missing[0]}")
-        for e, x in self.w.items():
-            if e not in self.base.edge_set:
-                raise InputError(f"weight given for non-edge {e}")
-            if not (-WEIGHT_SLACK <= x <= 1 + WEIGHT_SLACK):
-                raise InputError(f"weight {x} outside [0,1] on edge {e}")
+        w, m, edges = self.w, self.base.m, self.base.edges
+        if isinstance(w, Mapping):
+            ids = edge_ids(self.base, list(w))
+            if len(ids) < m:
+                raise InputError(f"missing weight for edge {edges[np.setdiff1d(range(m), ids)[0]]}")
+            w = np.empty(m)
+            w[ids] = list(self.w.values())
+        w = np.array(w, dtype=np.float64)
+        if w.shape != (m,):
+            raise InputError(f"expected {m} edge weights, got shape {w.shape}")
+        bad = np.flatnonzero(~((-WEIGHT_SLACK <= w) & (w <= 1 + WEIGHT_SLACK)))
+        if bad.size:
+            raise InputError(f"weight {w[bad[0]]} outside [0,1] on edge {edges[bad[0]]}")
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:
@@ -135,14 +158,7 @@ class WeightedGraph:
 
 def uniform_weights(g: Graph, value: float = 1.0) -> WeightedGraph:
     """Give every edge the same weight (w == 1 starts both extraction engines)."""
-    return WeightedGraph(g, {e: float(value) for e in g.edges})
-
-
-def weighted_degree(wg: WeightedGraph, v: int) -> float:
-    """deg_w(v) = sum of w(uv) over neighbors u of v."""
-    if not (0 <= v < wg.n):
-        raise InputError(f"vertex {v} out of range")
-    return sum(wg.w[edge_key(u, v)] for u in wg.base.adj[v])
+    return WeightedGraph(g, np.full(g.m, float(value)))
 
 
 def rich_subgraph(wg: WeightedGraph, alpha: float) -> Graph:
@@ -153,9 +169,8 @@ def rich_subgraph(wg: WeightedGraph, alpha: float) -> Graph:
     """
     if not (0 <= alpha <= 1):
         raise InputError(f"alpha {alpha} outside [0,1]")
-    thr = 1.0 - alpha - WEIGHT_SLACK
-    keep = [e for e in wg.base.edges if wg.w[e] >= thr]
-    return from_edge_list(wg.n, keep)
+    keep = wg.base.edge_array[wg.w >= 1.0 - alpha - WEIGHT_SLACK]
+    return from_edge_list(wg.n, keep.tolist())
 
 
 def graph_difference(g: Graph, g2: Graph) -> Graph:
@@ -183,8 +198,8 @@ def induced_subgraph(g: Graph, U: Iterable[int]) -> tuple:
 def induced_weighted(wg: WeightedGraph, U: Iterable[int]) -> tuple:
     """(G[U], w restricted to E(G[U])), with the same relabeling as induced_subgraph."""
     sub, verts = induced_subgraph(wg.base, U)
-    w = {(a, b): wg.w[edge_key(verts[a], verts[b])] for (a, b) in sub.edges}
-    return WeightedGraph(sub, w), verts
+    host = np.asarray(verts, dtype=np.int64)
+    return WeightedGraph(sub, wg.w[edge_ids(wg.base, host[sub.edge_array])]), verts
 
 
 # ---------------------------------------------------------------------------
@@ -264,5 +279,5 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
 
 def write_weighted_graph(wg: WeightedGraph) -> str:
     out = [f"{wg.n} {wg.base.m}"]
-    out.extend(f"{u} {v} {wg.w[(u, v)]!r}" for u, v in wg.base.edges)
+    out.extend(f"{u} {v} {x!r}" for (u, v), x in zip(wg.base.edges, wg.w.tolist()))
     return "\n".join(out) + "\n"

@@ -40,12 +40,16 @@ from .graphs import (
 from .spectral import beta_exponent, hypothesis_check, second_eigenvalue
 
 
-def worker_count() -> int:
-    """Worker cap from CFL_THREADS; 1 (fully sequential) when unset."""
+def fan_out(fn, items) -> list:
+    """[fn(x) for x in items], in order, on CFL_THREADS threads (sequential when unset)."""
     try:
-        return max(1, int(os.environ.get("CFL_THREADS", "1")))
+        workers = max(1, int(os.environ.get("CFL_THREADS", "1")))
     except ValueError:
-        return 1
+        workers = 1
+    if workers == 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +118,7 @@ def dense_extract(
     note = ""
     for i in range(ell):
         rich = int(np.count_nonzero(w >= 1 - alpha - WEIGHT_SLACK))
-        wg = WeightedGraph(g, dict(zip(g.edges, w.tolist())))
-        cert = has_fractional_factor(wg, t, tol, cliques)
+        cert = has_fractional_factor(WeightedGraph(g, w), t, tol, cliques)
         if not cert.has_factor:
             note = f"no fractional factor at iteration {i}; t_star = {cert.t_star:.9g}"
             iterations.append(
@@ -232,12 +235,7 @@ def sparse_extract(
     def solve(i: int) -> FactorCert:
         return has_fractional_factor(uniform_weights(parts[i]), t, tol, cut[i][1])
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(solve, range(ell)))
-    else:
-        certs = [solve(i) for i in range(ell)]
+    certs = fan_out(solve, range(ell))
 
     total = np.zeros(len(cliques))
     factors = []

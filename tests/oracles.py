@@ -46,7 +46,7 @@ def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
     res = linprog(
         c,
         A_ub=np.vstack([a_pair, cap]),
-        b_ub=np.concatenate([[wg.w[e] for e in edges], np.zeros(N)]),
+        b_ub=np.concatenate([wg.w, np.zeros(N)]),
         A_eq=a_vert,
         b_eq=np.ones(n),
         bounds=(0, None),
@@ -56,6 +56,11 @@ def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
         return None
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def edge_weights(wg: WeightedGraph) -> dict:
+    """Edge -> weight, read off the edge-order weight array."""
+    return dict(zip(wg.base.edges, wg.w.tolist()))
 
 
 def pair_loads(wg: WeightedGraph, f: dict) -> dict:
@@ -77,8 +82,8 @@ def max_entropy_fit(wg: WeightedGraph, t: int, f: dict, tight_tol: float = 1e-9)
     form fits with residual at rounding level.
     """
     support = [tup for tup in brute_force_cliques(wg.base, t) if f.get(tup, 0.0) > 0]
-    load = pair_loads(wg, f)
-    tight = {e: i for i, e in enumerate(e for e in wg.base.edges if load[e] >= wg.w[e] - tight_tol)}
+    load, w = pair_loads(wg, f), edge_weights(wg)
+    tight = {e: i for i, e in enumerate(e for e in wg.base.edges if load[e] >= w[e] - tight_tol)}
     A = np.zeros((len(support), wg.n + len(tight)))
     for row, tup in enumerate(support):
         A[row, list(tup)] = 1.0
@@ -97,12 +102,12 @@ def vertex_only_matching_value(wg: WeightedGraph, t: int) -> float:
     The integral matching MILP with vertex rows only; value(T) is the least
     edge weight inside T.
     """
-    cliques = brute_force_cliques(wg.base, t)
+    cliques, w = brute_force_cliques(wg.base, t), edge_weights(wg)
     a_vert = np.zeros((wg.n, len(cliques)))
     values = np.zeros(len(cliques))
     for j, tup in enumerate(cliques):
         a_vert[list(tup), j] = 1.0
-        values[j] = min(wg.w[e] for e in itertools.combinations(tup, 2))
+        values[j] = min(w[e] for e in itertools.combinations(tup, 2))
     res = milp(
         c=-values,
         constraints=LinearConstraint(a_vert, -np.inf, np.ones(wg.n)),
@@ -120,13 +125,13 @@ def exhaustive_integral_matching(wg: WeightedGraph, t: int) -> float:
     Only sensible for n <= ~14; each clique contributes its minimum edge
     weight and cliques must be vertex-disjoint.
     """
-    cliques = brute_force_cliques(wg.base, t)
+    cliques, w = brute_force_cliques(wg.base, t), edge_weights(wg)
     entries = []
     for tup in cliques:
         mask = 0
         for v in tup:
             mask |= 1 << v
-        value = min(wg.w[(a, b)] for a, b in itertools.combinations(tup, 2))
+        value = min(w[e] for e in itertools.combinations(tup, 2))
         entries.append((mask, value))
 
     @lru_cache(maxsize=None)
@@ -153,8 +158,9 @@ def slackness_by_loops(f: dict, g: dict, h: dict, wg: WeightedGraph, cliques, th
             vload[u] += val
         for e in itertools.combinations(cliques[j], 2):
             pload[e] += val
+    w = edge_weights(wg)
     vert = [abs(vload[v] - 1.0) for v in range(wg.n) if g[v] > thr]
-    pair = [abs(pload[e] - wg.w[e]) for e in wg.base.edges if h[e] > thr]
+    pair = [abs(pload[e] - w[e]) for e in wg.base.edges if h[e] > thr]
     cover = [
         abs(sum(g[u] for u in tup) + sum(h[e] for e in itertools.combinations(tup, 2)) - 1.0)
         for j, tup in enumerate(cliques)

@@ -13,7 +13,7 @@ from cfl.generators import gen_complete, gen_random_regular
 from cfl.graphs import (
     Graph,
     WeightedGraph,
-    edge_key,
+    edge_ids,
     from_edge_list,
     graph_difference,
     induced_subgraph,
@@ -23,7 +23,6 @@ from cfl.graphs import (
     regularity,
     rich_subgraph,
     uniform_weights,
-    weighted_degree,
     write_graph,
     write_weighted_graph,
 )
@@ -73,9 +72,16 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             ends[0:1] = 0
 
-    def test_edge_key_orders(self):
-        assert edge_key(5, 2) == (2, 5)
-        assert edge_key(2, 5) == (2, 5)
+    def test_edge_ids_find_edges_and_reject_non_edges(self):
+        g = from_edge_list(4, [(2, 1), (0, 3), (1, 2), (2, 3)])
+        assert edge_ids(g, [(2, 3), (0, 3), (1, 2)]).tolist() == [2, 0, 1]
+        assert edge_ids(g, np.zeros((0, 2), dtype=np.int32)).size == edge_ids(g, []).size == 0
+        # (0, 6) and (3, -1) have the keys 0*4 + 6 and 3*4 - 1 of the edges (1, 2) and (2, 3)
+        for pair in [(0, 1), (3, 2), (1, 1), (0, 6), (3, -1), (-1, 3)]:
+            with pytest.raises(InputError):
+                edge_ids(g, [pair])
+        with pytest.raises(InputError):
+            edge_ids(from_edge_list(3, []), [(0, 1)])
 
 
 class TestRegularity:
@@ -96,6 +102,8 @@ class TestWeightedGraph:
         w.pop((0, 1))
         with pytest.raises(InputError):
             WeightedGraph(k6, w)
+        with pytest.raises(InputError):  # an edge-order array one short
+            WeightedGraph(k6, np.ones(k6.m - 1))
 
     def test_rejects_nonedge_weight(self, k6):
         w = {e: 1.0 for e in k6.edges}
@@ -111,21 +119,30 @@ class TestWeightedGraph:
         w[(0, 1)] = -0.2
         with pytest.raises(InputError):
             WeightedGraph(k6, w)
+        w[(0, 1)] = math.nan
+        with pytest.raises(InputError):
+            WeightedGraph(k6, w)
+        with pytest.raises(InputError):
+            WeightedGraph(k6, np.array([math.nan] + [1.0] * (k6.m - 1)))
 
     def test_slack_boundary_accepted(self, k6):
         w = {e: 1.0 for e in k6.edges}
         w[(0, 1)] = 1.0 + 1e-13
         WeightedGraph(k6, w)  # within WEIGHT_SLACK
 
-    def test_weighted_degree(self):
-        wg = uniform_weights(gen_complete(4), 0.5)
-        assert weighted_degree(wg, 0) == pytest.approx(1.5)
-        with pytest.raises(InputError):
-            weighted_degree(wg, 4)
+    def test_weights_are_a_read_only_copy_in_edge_order(self, k6):
+        w = np.linspace(0.0, 1.0, k6.m)
+        wg = WeightedGraph(k6, w)
+        w[:] = 0.5  # the caller's array, changed after construction
+        assert wg.w.tolist() == np.linspace(0.0, 1.0, k6.m).tolist()
+        with pytest.raises(ValueError):
+            wg.w[0] = 0.0
+        mapping = dict(zip(reversed(k6.edges), reversed(wg.w.tolist())))
+        assert WeightedGraph(k6, mapping).w.tolist() == wg.w.tolist()
 
     def test_uniform_weights(self, k6):
         wg = uniform_weights(k6)
-        assert all(v == 1.0 for v in wg.w.values())
+        assert wg.w.tolist() == [1.0] * k6.m
         assert wg.n == 6
 
 
@@ -174,8 +191,8 @@ class TestDifferenceAndInduced:
         w[(1, 3)] = 0.75
         sub, verts = induced_weighted(WeightedGraph(k6, w), [1, 3, 4])
         assert verts == (1, 3, 4)
-        assert sub.w[(0, 1)] == 0.75  # relabeled (1,3)
-        assert sub.w[(0, 2)] == 0.25
+        assert sub.base.edges == ((0, 1), (0, 2), (1, 2))
+        assert sub.w.tolist() == [0.75, 0.25, 0.25]  # (0, 1) is the relabeled (1, 3)
 
 
 class TestTextFormat:
@@ -215,12 +232,14 @@ class TestTextFormat:
             parse_graph("3 1\n1 0\n")
 
     def test_weighted_round_trip(self, k6):
-        rng = np.random.default_rng(3)
-        w = {e: float(rng.random()) for e in k6.edges}
-        text = write_weighted_graph(WeightedGraph(k6, w))
-        back = parse_weighted_graph(text)
-        assert back.w == w
-        assert write_weighted_graph(back) == text
+        # numpy scalars as well as floats must be written as plain decimals
+        for scalar in (float, np.float64):
+            rng = np.random.default_rng(3)
+            w = {e: scalar(rng.random()) for e in k6.edges}
+            text = write_weighted_graph(WeightedGraph(k6, w))
+            back = parse_weighted_graph(text)
+            assert back.w.tolist() == [float(w[e]) for e in k6.edges]
+            assert write_weighted_graph(back) == text
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(0, 20), p=st.floats(0.0, 1.0))
@@ -233,15 +252,17 @@ class TestTextFormat:
         wg = WeightedGraph(g, dict(zip(g.edges, weights)))
         back = parse_weighted_graph(write_weighted_graph(wg))
         assert back.base == g
-        assert [back.w[e].hex() for e in g.edges] == [x.hex() for x in weights]
+        assert [x.hex() for x in back.w.tolist()] == [x.hex() for x in weights]
         with tempfile.TemporaryDirectory() as tmp:
             for text, want in ((write_graph(g), [1.0] * g.m), (write_weighted_graph(wg), weights)):
-                path = os.path.join(tmp, "g.txt")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                read = _read_maybe_weighted(path)
-                assert read.base == g
-                assert [read.w[e].hex() for e in g.edges] == [x.hex() for x in want]
+                # a leading blank line must not hide which format a file is
+                for lead in ("", "\n"):
+                    path = os.path.join(tmp, "g.txt")
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(lead + text)
+                    read = _read_maybe_weighted(path)
+                    assert read.base == g
+                    assert [x.hex() for x in read.w.tolist()] == [x.hex() for x in want]
 
     def test_weighted_parse_rejects_bad_weight(self):
         with pytest.raises(ParseError):

@@ -34,6 +34,7 @@ from cfl import (
 from cfl.cli import canonical_json
 from cfl.factor_lp import DualSolution, PrimalSolution
 from oracles import (
+    edge_weights,
     exhaustive_integral_matching,
     max_entropy_fit,
     min_max_factor_value,
@@ -234,10 +235,10 @@ class TestFactorCertificate:
         # the low weights bind: some pair loads reach w, and mu > 0 there
         wg = _weighted_complete(9, 1, low=0.05)
         cert = has_fractional_factor(wg, 3)
-        load = pair_loads(wg, _witness(cert))
-        tight = [e for e in wg.base.edges if load[e] >= wg.w[e] - 1e-9]
+        load, w = pair_loads(wg, _witness(cert)), edge_weights(wg)
+        tight = [e for e in wg.base.edges if load[e] >= w[e] - 1e-9]
         assert tight
-        assert all(load[e] <= wg.w[e] + 1e-9 for e in wg.base.edges)
+        assert all(load[e] <= w[e] + 1e-9 for e in wg.base.edges)
         residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
         assert residual <= 1e-8 and least_mu >= -1e-9
         # the fit fails once the tight pairs are left out of it
@@ -272,8 +273,8 @@ class TestFactorCertificate:
         assert len(calls) == 0
         for load in cert.per_vertex_load:
             assert load == pytest.approx(1.0, abs=1e-9)
-        load = pair_loads(wg, _witness(cert))
-        assert all(load[e] <= wg.w[e] + 1e-9 for e in g.edges)
+        load, w = pair_loads(wg, _witness(cert)), edge_weights(wg)
+        assert all(load[e] <= w[e] + 1e-9 for e in g.edges)
         residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
         assert residual <= 1e-8 and least_mu >= -1e-9
 
@@ -475,9 +476,9 @@ class TestDualityChecks:
 def _restricted_by_loop(wg, rep) -> float:
     """sum of g over the report's subset U plus sum of h w over the edges inside U."""
     d = solve_dual(wg, enumerate_cliques(wg.base, 3))
-    h = dict(zip(wg.base.edges, d.h.tolist()))
+    h, w = dict(zip(wg.base.edges, d.h.tolist())), edge_weights(wg)
     U = rep.iii_subset
-    return sum(d.g[v] for v in U) + sum(h[e] * wg.w[e] for e in itertools.combinations(U, 2))
+    return sum(d.g[v] for v in U) + sum(h[e] * w[e] for e in itertools.combinations(U, 2))
 
 
 class TestComplementarySlackness:
