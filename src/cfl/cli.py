@@ -161,6 +161,22 @@ def _int_list(text: str, flag: str) -> list:
         raise InputError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
+def _seed(seed: int) -> int:
+    """A seed, once checked: numpy's generators take non-negative integers only."""
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _check_shared_flags(args) -> None:
+    """--seed and --tol, checked before any command does work."""
+    if getattr(args, "seed", None) is not None:
+        _seed(args.seed)
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 < tol < math.inf:
+        raise InputError(f"tol must be finite and positive, got {tol}")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -274,7 +290,7 @@ def _pipeline_config(args, seed: int) -> PipelineConfig:
 def _cmd_pipeline(args) -> int:
     g = _read_graph(args.infile)
     if args.seeds is not None:
-        seeds = _int_list(args.seeds, "--seeds")
+        seeds = [_seed(s) for s in _int_list(args.seeds, "--seeds")]
     else:
         seeds = [args.seed]
 
@@ -421,6 +437,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
+        _check_shared_flags(args)
         return args.func(args)
     except InputError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)

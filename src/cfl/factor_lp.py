@@ -31,6 +31,18 @@ sum_T x_T <= floor(|V|/t), valid because vertex-disjoint t-sets number at
 most floor(|V|/t): the vertex rows alone let the relaxation pack |V|/t
 cliques, and this one rounding (Chvatal-Gomory; Edmonds' odd-set
 inequality when t = 2) removes most of the gap branch-and-bound would close.
+The MILP runs only on cliques that can still be optimal: reduced-cost
+fixing (Crowder, Johnson & Padberg 1983) on a core problem (Balas & Zemel
+1980).  For any y >= 0 on the rows R x <= u, let d = value - R^T y.  A
+vertex-disjoint family x has value.x = y.(R x) + d.x <= y.u + sum_{T in x}
+d_T, so no family is worth more than top = y.u + sum max(d, 0), and none
+that holds T more than bound_T = top + min(d_T, 0).  That is weak duality
+and needs nothing of y but y >= 0: the LP relaxation's duals, clipped at 0,
+decide how many cliques are pruned, never the value.  A clique whose bound
+is below a family already found cannot improve on it; the margin 1e-9 (1 +
+|value|) that keeps it is far tighter than HiGHS's own 1e-6 absolute MIP
+gap.  At unit weights the bounds are flat (every bound is top) and nothing
+can be pruned, so the MILP then runs on all cliques at once.
 """
 
 from __future__ import annotations
@@ -129,8 +141,8 @@ def _instance(wg: WeightedGraph, cliques: CliqueSet):
 
 def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> PrimalSolution:
     """Maximize sum f(T) subject to vertex loads <= 1, pair loads <= w."""
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be finite and positive, got {tol}")
     N = len(cliques)
     if N == 0:
         return PrimalSolution(f=np.zeros(0), objective=0.0)
@@ -145,8 +157,8 @@ def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
 
 def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> DualSolution:
     """Minimize sum g + sum h*w subject to per-clique covers >= 1, g,h >= 0."""
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be finite and positive, got {tol}")
     n = wg.n
     if len(cliques) == 0:
         return DualSolution(g=np.zeros(n), h=np.zeros(wg.base.m), objective=0.0)
@@ -187,6 +199,36 @@ def _within_bound(val: float, n: int, t: int, tol: float) -> float:
     return val
 
 
+def _matching_rows(wg: WeightedGraph, cliques: CliqueSet):
+    """Clique values (least pair weight), rows and row bounds of the matching MILP.
+
+    The rows are A_vert, plus the cardinality row sum_T x_T <= floor(n/t)
+    when t does not divide n (see the module docstring): it cuts off no
+    vertex-disjoint family, only fractional packings of up to n/t cliques.
+    When t divides n the row is the vertex rows summed and divided by t, so
+    it is left out.
+    """
+    a_vert, _, caps = _instance(wg, cliques)
+    rows, upper = a_vert, np.ones(wg.n)
+    if wg.n % cliques.t:
+        rows = sparse.vstack([a_vert, np.ones((1, len(cliques)))], format="csc")
+        upper = np.append(upper, wg.n // cliques.t)
+    return cliques.least_weight(caps), rows, upper
+
+
+def _clique_bounds(values, rows, upper, marginals) -> tuple:
+    """(top, bound): no family is worth more than top, none holding clique j more than bound[j].
+
+    marginals are the relaxation's row marginals (<= 0 for these rows of a
+    minimization); y = max(-marginals, 0) keeps the bounds valid whatever
+    the solve returned (see the module docstring).
+    """
+    y = np.maximum(-marginals, 0.0)
+    d = values - rows.T @ y
+    top = y @ upper + np.maximum(d, 0.0).sum()
+    return top, top + np.minimum(d, 0.0)
+
+
 def integral_matching_value(
     wg: WeightedGraph, t: int, cliques: CliqueSet | None = None
 ) -> float:
@@ -194,15 +236,20 @@ def integral_matching_value(
 
     Branch-and-bound (HiGHS MILP, zero gap) within the MATCHING_BUDGET clique
     budget; larger instances get a ResourceError suggesting a greedy bound.
-    Besides the vertex rows A_vert x <= 1 the MILP carries the cardinality
-    row sum_T x_T <= floor(n/t) when t does not divide n (see the module
-    docstring): it cuts off no vertex-disjoint family, only fractional
-    packings of up to n/t cliques.  When t divides n the row is the vertex
-    rows summed and divided by t, so it is left out.
+    The MILP runs only where an optimum can lie (the module docstring has
+    the bounds).  One LP relaxation (0 <= x <= 1) gives top and bound_j; a
+    MILP on a core, the relaxation's support and the 2n cliques of largest
+    bound, gives an incumbent best; unless best >= top - margin, a second
+    MILP runs on the cliques with bound_j >= best - margin, which hold every
+    optimal family, and is skipped when they all lie in the core.  margin =
+    1e-9 (1 + |best|) covers the rounding of the bounds.  When even an
+    optimal incumbent would keep more than half the cliques (flat bounds,
+    as at unit weights, where every bound is top) one MILP runs on all N.
 
-    The value returned is witnessed: the solver's x is rounded to a 0/1
-    family, checked vertex-disjoint, and its clique values summed; a rounded
-    family that overlaps raises NumericalError.
+    The value returned is witnessed: each solve's x is rounded to a 0/1
+    family over all N cliques and checked vertex-disjoint before its value
+    is used, and the value is that family's clique values summed; a
+    rounded family that overlaps raises NumericalError.
     """
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
@@ -215,24 +262,39 @@ def integral_matching_value(
             "use a greedy lower bound instead",
             partial=None,
         )
-    a_vert, _, caps = _instance(wg, cliques)
-    values = cliques.least_weight(caps)
-    rows, upper = a_vert, np.ones(wg.n)
-    if wg.n % cliques.t:
-        rows = sparse.vstack([a_vert, np.ones((1, N))], format="csc")
-        upper = np.append(upper, wg.n // cliques.t)
-    res = milp(
-        c=-values,
-        constraints=LinearConstraint(rows, -np.inf, upper),
-        integrality=np.ones(N),
-        bounds=Bounds(0, 1),
-        options={"mip_rel_gap": 0.0},
-    )
-    if res.status != 0:
-        raise NumericalError(f"exact matching solve failed: {res.message}")
-    x = np.rint(res.x)
-    if np.any(a_vert @ x > 1):
-        raise NumericalError("exact matching solve returned overlapping cliques")
+    values, rows, upper = _matching_rows(wg, cliques)
+
+    def family(cols: np.ndarray) -> np.ndarray:
+        res = milp(
+            c=-values[cols],
+            constraints=LinearConstraint(rows[:, cols], -np.inf, upper),
+            integrality=np.ones(len(cols)),
+            bounds=Bounds(0, 1),
+            options={"mip_rel_gap": 0.0},
+        )
+        if res.status != 0:
+            raise NumericalError(f"exact matching solve failed: {res.message}")
+        x = np.zeros(N)
+        x[cols] = np.rint(res.x)
+        if np.any(cliques.A_vert @ x > 1):
+            raise NumericalError("exact matching solve returned overlapping cliques")
+        return x
+
+    lp = linprog(-values, A_ub=rows, b_ub=upper, bounds=(0, 1), method="highs")
+    if lp.status != 0:
+        raise NumericalError(f"matching relaxation failed: {lp.message}")
+    top, bound = _clique_bounds(values, rows, upper, lp.ineqlin.marginals)
+    if np.count_nonzero(bound >= top - 1e-9 * (1 + abs(top))) > N / 2:
+        return float(values @ family(np.arange(N)))
+    core = lp.x > 0
+    core[np.argsort(-bound, kind="stable")[: 2 * wg.n]] = True
+    x = family(np.flatnonzero(core))
+    best = values @ x
+    margin = 1e-9 * (1 + abs(best))
+    if best < top - margin:
+        keep = bound >= best - margin
+        if np.any(keep & ~core):
+            x = family(np.flatnonzero(keep))
     return float(values @ x)
 
 
@@ -251,8 +313,8 @@ def has_fractional_factor(
     without, the loads are an optimal fractional matching's, and the note
     marks a t_star within tol of |V|/t with an infeasible unit-load programme.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be finite and positive, got {tol}")
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
     n = wg.n

@@ -547,6 +547,8 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
         raise InputError(f"unknown mode {config.mode!r}")
     if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {config.seed!r}")
+    if not 0 < config.tol < np.inf:
+        raise InputError(f"tol must be finite and positive, got {config.tol}")
     info = regularity(g)
     if not info.is_regular:
         raise InputError("pipeline requires a regular input graph")

@@ -85,8 +85,8 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) ->
 
     method defaults to dense_eig for n <= DENSE_LIMIT, lanczos above.
     """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be finite and positive, got {tol}")
     d = _require_regular(g)
     if method is None:
         method = "dense_eig" if g.n <= DENSE_LIMIT else "lanczos"

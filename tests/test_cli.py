@@ -262,18 +262,21 @@ class TestAnalysisCommands:
 
     def test_lp_prop3_reuses_the_commands_solves(self, k6_file, k6_unit, capsys, monkeypatch):
         # primal and dual LPs once each, plus t* of the induced subgraph; the
-        # factor certificate solves no LP
+        # factor certificate solves no LP, and the integral matching value
+        # solves its one relaxation (0 <= x <= 1)
         bare = canonical_json(check_prop3(k6_unit, 3, 1e-7, 5))
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("method"))
+            calls.append(kwargs.get("bounds"))
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         code = main(["lp", "--in", k6_file, "--t", "3", "--prop3", "--seed", "5", "--slackness"])
         assert code == 0
-        assert len(calls) == 3
+        assert calls.count((0, None)) == 3
+        assert calls.count((0, 1)) == 1
+        assert len(calls) == 4
         payload = json.loads(capsys.readouterr().out)
         assert canonical_json(payload["prop3"]) == bare
 
@@ -295,6 +298,63 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cert"]["has_factor"] is False
         assert payload["cert"]["t_star"] == pytest.approx(payload["primal_objective"], abs=1e-12)
+
+
+class TestSharedFlags:
+    @pytest.fixture
+    def no_input_read(self, monkeypatch):
+        # a flag checked up front exits before any input file is read
+        def unread(path):
+            raise AssertionError(f"{path} read")
+
+        monkeypatch.setattr(cli_mod, "_read_graph", unread)
+        monkeypatch.setattr(cli_mod, "_read_maybe_weighted", unread)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "random-regular", "--n", "10", "--d", "4"],
+            ["audit-mixing", "--in", "{k6}", "--samples", "10"],
+            ["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "2"],
+            ["lp", "--in", "{k6}", "--t", "3", "--prop3"],
+            ["pipeline", "--in", "{k6}", "--t", "3", "--force"],
+        ],
+        ids=["gen", "audit-mixing", "cliques", "lp", "pipeline"],
+    )
+    def test_negative_seed_exits_2(self, argv, k6_file, tmp_path, capsys, no_input_read):
+        out = tmp_path / "out"
+        argv = [a.format(k6=k6_file) for a in argv]
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    def test_negative_seed_in_a_list_exits_2_before_any_run(self, k6_file, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli_mod, "run_end_to_end", lambda *args: runs.append(args))
+        code = main(["pipeline", "--in", k6_file, "--t", "3", "--seeds", "0,-1", "--force"])
+        assert code == 2
+        assert runs == []
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--in", "{k6}"],
+            ["lp", "--in", "{k6}", "--t", "3"],
+            ["lp", "--in", "{k6}", "--t", "3", "--prop3", "--seed", "0", "--slackness"],
+            ["pipeline", "--in", "{k6}", "--t", "3", "--seed", "0", "--force"],
+        ],
+        ids=["spectrum", "lp", "lp-prop3-slackness", "pipeline"],
+    )
+    def test_tol_must_be_finite_and_positive(self, argv, tol, k6_file, capsys, no_input_read):
+        argv = [a.format(k6=k6_file) for a in argv]
+        assert main([*argv, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be finite and positive, got {float(tol)}\n"
 
 
 class TestPipelineCommand:

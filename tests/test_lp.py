@@ -56,6 +56,12 @@ def _weighted_complete(n, seed, low=0.2, high=1.0):
     return WeightedGraph(g, {e: float(rng.uniform(low, high)) for e in g.edges})
 
 
+def _weighted_rr(seed, n=30):
+    g = gen_random_regular(n, n // 2, 1)
+    rng = np.random.default_rng(seed)
+    return WeightedGraph(g, {e: float(x) for e, x in zip(g.edges, rng.random(g.m))})
+
+
 class TestTStar:
     # frozen from an independent tableau-simplex solve of the same LP
     @pytest.mark.parametrize(
@@ -112,6 +118,16 @@ class TestTStar:
             solve_primal(k6_unit, cliques, tol=0.0)
         with pytest.raises(InputError):
             solve_dual(k6_unit, cliques, tol=-1e-9)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, k6_unit, tol):
+        # a NaN passes every "tol <= 0" test, and inf accepts any load as 1
+        cliques = enumerate_cliques(k6_unit.base, 3)
+        for solve in (solve_primal, solve_dual):
+            with pytest.raises(InputError, match="finite and positive"):
+                solve(k6_unit, cliques, tol=tol)
+        with pytest.raises(InputError, match="finite and positive"):
+            has_fractional_factor(k6_unit, 3, tol, cliques)
 
 
 class TestFactorCertificate:
@@ -389,13 +405,95 @@ class TestIntegralMatching:
         got = integral_matching_value(wg, 3)
         assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
 
+    def test_pruned_solves_match_the_vertex_only_milp(self, monkeypatch):
+        # rr(30,15) carries 494 triangles; the MILP runs on a core and then on
+        # the cliques whose bound reaches the core's value, not on all of them
+        cols = []
+
+        def recording(*args, **kwargs):
+            cols.append(len(kwargs["c"]))
+            return milp(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "milp", recording)
+        pruned = 0
+        for seed in range(6):
+            wg = _weighted_rr(seed)
+            cols.clear()
+            got = integral_matching_value(wg, 3)
+            assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
+            pruned += cols[-1] < len(enumerate_cliques(wg.base, 3))
+        assert pruned >= 1
+
+    def test_clique_bounds_hold_for_any_duals(self):
+        # weighted K_6 plus vertex 6, which lies in no triangle, and 7 = 1 mod
+        # 3 adds the cardinality row; every vertex-disjoint family is scored
+        # by brute force against top and against each of its cliques' bounds
+        g = from_edge_list(7, [*gen_complete(6).edges, (0, 6)])
+        rng = np.random.default_rng(3)
+        wg = WeightedGraph(g, {e: float(rng.random()) for e in g.edges})
+        cliques = enumerate_cliques(g, 3)
+        values, rows, upper = factor_lp_mod._matching_rows(wg, cliques)
+        w = edge_weights(wg)
+        best, best_with = 0.0, np.zeros(len(cliques))
+        for size in (1, 2):
+            for fam in itertools.combinations(range(len(cliques)), size):
+                tups = [tuple(cliques.members[j].tolist()) for j in fam]
+                if len({v for tup in tups for v in tup}) < 3 * size:
+                    continue
+                val = sum(min(w[e] for e in itertools.combinations(tup, 2)) for tup in tups)
+                best = max(best, val)
+                for j in fam:
+                    best_with[j] = max(best_with[j], val)
+        relaxed = linprog(-values, A_ub=rows, b_ub=upper, bounds=(0, 1), method="highs")
+        pendant_negative = np.full(8, -1.0)
+        pendant_negative[6] = 10.0  # y = 1 on every row but -10 on vertex 6
+        duals = [relaxed.ineqlin.marginals, np.zeros(8), pendant_negative]
+        duals += [rng.normal(0.0, 0.5, 8) for _ in range(20)]
+        for marginals in duals:
+            top, bound = factor_lp_mod._clique_bounds(values, rows, upper, marginals)
+            assert top >= best - 1e-12
+            assert np.all(bound >= best_with - 1e-12)
+        top, _ = factor_lp_mod._clique_bounds(values, rows, upper, relaxed.ineqlin.marginals)
+        assert top == pytest.approx(-relaxed.fun, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "scale,shift", [(0.5, 0.0), (2.0, 0.0), (1.0, 0.3)], ids=["halved", "doubled", "noisy"]
+    )
+    def test_any_duals_give_the_exact_value(self, scale, shift, monkeypatch):
+        # the bounds hold for every y >= 0, so duals of a poor relaxation solve
+        # cost time, never exactness; the noise pushes some rows' y below 0,
+        # which must be clipped rather than trusted
+        rng = np.random.default_rng(0)
+
+        def inaccurate(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            m = res.ineqlin.marginals
+            res.ineqlin.marginals = scale * m + shift * rng.standard_normal(len(m))
+            return res
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", inaccurate)
+        for seed in range(4):
+            wg = _weighted_rr(seed, n=22)
+            got = integral_matching_value(wg, 3)
+            assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
+
     def test_overlapping_solution_is_refused(self, k6_unit, monkeypatch):
+        # an overlapping family must raise before its value bounds anything:
+        # K_6 at unit weights has flat bounds and one solve over all 20
+        # cliques, the weighted rr(30,15) a core solve whose value would end
+        # the search
+        calls = []
+
         def overlapping(c, **kwargs):
+            calls.append(len(c))
             return OptimizeResult(status=0, x=np.ones(len(c)), fun=float(c.sum()), message="")
 
         monkeypatch.setattr(factor_lp_mod, "milp", overlapping)
-        with pytest.raises(NumericalError, match="overlapping"):
-            integral_matching_value(k6_unit, 3)
+        for wg in (k6_unit, _weighted_rr(0)):
+            with pytest.raises(NumericalError, match="overlapping"):
+                integral_matching_value(wg, 3)
+        assert calls[0] == 20
+        assert len(calls) == 2 and calls[1] < len(enumerate_cliques(_weighted_rr(0).base, 3))
 
 
 class TestDualityChecks:
@@ -454,13 +552,14 @@ class TestDualityChecks:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("method"))
+            calls.append(kwargs.get("bounds"))
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         rep = check_prop3(wg, 3, seed=1, cliques=cliques, primal=primal, dual=dual, cert=cert)
         assert rep == bare
-        assert len(calls) == 1  # t* of the induced subgraph only
+        # t* of the induced subgraph, and the integral matching's relaxation
+        assert calls == [(0, 1), (0, None)]
 
     def test_subset_is_sorted_and_in_range(self, k6_unit):
         rep = check_prop3(k6_unit, 3, seed=7)

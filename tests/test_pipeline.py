@@ -423,6 +423,12 @@ class TestEndToEnd:
         with pytest.raises(InputError, match="seed must be a non-negative integer"):
             run_end_to_end(k6, 3, PipelineConfig(seed=seed, force=True))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_tol_must_be_finite_and_positive(self, k6, tol):
+        # min(1e-8, nan) is 1e-8, so the spectral stage would not notice a NaN
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            run_end_to_end(k6, 3, PipelineConfig(seed=0, tol=tol, force=True))
+
     def test_irregular_graph_rejected(self):
         with pytest.raises(InputError, match="regular"):
             run_end_to_end(from_edge_list(3, [(0, 1), (1, 2)]), 3, PipelineConfig(seed=0))

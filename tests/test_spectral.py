@@ -133,6 +133,11 @@ class TestSecondEigenvalue:
         with pytest.raises(NumericalError, match="converge"):
             second_eigenvalue(gen_paley(13), method="lanczos")
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            second_eigenvalue(gen_paley(13), tol=tol)
+
     def test_unwitnessed_ends_are_a_numerical_error(self):
         with pytest.raises(NumericalError, match="A-residual"):
             second_eigenvalue(gen_paley(13), method="lanczos", tol=1e-300)
