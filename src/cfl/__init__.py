@@ -75,6 +75,7 @@ from .factor_lp import (
     has_fractional_factor,
     integral_matching_value,
     solve_dual,
+    solve_lp,
     solve_primal,
     t_star,
 )

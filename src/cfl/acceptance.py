@@ -21,7 +21,7 @@ import numpy as np
 
 from .cliques import count_cliques_window, enumerate_cliques
 from .errors import NumericalError
-from .factor_lp import check_prop3, solve_dual, solve_primal, t_star
+from .factor_lp import check_prop3, solve_lp, t_star
 from .generators import gen_complete, gen_paley, gen_random_regular
 from .graphs import Graph, WeightedGraph, edge_ids, from_edge_list, uniform_weights, write_graph
 from .pipeline import (
@@ -155,13 +155,12 @@ def criterion_1() -> dict:
     failures = []
     for idx, (name, wg, t) in enumerate(corpus):
         cliques = enumerate_cliques(wg.base, t)
-        p = solve_primal(wg, cliques)
-        d = solve_dual(wg, cliques)
+        p, d = solve_lp(wg, cliques)
         gap = abs(p.objective - d.objective)
         max_gap = max(max_gap, gap)
         if gap > 2e-7:
             failures.append(f"{name}: gap {gap:.3e}")
-        report = check_prop3(wg, t, seed=idx)
+        report = check_prop3(wg, t, seed=idx, cliques=cliques, primal=p, dual=d)
         if not report.all_pass:
             failures.append(
                 f"{name}: prop3 i={report.i_pass} ii={report.ii_pass} "

@@ -35,13 +35,9 @@ from .errors import (
     NumericalError,
     ResourceError,
 )
-from .factor_lp import (
-    check_prop3,
-    complementary_slackness,
-    has_fractional_factor,
-    solve_dual,
-    solve_primal,
-)
+from .factor_lp import check_prop3, complementary_slackness, has_fractional_factor, solve_lp
+# bound here for perfbench/spans.py to wrap, until ROADMAP item 4 retires it
+from .factor_lp import solve_dual, solve_primal  # noqa: F401
 from .generators import GenSpec, build
 from .graphs import _edge_lines, parse_graph, parse_weighted_graph, uniform_weights, write_graph
 from .pipeline import HypothesisRejected, PipelineConfig, fan_out, run_end_to_end
@@ -168,13 +164,20 @@ def _seed(seed: int) -> int:
     return seed
 
 
-def _check_shared_flags(args) -> None:
-    """--seed and --tol, checked before any command does work."""
-    if getattr(args, "seed", None) is not None:
-        _seed(args.seed)
+def _check_flags(args) -> None:
+    """Every flag that needs no input, checked before any command does work."""
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        _seed(seed)
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol < math.inf:
         raise InputError(f"tol must be finite and positive, got {tol}")
+    if getattr(args, "samples", 1) < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if seed is None and getattr(args, "span_trials", 0):
+        raise InputError("--seed is required for the span audit")
+    if seed is None and getattr(args, "prop3", False):
+        raise InputError("--seed is required for the prop3 subset check")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -226,8 +229,6 @@ def _cmd_cliques(args) -> int:
         }
         failed = failed or not within
     if args.span_trials:
-        if args.seed is None:
-            raise InputError("--seed is required for the span audit")
         size = args.span_size if args.span_size else default_span_size(g.n, args.t)
         failures, witness = span_clique_audit(g, args.t, size, args.span_trials, args.seed)
         payload["span_audit"] = {
@@ -244,8 +245,7 @@ def _cmd_cliques(args) -> int:
 def _cmd_lp(args) -> int:
     wg = _read_maybe_weighted(args.infile)
     cliques = enumerate_cliques(wg.base, args.t)
-    primal = solve_primal(wg, cliques, args.tol)
-    dual = solve_dual(wg, cliques, args.tol)
+    primal, dual = solve_lp(wg, cliques, args.tol)
     cert = has_fractional_factor(wg, args.t, args.tol, cliques, primal=primal)
     payload: dict = {
         "n": wg.n,
@@ -259,8 +259,6 @@ def _cmd_lp(args) -> int:
     }
     failed = False
     if args.prop3:
-        if args.seed is None:
-            raise InputError("--seed is required for the prop3 subset check")
         report = check_prop3(
             wg, args.t, args.tol, args.seed, cliques=cliques, primal=primal, dual=dual, cert=cert
         )
@@ -437,7 +435,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        _check_shared_flags(args)
+        _check_flags(args)
         return args.func(args)
     except InputError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@
 The primal maximizes sum f(T) over clique weights f >= 0 subject to vertex
 loads <= 1 and pair loads <= w(uv); the dual minimizes sum g(v) + sum
 h(uv) w(uv) subject to sum_{v in T} g(v) + sum_{uv in E(T)} h(uv) >= 1 per
-clique.  Both share the optimum t*(G,w).  Solves go through HiGHS, which is
-deterministic for a fixed instance; whichever of the two forms has fewer
-variables is used when only the optimum value is needed.
+clique.  Both share the optimum t*(G,w).  One HiGHS solve (deterministic
+for a fixed instance), of whichever form has fewer variables, yields both
+sides: the other is read off the solved form's row marginals.  The pair is
+a checked certificate, not trusted output: both sides must be feasible
+within tol, and both objectives are summed from the vectors.
 
 A fractional factor is a weighting whose vertex loads are all exactly 1.
 The certificate's witness is the factor of maximum entropy -sum f log f,
@@ -20,7 +22,7 @@ multipliers enter as a projected-Newton active set.  Any factor f' gives
 D >= sum (f' - f' log f') >= |V|/t, so an iterate with D < |V|/t refutes a
 factor.  A witness is accepted only after the exact checks: vertex loads
 within tol of 1, pair loads at most w + tol, f >= 0.  When Newton reaches
-none within NEWTON_STEPS steps, one primal solve decides: t* < |V|/t - tol
+none within NEWTON_STEPS steps, one LP solve decides: t* < |V|/t - tol
 refutes a factor, and otherwise the primal optimum, whose loads must then
 all be 1, is the witness, a basic solution rather than a spread one.
 
@@ -139,57 +141,62 @@ def _instance(wg: WeightedGraph, cliques: CliqueSet):
     return cliques.A_vert, cliques.A_pair, wg.w
 
 
-def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> PrimalSolution:
-    """Maximize sum f(T) subject to vertex loads <= 1, pair loads <= w."""
+def solve_lp(
+    wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
+) -> tuple[PrimalSolution, DualSolution]:
+    """An optimal primal-dual pair of the K_t-matching LP from one solve.
+
+    The packing form (max sum f, A f <= (1, w)) is solved when it has no
+    more variables than the covering form (min sum g + h.w, A^T (g, h) >=
+    1), and the covering form otherwise.  The other side is the solved
+    form's row marginals, negated and clipped at 0.  Objectives are sum f
+    and sum g + h.w; a pair with a vertex load above 1, a pair load above w
+    or a clique cover below 1, beyond tol, raises NumericalError.
+    """
     if not 0 < tol < np.inf:
         raise InputError(f"tol must be finite and positive, got {tol}")
-    N = len(cliques)
+    n, N = wg.n, len(cliques)
     if N == 0:
-        return PrimalSolution(f=np.zeros(0), objective=0.0)
+        return PrimalSolution(np.zeros(0), 0.0), DualSolution(np.zeros(n), np.zeros(wg.base.m), 0.0)
     a_vert, a_pair, caps = _instance(wg, cliques)
     A = sparse.vstack([a_vert, a_pair], format="csc")
-    b = np.concatenate([np.ones(wg.n), caps])
-    res = linprog(-np.ones(N), A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    b = np.concatenate([np.ones(n), caps])
+    packing = N <= A.shape[0]
+    if packing:
+        res = linprog(-np.ones(N), A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    else:
+        res = linprog(b, A_ub=-A.T, b_ub=-np.ones(N), bounds=(0, None), method="highs")
     if res.status != 0:
-        raise NumericalError(f"primal solve failed: {res.message}")
-    return PrimalSolution(f=np.maximum(res.x, 0.0), objective=float(-res.fun))
+        raise NumericalError(f"LP solve failed: {res.message}")
+    x, read_off = np.maximum(res.x, 0.0), np.maximum(-res.ineqlin.marginals, 0.0)
+    f, y = (x, read_off) if packing else (read_off, x)
+    excess, shortfall = (A @ f - b).max(), 1.0 - (A.T @ y).min()
+    if not max(excess, shortfall) <= tol:
+        raise NumericalError(
+            f"LP pair infeasible: load excess {excess:.3e}, cover shortfall {shortfall:.3e}"
+        )
+    g, h = y[:n], y[n:]
+    return PrimalSolution(f, float(f.sum())), DualSolution(g, h, float(g.sum() + h @ caps))
+
+
+def solve_primal(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> PrimalSolution:
+    """The primal half of solve_lp."""
+    return solve_lp(wg, cliques, tol)[0]
 
 
 def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> DualSolution:
-    """Minimize sum g + sum h*w subject to per-clique covers >= 1, g,h >= 0."""
-    if not 0 < tol < np.inf:
-        raise InputError(f"tol must be finite and positive, got {tol}")
-    n = wg.n
-    if len(cliques) == 0:
-        return DualSolution(g=np.zeros(n), h=np.zeros(wg.base.m), objective=0.0)
-    a_vert, a_pair, caps = _instance(wg, cliques)
-    # dual variables: g (n entries) then h (m entries); constraints transpose
-    A = sparse.hstack([a_vert.T, a_pair.T], format="csc")
-    c = np.concatenate([np.ones(n), caps])
-    res = linprog(c, A_ub=-A, b_ub=-np.ones(len(cliques)), bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise NumericalError(f"dual solve failed: {res.message}")
-    return DualSolution(g=res.x[:n], h=res.x[n:], objective=float(res.fun))
+    """The dual half of solve_lp."""
+    return solve_lp(wg, cliques, tol)[1]
 
 
 def t_star(
     wg: WeightedGraph, t: int, tol: float = TOL_DEFAULT, cliques: CliqueSet | None = None
 ) -> float:
-    """Optimum of the fractional K_t-matching LP.
-
-    Value only: solves whichever of primal/dual has fewer variables (they
-    agree by strong duality).  Guaranteed <= |V|/t + tol.
-    """
+    """Optimum of the fractional K_t-matching LP: the primal objective of
+    solve_lp's one feasibility-checked solve.  Guaranteed <= |V|/t + tol."""
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
-    N = len(cliques)
-    if N == 0:
-        return 0.0
-    if N <= wg.n + wg.base.m:
-        val = solve_primal(wg, cliques, tol).objective
-    else:
-        val = solve_dual(wg, cliques, tol).objective
-    return _within_bound(val, wg.n, t, tol)
+    return _within_bound(solve_lp(wg, cliques, tol)[0].objective, wg.n, t, tol)
 
 
 def _within_bound(val: float, n: int, t: int, tol: float) -> float:
@@ -324,7 +331,7 @@ def has_fractional_factor(
     fvec, note = _max_entropy_factor(cliques, caps, tol), ""
     if fvec is None or not _is_factor(cliques, caps, fvec, tol):
         if primal is None:
-            primal = solve_primal(wg, cliques, tol)
+            primal = solve_lp(wg, cliques, tol)[0]
         ts = _within_bound(primal.objective, n, t, tol)
         fvec = primal.f
         if ts < n / t - tol or not _is_factor(cliques, caps, fvec, tol):
@@ -470,25 +477,18 @@ def check_prop3(
     reported for a sweep of thresholds since the positivity cliff is
     tolerance-dependent in floating point.
 
-    A caller that already holds the clique set, the primal and dual
-    solutions or the factor certificate of (wg, t, tol) passes them in;
-    whatever is missing is solved here.  t* is the objective t_star would
-    take: the primal's when it has no more variables than the dual.
+    A caller that already holds the clique set, the primal-dual pair of
+    solve_lp or the factor certificate of (wg, t, tol) passes them in;
+    whatever is missing is solved here, the pair by one solve_lp, which
+    checks both sides feasible.  t* is the pair's primal objective, the
+    value t_star returns.
     """
     if cliques is None:
         cliques = enumerate_cliques(wg.base, t)
     n = wg.n
-    N = len(cliques)
-    if dual is None:
-        dual = solve_dual(wg, cliques, tol)
-    if N == 0:
-        ts = 0.0
-    elif N <= n + wg.base.m:
-        if primal is None:
-            primal = solve_primal(wg, cliques, tol)
-        ts = _within_bound(primal.objective, n, t, tol)
-    else:
-        ts = _within_bound(dual.objective, n, t, tol)
+    if primal is None or dual is None:
+        primal, dual = solve_lp(wg, cliques, tol)
+    ts = _within_bound(primal.objective, n, t, tol)
     integral = integral_matching_value(wg, t, cliques)
     i_pass = ts >= integral - tol
     ii_bound = n / t

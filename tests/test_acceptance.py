@@ -6,8 +6,10 @@ details dict is attached to the assertion message on failure.
 """
 
 import pytest
+from scipy.optimize import linprog
 
-from cfl.acceptance import CRITERIA, run_criterion
+import cfl.factor_lp as factor_lp_mod
+from cfl.acceptance import CRITERIA, _corpus, criterion_1, run_criterion
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
@@ -20,3 +22,22 @@ def test_criterion(number, capsys):
     with capsys.disabled():
         print(line)
     assert result["passed"], f"{line}\ndetails: {result['details']}"
+
+
+def test_criterion_1_solves_each_instance_once(monkeypatch):
+    # per instance: one primal-dual pair, the subset's t* (4 of the 22 random
+    # subsets span no clique and solve nothing) and the integral matching's
+    # relaxation (0 <= x <= 1)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("bounds"))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+    assert criterion_1()["passed"]
+    instances = len(_corpus())
+    assert instances == 22
+    assert calls.count((0, 1)) == instances
+    assert calls.count((0, None)) == 2 * instances - 4
+    assert len(calls) == 62

@@ -14,12 +14,15 @@ import cfl.factor_lp as factor_lp_mod
 import cfl.spectral as spectral_mod
 from cfl import (
     InputError,
+    WeightedGraph,
     check_prop3,
     gen_complete,
     gen_random_regular,
     parse_graph,
     second_eigenvalue,
+    uniform_weights,
     write_graph,
+    write_weighted_graph,
 )
 from cfl.cli import atomic_write, canonical_json, main, serialize_report
 
@@ -261,9 +264,9 @@ class TestAnalysisCommands:
         assert payload["slackness"]["all_pass"] is True
 
     def test_lp_prop3_reuses_the_commands_solves(self, k6_file, k6_unit, capsys, monkeypatch):
-        # primal and dual LPs once each, plus t* of the induced subgraph; the
-        # factor certificate solves no LP, and the integral matching value
-        # solves its one relaxation (0 <= x <= 1)
+        # one solve for the primal-dual pair, plus t* of the induced
+        # subgraph; the factor certificate solves no LP, and the integral
+        # matching value solves its one relaxation (0 <= x <= 1)
         bare = canonical_json(check_prop3(k6_unit, 3, 1e-7, 5))
         calls = []
 
@@ -274,15 +277,15 @@ class TestAnalysisCommands:
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         code = main(["lp", "--in", k6_file, "--t", "3", "--prop3", "--seed", "5", "--slackness"])
         assert code == 0
-        assert calls.count((0, None)) == 3
+        assert calls.count((0, None)) == 2
         assert calls.count((0, 1)) == 1
-        assert len(calls) == 4
+        assert len(calls) == 3
         payload = json.loads(capsys.readouterr().out)
         assert canonical_json(payload["prop3"]) == bare
 
     def test_lp_refutation_reuses_the_commands_primal(self, tmp_path, capsys, monkeypatch):
         # K_4 at w = 0.2 has no factor: the certificate takes t* from the
-        # command's primal, so only the primal and the dual are solved
+        # command's primal, so the one solve of the primal-dual pair is all
         lines = ["4 6"] + [f"{u} {v} 0.2" for u, v in gen_complete(4).edges]
         path = tmp_path / "k4.txt"
         path.write_text("\n".join(lines) + "\n")
@@ -294,10 +297,70 @@ class TestAnalysisCommands:
 
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         assert main(["lp", "--in", str(path), "--t", "3"]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["cert"]["has_factor"] is False
         assert payload["cert"]["t_star"] == pytest.approx(payload["primal_objective"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "graph,weight_seed,flags,solves",
+        [
+            ((30, 15, 1), 0, [], [(0, None)]),
+            # the weighted rr(70,35) of the benchmark's audit workload: the
+            # primal-dual pair, the matching relaxation and the subset's t*
+            ((70, 35, 0), 1, ["--prop3", "--slackness", "--seed", "0"],
+             [(0, None), (0, 1), (0, None)]),
+        ],
+        ids=["plain", "audit_prop3_slackness"],
+    )
+    def test_lp_solves_per_weighted_run(self, graph, weight_seed, flags, solves, tmp_path,
+                                        capsys, monkeypatch):
+        g = gen_random_regular(*graph)
+        rng = np.random.default_rng(weight_seed)
+        wg = WeightedGraph(g, {e: float(x) for e, x in zip(g.edges, rng.random(g.m))})
+        path = tmp_path / "w.txt"
+        path.write_text(write_weighted_graph(wg))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("bounds"))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        assert main(["lp", "--in", str(path), "--t", "3", *flags]) == 0
+        assert calls == solves
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gap"] <= 2e-7
+        assert all(payload[part]["all_pass"] for part in ("prop3", "slackness") if part in payload)
+
+    @pytest.mark.parametrize(
+        "n,weight,rows,mutate",
+        [(7, 1.0, 35, "double"), (4, 0.2, 10, "zero_pairs")],
+        ids=["doubled_f", "zeroed_h"],
+    )
+    def test_lp_refuses_an_infeasible_read_off(self, n, weight, rows, mutate, tmp_path, capsys,
+                                              monkeypatch):
+        # K_7 solves the covering form and reads f off its marginals; K_4 at
+        # w = 0.2 solves the packing form, reads (g, h) off, and binds only pairs
+        path = tmp_path / "g.txt"
+        path.write_text(write_weighted_graph(uniform_weights(gen_complete(n), weight)))
+        shapes = []
+
+        def mutating(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            shapes.append(kwargs["A_ub"].shape[0])
+            if mutate == "double":
+                res.ineqlin.marginals *= 2.0
+            else:
+                res.ineqlin.marginals[n:] = 0.0
+            return res
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", mutating)
+        assert main(["lp", "--in", str(path), "--t", "3"]) == 3
+        assert shapes == [rows]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: LP pair infeasible")
 
 
 class TestSharedFlags:
@@ -337,6 +400,33 @@ class TestSharedFlags:
         assert code == 2
         assert runs == []
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["lp", "--in", "{k6}", "--t", "3", "--prop3", "--slackness"],
+             "--seed is required for the prop3 subset check"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "2"],
+             "--seed is required for the span audit"),
+            (["audit-mixing", "--in", "{k6}", "--samples", "0", "--seed", "1"],
+             "--samples must be at least 1, got 0"),
+        ],
+        ids=["lp-prop3", "cliques-span-trials", "audit-mixing-samples"],
+    )
+    def test_flags_fail_before_any_work(self, argv, message, k6_file, tmp_path, capsys,
+                                        monkeypatch, no_input_read):
+        def unreached(*args, **kwargs):
+            raise AssertionError("reached")
+
+        for name in ("enumerate_cliques", "solve_lp", "second_eigenvalue"):
+            monkeypatch.setattr(cli_mod, name, unreached)
+        out = tmp_path / "out"
+        argv = [a.format(k6=k6_file) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7"])
     @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from cfl import (
     has_fractional_factor,
     integral_matching_value,
     solve_dual,
+    solve_lp,
     solve_primal,
     t_star,
     uniform_weights,
@@ -98,36 +99,125 @@ class TestTStar:
 
     def test_primal_and_dual_objectives_agree(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
-        p = solve_primal(k6_unit, cliques)
-        d = solve_dual(k6_unit, cliques)
+        p, d = solve_lp(k6_unit, cliques)
         assert abs(p.objective - d.objective) <= 2e-7
 
     def test_empty_clique_set_shortcuts(self, petersen):
         wg = uniform_weights(petersen)
         cliques = enumerate_cliques(petersen, 3)
         assert len(cliques) == 0
-        assert solve_primal(wg, cliques).objective == 0.0
-        assert solve_primal(wg, cliques).f.tolist() == []
-        d = solve_dual(wg, cliques)
+        p, d = solve_lp(wg, cliques)
+        assert p.objective == 0.0
+        assert p.f.tolist() == []
         assert d.objective == 0.0
         assert d.g.tolist() == [0.0] * 10 and d.h.tolist() == [0.0] * 15
 
     def test_nonpositive_tol_rejected(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
         with pytest.raises(InputError):
-            solve_primal(k6_unit, cliques, tol=0.0)
+            solve_lp(k6_unit, cliques, tol=0.0)
         with pytest.raises(InputError):
-            solve_dual(k6_unit, cliques, tol=-1e-9)
+            solve_lp(k6_unit, cliques, tol=-1e-9)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tol_rejected(self, k6_unit, tol):
         # a NaN passes every "tol <= 0" test, and inf accepts any load as 1
         cliques = enumerate_cliques(k6_unit.base, 3)
-        for solve in (solve_primal, solve_dual):
+        for solve in (solve_lp, solve_primal, solve_dual):
             with pytest.raises(InputError, match="finite and positive"):
                 solve(k6_unit, cliques, tol=tol)
         with pytest.raises(InputError, match="finite and positive"):
             has_fractional_factor(k6_unit, 3, tol, cliques)
+
+
+def _mutated_read_off(monkeypatch, mutate):
+    """Patch linprog so that mutate(marginals) alters, in place, the side solve_lp reads off."""
+    shapes = []
+
+    def mutating(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        shapes.append(kwargs["A_ub"].shape)
+        mutate(res.ineqlin.marginals)
+        return res
+
+    monkeypatch.setattr(factor_lp_mod, "linprog", mutating)
+    return shapes
+
+
+class TestSolveLp:
+    @pytest.mark.parametrize(
+        "wg,rows",
+        [
+            # K_6: 20 triangles <= 6 + 15, so the packing form, one row per vertex and pair
+            (uniform_weights(gen_complete(6)), 21),
+            # K_7: 35 triangles > 7 + 21, so the covering form, one row per clique
+            (uniform_weights(gen_complete(7)), 35),
+            (_weighted_complete(9, 1, low=0.05), 84),
+        ],
+        ids=["packing", "covering", "covering_binding_pairs"],
+    )
+    def test_one_solve_gives_a_checked_optimal_pair(self, wg, rows, monkeypatch):
+        cliques = enumerate_cliques(wg.base, 3)
+        shapes = []
+
+        def recording(*args, **kwargs):
+            shapes.append(kwargs["A_ub"].shape[0])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", recording)
+        p, d = solve_lp(wg, cliques)
+        assert shapes == [rows]
+        assert p.objective == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
+        assert abs(p.objective - d.objective) <= 2e-7
+        assert p.objective == float(p.f.sum())
+        assert d.objective == float(d.g.sum() + d.h @ wg.w)
+        assert min(p.f.min(), d.g.min(), d.h.min(initial=0)) >= 0
+        assert complementary_slackness(p, d, wg, cliques).all_pass is True
+
+    def test_halves_are_the_pairs_sides(self):
+        wg = _weighted_complete(7, 17)
+        cliques = enumerate_cliques(wg.base, 3)
+        p, d = solve_lp(wg, cliques)
+        assert solve_primal(wg, cliques).f.tolist() == p.f.tolist()
+        assert solve_dual(wg, cliques).h.tolist() == d.h.tolist()
+
+    def test_doubled_primal_read_off_is_refused(self, monkeypatch):
+        # K_7 solves the covering form, so f is read off the marginals;
+        # doubled, it loads every vertex with 2
+        def double(marginals):
+            marginals *= 2.0
+
+        shapes = _mutated_read_off(monkeypatch, double)
+        wg = uniform_weights(gen_complete(7))
+        with pytest.raises(NumericalError, match="load excess"):
+            solve_lp(wg, enumerate_cliques(wg.base, 3))
+        assert shapes == [(35, 28)]
+
+    def test_zeroed_pair_duals_are_refused(self, monkeypatch):
+        # K_4 at w = 0.2 solves the packing form, and only its pair rows
+        # bind (t* = 0.4): with h zeroed no clique is covered
+        def zero_pairs(marginals):
+            marginals[4:] = 0.0
+
+        wg = uniform_weights(gen_complete(4), 0.2)
+        shapes = _mutated_read_off(monkeypatch, zero_pairs)
+        with pytest.raises(NumericalError, match="cover shortfall"):
+            solve_lp(wg, enumerate_cliques(wg.base, 3))
+        assert shapes == [(10, 4)]
+        monkeypatch.setattr(factor_lp_mod, "linprog", linprog)
+        _, d = solve_lp(wg, enumerate_cliques(wg.base, 3))
+        assert d.g.max() <= 1e-9 and d.h.max() > 0.1
+
+    def test_fallback_certificate_solves_the_smaller_form(self, monkeypatch):
+        # K_9 has 84 triangles against 9 + 36 rows; with no Newton steps the
+        # certificate's one LP is the covering form, and its read-off f is
+        # the witness
+        monkeypatch.setattr(factor_lp_mod, "NEWTON_STEPS", 0)
+        shapes = _mutated_read_off(monkeypatch, lambda marginals: None)
+        cert = has_fractional_factor(uniform_weights(gen_complete(9)), 3)
+        assert shapes == [(84, 45)]
+        assert cert.has_factor is True and "not spread" in cert.note
+        assert np.abs(cert.per_vertex_load - 1.0).max() <= 1e-9
 
 
 class TestFactorCertificate:
@@ -535,11 +625,13 @@ class TestDualityChecks:
         # low weights make pair rows bind, so h > 0 on edges inside the subset
         wg = _weighted_complete(8, 5, low=0.05, high=0.4)
         rep = check_prop3(wg, 3, seed=1)
-        d = solve_dual(wg, enumerate_cliques(wg.base, 3))
+        _, d = solve_lp(wg, enumerate_cliques(wg.base, 3))
         h = dict(zip(wg.base.edges, d.h.tolist()))
         assert any(h[e] > 1e-9 for e in itertools.combinations(rep.iii_subset, 2))
         assert rep.iii_restricted_value == pytest.approx(_restricted_by_loop(wg, rep), abs=1e-12)
 
+    # the ids name the form solve_lp solves: K_6 the packing form (the
+    # primal), weighted K_7 the covering form (the dual), t* from the read-off f
     @pytest.mark.parametrize(
         "wg", [uniform_weights(gen_complete(6)), _weighted_complete(7, 300)],
         ids=["primal_t_star_equality_case", "dual_t_star"],
@@ -547,7 +639,7 @@ class TestDualityChecks:
     def test_callers_solves_give_the_bare_report(self, wg, monkeypatch):
         bare = check_prop3(wg, 3, seed=1)
         cliques = enumerate_cliques(wg.base, 3)
-        primal, dual = solve_primal(wg, cliques), solve_dual(wg, cliques)
+        primal, dual = solve_lp(wg, cliques)
         cert = has_fractional_factor(wg, 3, cliques=cliques)
         calls = []
 
@@ -574,7 +666,7 @@ class TestDualityChecks:
 
 def _restricted_by_loop(wg, rep) -> float:
     """sum of g over the report's subset U plus sum of h w over the edges inside U."""
-    d = solve_dual(wg, enumerate_cliques(wg.base, 3))
+    _, d = solve_lp(wg, enumerate_cliques(wg.base, 3))
     h, w = dict(zip(wg.base.edges, d.h.tolist())), edge_weights(wg)
     U = rep.iii_subset
     return sum(d.g[v] for v in U) + sum(h[e] * w[e] for e in itertools.combinations(U, 2))
@@ -583,8 +675,7 @@ def _restricted_by_loop(wg, rep) -> float:
 class TestComplementarySlackness:
     def test_optimal_pair_passes(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
-        p = solve_primal(k6_unit, cliques)
-        d = solve_dual(k6_unit, cliques)
+        p, d = solve_lp(k6_unit, cliques)
         rep = complementary_slackness(p, d, k6_unit, cliques)
         assert rep.all_pass is True
         assert rep.worst_vertex_slack <= 1e-6
@@ -593,16 +684,14 @@ class TestComplementarySlackness:
     def test_weighted_pair_passes(self):
         wg = _weighted_complete(7, 17)
         cliques = enumerate_cliques(wg.base, 3)
-        p = solve_primal(wg, cliques)
-        d = solve_dual(wg, cliques)
+        p, d = solve_lp(wg, cliques)
         assert complementary_slackness(p, d, wg, cliques).all_pass is True
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_the_loop_reference(self, seed):
         wg = _weighted_complete(7 + seed, 600 + seed)
         cliques = enumerate_cliques(wg.base, 3)
-        p = solve_primal(wg, cliques)
-        d = solve_dual(wg, cliques)
+        p, d = solve_lp(wg, cliques)
         rep = complementary_slackness(p, d, wg, cliques)
         rows = list(map(tuple, cliques.members.tolist()))
         f, g = dict(enumerate(p.f.tolist())), dict(enumerate(d.g.tolist()))
@@ -619,8 +708,7 @@ class TestComplementarySlackness:
 
     def test_tampered_dual_rejected(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
-        p = solve_primal(k6_unit, cliques)
-        d = solve_dual(k6_unit, cliques)
+        p, d = solve_lp(k6_unit, cliques)
         g = d.g.copy()
         g[0] += 0.5
         bad = DualSolution(g=g, h=d.h, objective=d.objective + 0.5)
