@@ -174,7 +174,11 @@ def _check_flags(args) -> None:
         raise InputError(f"tol must be finite and positive, got {tol}")
     if getattr(args, "samples", 1) < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
-    if seed is None and getattr(args, "span_trials", 0):
+    if getattr(args, "span_trials", None) is not None and args.span_trials < 1:
+        raise InputError(f"--span-trials must be at least 1, got {args.span_trials}")
+    if getattr(args, "window", None) is not None and args.window < 2:
+        raise InputError(f"--window must be at least 2, got {args.window}")
+    if seed is None and getattr(args, "span_trials", None):
         raise InputError("--seed is required for the span audit")
     if seed is None and getattr(args, "prop3", False):
         raise InputError("--seed is required for the prop3 subset check")
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--window", type=int, help="check the K_i count window for U = V")
-    c.add_argument("--span-trials", type=int, default=0)
+    c.add_argument("--span-trials", type=int)
     c.add_argument("--span-size", type=int)
     c.add_argument("--seed", type=int)
     add_common(c)

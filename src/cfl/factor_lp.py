@@ -45,6 +45,17 @@ is below a family already found cannot improve on it; the margin 1e-9 (1 +
 |value|) that keeps it is far tighter than HiGHS's own 1e-6 absolute MIP
 gap.  At unit weights the bounds are flat (every bound is top) and nothing
 can be pruned, so the MILP then runs on all cliques at once.
+
+Cliques that the bounds keep but the core lacks are probed before any second
+MILP (Savelsbergh 1994): the relaxation over the kept cliques alone, with
+x_j fixed at 1, gives new duals y and so, by the same inequality, a new
+bound_j.  Restricting to the kept set K is sound because every family worth
+at least best - margin already lies in K (a family holding T is worth at
+most bound_T); for such a family holding j, any y >= 0 gives value <= y.u +
+d_j + sum_{T in K, T != j} max(d_T, 0), which is bound_j over K.  A clique
+whose probe bound falls below best - margin is dropped from K, which keeps
+the argument valid for later probes; the second MILP runs only when some
+probed clique survives, and then on what is left of K.
 """
 
 from __future__ import annotations
@@ -246,12 +257,15 @@ def integral_matching_value(
     The MILP runs only where an optimum can lie (the module docstring has
     the bounds).  One LP relaxation (0 <= x <= 1) gives top and bound_j; a
     MILP on a core, the relaxation's support and the 2n cliques of largest
-    bound, gives an incumbent best; unless best >= top - margin, a second
-    MILP runs on the cliques with bound_j >= best - margin, which hold every
-    optimal family, and is skipped when they all lie in the core.  margin =
-    1e-9 (1 + |best|) covers the rounding of the bounds.  When even an
-    optimal incumbent would keep more than half the cliques (flat bounds,
-    as at unit weights, where every bound is top) one MILP runs on all N.
+    bound, gives an incumbent best; unless best >= top - margin, the kept
+    cliques, those with bound_j >= best - margin, hold every optimal family.
+    Each kept clique j outside the core is probed: the relaxation over the
+    kept cliques with x_j fixed at 1 bounds every family holding j, and j is
+    dropped when that bound is below best - margin.  A second MILP runs on
+    what is kept only if some probed clique survives.  margin = 1e-9 (1 +
+    |best|) covers the rounding of the bounds.  When even an optimal
+    incumbent would keep more than half the cliques (flat bounds, as at
+    unit weights, where every bound is top) one MILP runs on all N.
 
     The value returned is witnessed: each solve's x is rounded to a 0/1
     family over all N cliques and checked vertex-disjoint before its value
@@ -300,6 +314,15 @@ def integral_matching_value(
     margin = 1e-9 * (1 + abs(best))
     if best < top - margin:
         keep = bound >= best - margin
+        for j in np.flatnonzero(keep & ~core):
+            cols = np.flatnonzero(keep)
+            at_j, sub = cols == j, rows[:, cols]
+            probe = linprog(-values[cols], A_ub=sub, b_ub=upper,
+                            bounds=np.column_stack([at_j, np.ones(len(cols))]), method="highs")
+            if probe.status != 0:
+                raise NumericalError(f"matching probe failed: {probe.message}")
+            _, probe_bound = _clique_bounds(values[cols], sub, upper, probe.ineqlin.marginals)
+            keep[j] = probe_bound[at_j][0] >= best - margin
         if np.any(keep & ~core):
             x = family(np.flatnonzero(keep))
     return float(values @ x)

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, milp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import cfl.cli as cli_mod
@@ -303,32 +303,43 @@ class TestAnalysisCommands:
         assert payload["cert"]["t_star"] == pytest.approx(payload["primal_objective"], abs=1e-12)
 
     @pytest.mark.parametrize(
-        "graph,weight_seed,flags,solves",
+        "graph,weight_seed,flags,solves,milps",
         [
-            ((30, 15, 1), 0, [], [(0, None)]),
+            ((30, 15, 1), 0, [], [(0, None)], []),
             # the weighted rr(70,35) of the benchmark's audit workload: the
-            # primal-dual pair, the matching relaxation and the subset's t*
+            # primal-dual pair, the matching relaxation, one probe (x_j fixed
+            # at 1, over the cliques still kept) per clique outside the
+            # 140-clique core whose bound reaches the core's value, and the
+            # subset's t*; the probes refute all three, so one MILP runs
             ((70, 35, 0), 1, ["--prop3", "--slackness", "--seed", "0"],
-             [(0, None), (0, 1), (0, None)]),
+             [(0, None), (0, 1), ("probe", 143), ("probe", 142), ("probe", 141), (0, None)],
+             [140]),
         ],
         ids=["plain", "audit_prop3_slackness"],
     )
-    def test_lp_solves_per_weighted_run(self, graph, weight_seed, flags, solves, tmp_path,
-                                        capsys, monkeypatch):
+    def test_lp_solves_per_weighted_run(self, graph, weight_seed, flags, solves, milps,
+                                        tmp_path, capsys, monkeypatch):
         g = gen_random_regular(*graph)
         rng = np.random.default_rng(weight_seed)
         wg = WeightedGraph(g, {e: float(x) for e, x in zip(g.edges, rng.random(g.m))})
         path = tmp_path / "w.txt"
         path.write_text(write_weighted_graph(wg))
-        calls = []
+        calls, milp_cols = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("bounds"))
-            return linprog(*args, **kwargs)
+        def counting(c, **kwargs):
+            bounds = kwargs["bounds"]
+            calls.append(bounds if isinstance(bounds, tuple) else ("probe", len(c)))
+            return linprog(c, **kwargs)
+
+        def counting_milp(c, **kwargs):
+            milp_cols.append(len(c))
+            return milp(c, **kwargs)
 
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        monkeypatch.setattr(factor_lp_mod, "milp", counting_milp)
         assert main(["lp", "--in", str(path), "--t", "3", *flags]) == 0
         assert calls == solves
+        assert milp_cols == milps
         payload = json.loads(capsys.readouterr().out)
         assert payload["gap"] <= 2e-7
         assert all(payload[part]["all_pass"] for part in ("prop3", "slackness") if part in payload)
@@ -410,8 +421,17 @@ class TestSharedFlags:
              "--seed is required for the span audit"),
             (["audit-mixing", "--in", "{k6}", "--samples", "0", "--seed", "1"],
              "--samples must be at least 1, got 0"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "-2", "--seed", "1"],
+             "--span-trials must be at least 1, got -2"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "0", "--seed", "1"],
+             "--span-trials must be at least 1, got 0"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--window", "-1"],
+             "--window must be at least 2, got -1"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--window", "1"],
+             "--window must be at least 2, got 1"),
         ],
-        ids=["lp-prop3", "cliques-span-trials", "audit-mixing-samples"],
+        ids=["lp-prop3", "cliques-span-trials", "audit-mixing-samples", "span-trials-negative",
+             "span-trials-zero", "window-negative", "window-one"],
     )
     def test_flags_fail_before_any_work(self, argv, message, k6_file, tmp_path, capsys,
                                         monkeypatch, no_input_read):

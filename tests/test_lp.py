@@ -514,12 +514,36 @@ class TestIntegralMatching:
             pruned += cols[-1] < len(enumerate_cliques(wg.base, 3))
         assert pruned >= 1
 
-    def test_clique_bounds_hold_for_any_duals(self):
+    @pytest.mark.parametrize("seed,probes,milps", [(3, 129, [60, 79]), (7, 37, [60, 63])])
+    def test_probe_survivors_reach_the_second_milp(self, seed, probes, milps, monkeypatch):
+        # on rr(30,15) at these weight seeds some probe fails to refute its
+        # clique: the second MILP runs, on the kept cliques less the refuted
+        # ones, so on fewer columns than the first probe saw (189 and 97)
+        probe_cols, milp_cols = [], []
+
+        def recording_lp(c, **kwargs):
+            if not isinstance(kwargs["bounds"], tuple):
+                probe_cols.append(len(c))
+            return linprog(c, **kwargs)
+
+        def recording_milp(c, **kwargs):
+            milp_cols.append(len(c))
+            return milp(c, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", recording_lp)
+        monkeypatch.setattr(factor_lp_mod, "milp", recording_milp)
+        wg = _weighted_rr(seed)
+        got = integral_matching_value(wg, 3)
+        assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
+        assert len(probe_cols) == probes and milp_cols == milps
+        assert milp_cols[1] < probe_cols[0]
+
+    @staticmethod
+    def _k6_pendant(rng):
         # weighted K_6 plus vertex 6, which lies in no triangle, and 7 = 1 mod
         # 3 adds the cardinality row; every vertex-disjoint family is scored
-        # by brute force against top and against each of its cliques' bounds
+        # by brute force: best overall and best_with[j] among those holding j
         g = from_edge_list(7, [*gen_complete(6).edges, (0, 6)])
-        rng = np.random.default_rng(3)
         wg = WeightedGraph(g, {e: float(rng.random()) for e in g.edges})
         cliques = enumerate_cliques(g, 3)
         values, rows, upper = factor_lp_mod._matching_rows(wg, cliques)
@@ -534,6 +558,11 @@ class TestIntegralMatching:
                 best = max(best, val)
                 for j in fam:
                     best_with[j] = max(best_with[j], val)
+        return values, rows, upper, best, best_with
+
+    def test_clique_bounds_hold_for_any_duals(self):
+        rng = np.random.default_rng(3)
+        values, rows, upper, best, best_with = self._k6_pendant(rng)
         relaxed = linprog(-values, A_ub=rows, b_ub=upper, bounds=(0, 1), method="highs")
         pendant_negative = np.full(8, -1.0)
         pendant_negative[6] = 10.0  # y = 1 on every row but -10 on vertex 6
@@ -546,26 +575,65 @@ class TestIntegralMatching:
         top, _ = factor_lp_mod._clique_bounds(values, rows, upper, relaxed.ineqlin.marginals)
         assert top == pytest.approx(-relaxed.fun, abs=1e-9)
 
+    def test_probe_bounds_hold_for_any_duals(self):
+        # a probe fixes x_j = 1; whatever its marginals, bound[j] must stay at
+        # or above the best family holding j, and with the probe's own it is
+        # the probe's optimum, below the unfixed relaxation's where x_j < 1
+        rng = np.random.default_rng(3)
+        values, rows, upper, _, best_with = self._k6_pendant(rng)
+        relaxed = linprog(-values, A_ub=rows, b_ub=upper, bounds=(0, 1), method="highs")
+        tighter = 0
+        for j in range(len(values)):
+            fixed = np.column_stack([np.arange(len(values)) == j, np.ones(len(values))])
+            probe = linprog(-values, A_ub=rows, b_ub=upper, bounds=fixed, method="highs")
+            assert probe.status == 0 and probe.x[j] == 1.0
+            duals = [probe.ineqlin.marginals, np.zeros(8)]
+            duals += [rng.normal(0.0, 0.5, 8) for _ in range(20)]
+            for marginals in duals:
+                _, bound = factor_lp_mod._clique_bounds(values, rows, upper, marginals)
+                assert bound[j] >= best_with[j] - 1e-12
+            _, bound = factor_lp_mod._clique_bounds(values, rows, upper, probe.ineqlin.marginals)
+            assert bound[j] == pytest.approx(-probe.fun, abs=1e-9)
+            tighter += bound[j] < -relaxed.fun - 1e-9
+        assert tighter >= 1
+
     @pytest.mark.parametrize(
         "scale,shift", [(0.5, 0.0), (2.0, 0.0), (1.0, 0.3)], ids=["halved", "doubled", "noisy"]
     )
     def test_any_duals_give_the_exact_value(self, scale, shift, monkeypatch):
         # the bounds hold for every y >= 0, so duals of a poor relaxation solve
         # cost time, never exactness; the noise pushes some rows' y below 0,
-        # which must be clipped rather than trusted
+        # which must be clipped rather than trusted; the probes' marginals are
+        # perturbed too (rr(30,15) at weight seeds 3 and 5 probes even with
+        # exact duals)
         rng = np.random.default_rng(0)
+        probes = []
 
         def inaccurate(*args, **kwargs):
             res = linprog(*args, **kwargs)
+            probes.append(not isinstance(kwargs["bounds"], tuple))
             m = res.ineqlin.marginals
             res.ineqlin.marginals = scale * m + shift * rng.standard_normal(len(m))
             return res
 
         monkeypatch.setattr(factor_lp_mod, "linprog", inaccurate)
-        for seed in range(4):
-            wg = _weighted_rr(seed, n=22)
+        for wg in [*(_weighted_rr(seed, n=22) for seed in range(4)), *map(_weighted_rr, (3, 5))]:
             got = integral_matching_value(wg, 3)
             assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
+        assert sum(probes) > 0
+
+    def test_failed_probe_raises(self, monkeypatch):
+        # rr(30,15) at weight seed 5 probes 11 cliques; a probe that does not
+        # solve refutes nothing, so it must raise rather than be read
+        def failing_probes(c, **kwargs):
+            res = linprog(c, **kwargs)
+            if not isinstance(kwargs["bounds"], tuple):
+                res.status, res.message = 4, "numerical difficulties"
+            return res
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", failing_probes)
+        with pytest.raises(NumericalError, match="matching probe failed: numerical difficulties"):
+            integral_matching_value(_weighted_rr(5), 3)
 
     def test_overlapping_solution_is_refused(self, k6_unit, monkeypatch):
         # an overlapping family must raise before its value bounds anything:
