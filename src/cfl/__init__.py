@@ -19,13 +19,11 @@ from .graphs import (
     WeightedGraph,
     edge_ids,
     from_edge_list,
-    graph_difference,
     induced_subgraph,
     induced_weighted,
     parse_graph,
     parse_weighted_graph,
     regularity,
-    rich_subgraph,
     uniform_weights,
     write_graph,
     write_weighted_graph,
@@ -43,7 +41,6 @@ from .spectral import (
     MixingAuditReport,
     SpectralCert,
     beta_exponent,
-    count_ordered_pairs,
     delta_exponent,
     eigenvalue_constant,
     hypothesis_check,
@@ -53,17 +50,12 @@ from .spectral import (
 )
 from .cliques import (
     CliqueSet,
-    PropertyPReport,
-    VertexFamily,
     count_cliques_window,
     default_span_size,
     enumerate_cliques,
-    property_P_audit,
     span_clique_audit,
-    vertex_family,
 )
 from .factor_lp import (
-    DriverReport,
     DualSolution,
     FactorCert,
     PrimalSolution,
@@ -71,7 +63,6 @@ from .factor_lp import (
     SlacknessReport,
     check_prop3,
     complementary_slackness,
-    corollary_ff_driver,
     has_fractional_factor,
     integral_matching_value,
     solve_dual,

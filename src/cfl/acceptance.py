@@ -291,7 +291,7 @@ def criterion_5() -> dict:
     checked = 0
     for i in (2, 3):
         for U in subsets:
-            count, lower, upper, within = count_cliques_window(g, None, U, i)
+            count, lower, upper, within = count_cliques_window(g, U, i)
             checked += 1
             if not within:
                 failures.append(
@@ -514,10 +514,6 @@ CRITERIA = {
     8: criterion_8,
     9: criterion_9,
 }
-
-
-def run_criterion(i: int) -> dict:
-    return CRITERIA[i]()
 
 
 def run_all(only=None) -> list:

@@ -107,11 +107,6 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def serialize_report(report) -> bytes:
-    """Canonical JSON bytes for a report object; identical input, identical bytes."""
-    return (canonical_json(report) + "\n").encode("utf-8")
-
-
 def atomic_write(path: str, data: str) -> None:
     """Write via temp file + rename so readers never observe partial output."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -178,6 +173,17 @@ def _check_flags(args) -> None:
         raise InputError(f"--span-trials must be at least 1, got {args.span_trials}")
     if getattr(args, "window", None) is not None and args.window < 2:
         raise InputError(f"--window must be at least 2, got {args.window}")
+    if getattr(args, "span_size", None) is not None:
+        if args.span_size < 1:
+            raise InputError(f"--span-size must be at least 1, got {args.span_size}")
+        if args.span_trials is None:
+            raise InputError("--span-size needs --span-trials")
+    if getattr(args, "ell", None) is not None and args.ell < 1:
+        raise InputError(f"--ell must be at least 1, got {args.ell}")
+    if not 0 < getattr(args, "epsilon", 0.5) < 1:
+        raise InputError(f"--epsilon must lie in (0,1), got {args.epsilon}")
+    if getattr(args, "alpha", None) is not None and not 0 <= args.alpha <= 1:
+        raise InputError(f"--alpha must lie in [0,1], got {args.alpha}")
     if seed is None and getattr(args, "span_trials", None):
         raise InputError("--seed is required for the span audit")
     if seed is None and getattr(args, "prop3", False):
@@ -221,9 +227,7 @@ def _cmd_cliques(args) -> int:
     payload: dict = {"n": g.n, "m": g.m, "t": args.t, "count": len(cliques)}
     failed = False
     if args.window is not None:
-        count, lower, upper, within = count_cliques_window(
-            g, None, range(g.n), args.window
-        )
+        count, lower, upper, within = count_cliques_window(g, range(g.n), args.window)
         payload["window"] = {
             "i": args.window,
             "count": count,
@@ -232,8 +236,8 @@ def _cmd_cliques(args) -> int:
             "within": within,
         }
         failed = failed or not within
-    if args.span_trials:
-        size = args.span_size if args.span_size else default_span_size(g.n, args.t)
+    if args.span_trials is not None:
+        size = args.span_size if args.span_size is not None else default_span_size(g.n, args.t)
         failures, witness = span_clique_audit(g, args.t, size, args.span_trials, args.seed)
         payload["span_audit"] = {
             "size": size,

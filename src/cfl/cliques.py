@@ -1,4 +1,4 @@
-"""K_t enumeration, density-window counting, and local clique-family audits.
+"""K_t enumeration, density-window counting, and the spanning-clique audit.
 
 A clique set is an (N, t) int32 array with one clique per row, each row
 strictly increasing and the rows in lexicographic order.  Enumeration is
@@ -7,9 +7,8 @@ arrays: the 2-cliques are the sorted edge array, and each k-clique is
 extended by the upper neighbours w of its last vertex, read from a CSR over
 the edge list.  A candidate w survives when, for every earlier member a, the
 key a*n + w is among the sorted edge keys.  Parents stay in order and upper
-neighbours are ascending, so the rows come out lexicographic with no sort;
-every greedy construction below is first-fit over that order and therefore
-deterministic.
+neighbours are ascending, so the rows come out lexicographic with no sort,
+and a first-fit greedy over them is deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, edge_ids, graph_difference, induced_subgraph, regularity
+from .graphs import Graph, edge_ids, induced_subgraph, regularity
 
 ENUMERATION_CAP = 10**7
 # Bytes one level of enumeration may allocate: what the cap allowed when a
@@ -124,8 +123,8 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
     return CliqueSet(t=t, members=rows, graph=g)
 
 
-def count_cliques_window(g: Graph, gprime: Graph | None, U, i: int):
-    """Exact K_i count in (g \\ gprime)[U] against the 2^{+-i^2} density window.
+def count_cliques_window(g: Graph, U, i: int):
+    """Exact K_i count in g[U] against the 2^{+-i^2} density window.
 
     Returns (count, lower, upper, within).  The window is
     2^{+-i^2} (i!)^{-1} |U|^i (d/n)^{C(i,2)} for the host degree d; the caller
@@ -138,8 +137,7 @@ def count_cliques_window(g: Graph, gprime: Graph | None, U, i: int):
     if not info.is_regular:
         raise InputError("window bounds are stated for regular host graphs")
     d, n = info.d, g.n
-    diff = graph_difference(g, gprime) if gprime is not None else g
-    sub, _ = induced_subgraph(diff, U)
+    sub, _ = induced_subgraph(g, U)
     count = len(enumerate_cliques(sub, i))
     u_sz = sub.n
     if n == 0 or d == 0:
@@ -152,108 +150,6 @@ def count_cliques_window(g: Graph, gprime: Graph | None, U, i: int):
     return count, lower, upper, within
 
 
-@dataclass(frozen=True)
-class VertexFamily:
-    """K_t copies through v that pairwise intersect exactly in {v}."""
-
-    v: int
-    t: int
-    cliques: tuple
-
-
-def vertex_family(
-    g: Graph, gprime: Graph | None, v: int, t: int, target: int
-) -> VertexFamily:
-    """Greedy family of K_t copies through v in g \\ gprime, overlapping only at v.
-
-    Each member is v plus a K_{t-1} in the surviving neighborhood of v;
-    first-fit over the lexicographic (t-1)-clique rows, skipping cliques
-    that reuse a vertex.  Shortfall is data, not an error.
-    """
-    if t < 3:
-        raise InputError(f"t must be >= 3, got {t}")
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} out of range")
-    diff = graph_difference(g, gprime) if gprime is not None else g
-    nbrs = list(diff.adj[v])
-    sub, verts = induced_subgraph(diff, nbrs)
-    found = []
-    used: set = set()
-    if target > 0:
-        for row in enumerate_cliques(sub, t - 1).members.tolist():
-            members = [verts[x] for x in row]
-            if any(u in used for u in members):
-                continue
-            used.update(members)
-            found.append(tuple(sorted(members + [v])))
-            if len(found) >= target:
-                break
-    return VertexFamily(v=v, t=t, cliques=tuple(found))
-
-
-@dataclass(frozen=True)
-class PropertyPReport:
-    t: int
-    D: int
-    Dprime: int
-    n: int
-    trials: int
-    failures: int
-    witness: tuple | None  # (U, U_0) of the first failing trial
-
-    def to_dict(self) -> dict:
-        w = self.witness
-        return {**vars(self), "witness": None if w is None else {"U": list(w[0]), "U0": list(w[1])}}
-
-
-def property_P_audit(
-    g: Graph, t: int, D: int, Dprime: int, trials: int, seed: int
-) -> PropertyPReport:
-    """Randomized audit of property P(t, D, Dprime, n).
-
-    Per trial: sample U with |U| = n - D and U_0 inside U with |U_0| = D/t
-    (rounded down), then greedily collect cliques of g[U] that meet U_0 in
-    exactly one vertex and pairwise intersect only inside U_0.  Failure means
-    fewer than Dprime/(t-1) (rounded down) cliques were found.  A sampled
-    audit, not a proof; the first failing (U, U_0) is kept as witness.
-    """
-    if D > g.n:
-        raise InputError(f"D={D} exceeds n={g.n}")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    u0_size = D // t
-    target = Dprime // (t - 1)
-    rng = np.random.default_rng(seed)
-    failures = 0
-    witness = None
-    for _ in range(trials):
-        U = np.sort(rng.permutation(g.n)[: g.n - D])
-        u0 = set(int(x) for x in rng.permutation(U)[:u0_size])
-        sub, verts = induced_subgraph(g, U)
-        found = 0
-        used: set = set()
-        if target > 0:
-            for row in enumerate_cliques(sub, t).members.tolist():
-                members = [verts[x] for x in row]
-                inside = [u for u in members if u in u0]
-                if len(inside) != 1:
-                    continue
-                outside = [u for u in members if u not in u0]
-                if any(u in used for u in outside):
-                    continue
-                used.update(outside)
-                found += 1
-                if found >= target:
-                    break
-        if found < target:
-            failures += 1
-            if witness is None:
-                witness = (tuple(int(x) for x in U), tuple(sorted(u0)))
-    return PropertyPReport(
-        t=t, D=D, Dprime=Dprime, n=g.n, trials=trials, failures=failures, witness=witness
-    )
-
-
 def default_span_size(n: int, t: int) -> int:
     """Size 0.11 n / t for the spanning audit, rounded up so the set can hold a K_t."""
     return math.ceil(0.11 * n / t)
@@ -264,8 +160,8 @@ def span_clique_audit(g: Graph, t: int, size: int, trials: int, seed: int):
 
     Returns (failures, witness) with witness the first failing subset.
     """
-    if size > g.n:
-        raise InputError(f"size={size} exceeds n={g.n}")
+    if not 1 <= size <= g.n:
+        raise InputError(f"size must be in [1, n={g.n}], got {size}")
     if trials < 1:
         raise InputError("trials must be >= 1")
     rng = np.random.default_rng(seed)

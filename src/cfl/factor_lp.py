@@ -610,79 +610,3 @@ def complementary_slackness(
 def _worst(mask: np.ndarray, deviation: np.ndarray) -> tuple:
     """Largest |deviation| where mask holds, and how many entries it holds at."""
     return float(np.max(np.abs(deviation[mask]), initial=0.0)), int(np.count_nonzero(mask))
-
-
-@dataclass(frozen=True)
-class DriverReport:
-    """Factor driver report: hypothesis audits next to the LP verdict.
-
-    The hypotheses are sufficient, not necessary, so hyp_* can fail while the
-    factor exists; reporting both sides makes that visible.
-    """
-
-    alpha: float
-    D: int
-    rich_edge_count: int
-    hyp_family_pass: bool
-    hyp_family_worst_vertex: int
-    hyp_family_target: int
-    hyp_span_pass: bool
-    hyp_span_failures: int
-    hyp_span_size: int
-    hyp_propP_pass: bool
-    hyp_propP_failures: int
-    cert: FactorCert
-
-
-def corollary_ff_driver(
-    wg: WeightedGraph,
-    t: int,
-    alpha: float,
-    D: int,
-    tol: float = TOL_DEFAULT,
-    trials: int = 20,
-    seed: int = 0,
-) -> DriverReport:
-    """Audit the rich-subgraph hypotheses, then test the factor regardless.
-
-    H is the spanning subgraph of alpha-rich edges.  Hypotheses: (i) every
-    vertex carries a family of >= D/(t-1) rich K_t copies overlapping only at
-    the vertex; (ii) every ceil(0.11 n/t) vertices span a K_t in H;
-    (iii) H has property P(t, D, 0.2n, n), sampled.
-    """
-    from .cliques import default_span_size, property_P_audit, span_clique_audit, vertex_family
-
-    from .graphs import rich_subgraph
-
-    if not (alpha < 1 / (7 * t * t)):
-        raise InputError(f"alpha must be < 1/(7 t^2) = {1 / (7 * t * t):.6f}, got {alpha}")
-    if not (3 <= D <= wg.n / 2):
-        raise InputError(f"need 3 <= D <= n/2, got D={D}, n={wg.n}")
-    H = rich_subgraph(wg, alpha)
-    family_target = D // (t - 1)
-    worst_vertex = -1
-    family_pass = True
-    for v in range(wg.n):
-        fam = vertex_family(H, None, v, t, family_target)
-        if len(fam.cliques) < family_target:
-            family_pass = False
-            worst_vertex = v
-            break
-    span_size = default_span_size(wg.n, t)
-    span_failures, _ = span_clique_audit(H, t, span_size, trials, seed)
-    propP = property_P_audit(H, t, D, int(0.2 * wg.n), trials, seed + 1)
-    cert = has_fractional_factor(wg, t, tol)
-    return DriverReport(
-        alpha=alpha,
-        D=D,
-        rich_edge_count=H.m,
-        hyp_family_pass=family_pass,
-        hyp_family_worst_vertex=worst_vertex,
-        hyp_family_target=family_target,
-        hyp_span_pass=span_failures == 0,
-        hyp_span_failures=span_failures,
-        hyp_span_size=span_size,
-        hyp_propP_pass=propP.failures == 0,
-        hyp_propP_failures=propP.failures,
-        cert=cert,
-    )

@@ -44,9 +44,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
@@ -159,25 +156,6 @@ class WeightedGraph:
 def uniform_weights(g: Graph, value: float = 1.0) -> WeightedGraph:
     """Give every edge the same weight (w == 1 starts both extraction engines)."""
     return WeightedGraph(g, np.full(g.m, float(value)))
-
-
-def rich_subgraph(wg: WeightedGraph, alpha: float) -> Graph:
-    """Spanning subgraph of the edges with w(uv) >= 1 - alpha.
-
-    The comparison carries WEIGHT_SLACK of absolute slack so that weights
-    produced by repeated subtraction still count as rich.
-    """
-    if not (0 <= alpha <= 1):
-        raise InputError(f"alpha {alpha} outside [0,1]")
-    keep = wg.base.edge_array[wg.w >= 1.0 - alpha - WEIGHT_SLACK]
-    return from_edge_list(wg.n, keep.tolist())
-
-
-def graph_difference(g: Graph, g2: Graph) -> Graph:
-    """Graph on V(g) with edge set E(g) \\ E(g2)."""
-    if g.n != g2.n:
-        raise InputError(f"vertex count mismatch: {g.n} vs {g2.n}")
-    return from_edge_list(g.n, [e for e in g.edges if e not in g2.edge_set])
 
 
 def induced_subgraph(g: Graph, U: Iterable[int]) -> tuple:

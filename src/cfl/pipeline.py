@@ -108,6 +108,8 @@ def dense_extract(
         raise InputError("dense extraction requires a regular host graph")
     if alpha is None:
         alpha = default_alpha(g.n, info.d, t) if g.n else 0.0
+    if not 0 <= alpha <= 1:
+        raise InputError(f"alpha must lie in [0,1], got {alpha}")
     if cliques is None:
         cliques = enumerate_cliques(g, t)
     ends = g.edge_array
@@ -278,13 +280,6 @@ class RandomHypergraph:
     hyperedges: tuple
     candidates: np.ndarray
     inclusion_prob: np.ndarray
-
-    def to_dict(self) -> dict:
-        """The fields, with the candidates' probabilities as a str(id) -> p map."""
-        out = dict(vars(self))
-        ids = out.pop("candidates").tolist()
-        out["inclusion_prob"] = dict(zip(map(str, ids), self.inclusion_prob.tolist()))
-        return out
 
 
 def build_Hf(

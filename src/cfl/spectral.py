@@ -161,25 +161,14 @@ def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
     return abs(theta), residual, mu2, mun
 
 
-def count_ordered_pairs(g: Graph, A, B) -> int:
-    """e(A,B): ordered pairs (a,b), a in A, b in B, ab an edge.
-
-    Edges inside A intersect B are counted once per orientation, so edges with
-    both ends in A intersect B contribute twice.
-    """
-    bset = set(B)
-    total = 0
-    for a in set(A):
-        total += sum(1 for u in g.adj[a] if u in bset)
-    return total
-
-
 def mixing_audit(g: Graph, cert: SpectralCert, num_samples: int, seed: int) -> MixingAuditReport:
     """Sample subset pairs and check |e(A,B) - (d/n)|A||B|| < lambda sqrt(|A||B|).
 
-    Subset sizes are uniform on [1, n]; subsets uniform given the size.  The
-    strict inequality is relaxed by EML_SLACK; max_violation is the raw
-    maximum of |e - expected| - lambda*sqrt(|A||B|) over the samples.
+    e(A,B) = 1_A^T A 1_B counts ordered pairs (a, b) with ab an edge, so an
+    edge with both ends in both A and B counts twice.  Subset sizes are
+    uniform on [1, n]; subsets uniform given the size.  The strict inequality
+    is relaxed by EML_SLACK; max_violation is the raw maximum of
+    |e - expected| - lambda*sqrt(|A||B|) over the samples.
     """
     if cert.n != g.n:
         raise InputError("certificate does not match graph")

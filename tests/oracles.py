@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, lsq_linear, milp
 
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
-from cfl.graphs import Graph, WeightedGraph
+from cfl.graphs import WeightedGraph
 
 
 def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
@@ -167,9 +167,3 @@ def slackness_by_loops(f: dict, g: dict, h: dict, wg: WeightedGraph, cliques, th
         if f.get(j, 0.0) > thr
     ]
     return [(max(xs, default=0.0), len(xs)) for xs in (vert, pair, cover)]
-
-
-def count_ordered_pairs_brute(g: Graph, A, B) -> int:
-    """e(A,B) as a double loop over ordered pairs; A-cap-B edges count twice."""
-    As, Bs = set(A), set(B)
-    return sum(1 for u in As for v in Bs if g.has_edge(u, v))

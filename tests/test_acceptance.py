@@ -9,12 +9,12 @@ import pytest
 from scipy.optimize import linprog
 
 import cfl.factor_lp as factor_lp_mod
-from cfl.acceptance import CRITERIA, _corpus, criterion_1, run_criterion
+from cfl.acceptance import CRITERIA, _corpus, criterion_1
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
 def test_criterion(number, capsys):
-    result = run_criterion(number)
+    result = CRITERIA[number]()
     line = (
         f"ACCEPTANCE {result['criterion']} {result['name']}: "
         f"{'PASS' if result['passed'] else 'FAIL'} ({result['runtime_s']:.1f}s)"

@@ -24,7 +24,7 @@ from cfl import (
     write_graph,
     write_weighted_graph,
 )
-from cfl.cli import atomic_write, canonical_json, main, serialize_report
+from cfl.cli import atomic_write, canonical_json, main
 
 
 class TestCanonicalJson:
@@ -65,11 +65,7 @@ class TestCanonicalJson:
 
     def test_serialize_report_is_deterministic_bytes(self, k6):
         cert = second_eigenvalue(k6)
-        a = serialize_report(cert)
-        b = serialize_report(cert)
-        assert isinstance(a, bytes)
-        assert a == b
-        assert a.endswith(b"\n")
+        assert canonical_json(cert) == canonical_json(cert)
 
     def test_output_parses_back_identically(self):
         obj = {"z": [1.25, "x"], "a": {"k": False, "j": None}}
@@ -223,6 +219,20 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["span_audit"]["failures"] == 2
 
+    def test_cliques_span_size_is_used(self, k6_file, capsys):
+        code = main(["cliques", "--in", k6_file, "--t", "3", "--span-trials", "2",
+                     "--span-size", "4", "--seed", "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["span_audit"]["size"] == 4
+
+    def test_cliques_span_size_over_n_exits_2(self, k6_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["cliques", "--in", k6_file, "--t", "3", "--span-trials", "2",
+                     "--span-size", "7", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: size must be in [1, n=6], got 7\n"
+        assert not out.exists()
+
     def test_cliques_window_over_the_cap_exits_3(self, k6_file, capsys, monkeypatch):
         # the 15 edges of K_6 fit under the cap, the window's 20 triangles do not
         monkeypatch.setattr(cliques_mod, "ENUMERATION_CAP", 16)
@@ -374,6 +384,10 @@ class TestAnalysisCommands:
         assert captured.err.startswith("error: LP pair infeasible")
 
 
+# a forced pipeline run that would write a CSV table as well as --out
+PIPELINE_CSV = ["pipeline", "--in", "{k6}", "--t", "3", "--seed", "0", "--force", "--csv", "{csv}"]
+
+
 class TestSharedFlags:
     @pytest.fixture
     def no_input_read(self, monkeypatch):
@@ -429,24 +443,44 @@ class TestSharedFlags:
              "--window must be at least 2, got -1"),
             (["cliques", "--in", "{k6}", "--t", "3", "--window", "1"],
              "--window must be at least 2, got 1"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "2", "--span-size", "-3",
+              "--seed", "0"],
+             "--span-size must be at least 1, got -3"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "2", "--span-size", "0",
+              "--seed", "0"],
+             "--span-size must be at least 1, got 0"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--span-size", "5"],
+             "--span-size needs --span-trials"),
+            ([*PIPELINE_CSV, "--ell", "0"], "--ell must be at least 1, got 0"),
+            ([*PIPELINE_CSV, "--ell", "-2"], "--ell must be at least 1, got -2"),
+            ([*PIPELINE_CSV, "--epsilon", "2"], "--epsilon must lie in (0,1), got 2.0"),
+            ([*PIPELINE_CSV, "--epsilon", "0"], "--epsilon must lie in (0,1), got 0.0"),
+            ([*PIPELINE_CSV, "--epsilon", "1"], "--epsilon must lie in (0,1), got 1.0"),
+            ([*PIPELINE_CSV, "--epsilon", "nan"], "--epsilon must lie in (0,1), got nan"),
+            ([*PIPELINE_CSV, "--alpha", "-4"], "--alpha must lie in [0,1], got -4.0"),
+            ([*PIPELINE_CSV, "--alpha", "1.5"], "--alpha must lie in [0,1], got 1.5"),
+            ([*PIPELINE_CSV, "--alpha", "nan"], "--alpha must lie in [0,1], got nan"),
         ],
         ids=["lp-prop3", "cliques-span-trials", "audit-mixing-samples", "span-trials-negative",
-             "span-trials-zero", "window-negative", "window-one"],
+             "span-trials-zero", "window-negative", "window-one", "span-size-negative",
+             "span-size-zero", "span-size-alone", "ell-zero", "ell-negative", "epsilon-two",
+             "epsilon-zero", "epsilon-one", "epsilon-nan", "alpha-negative", "alpha-over-one",
+             "alpha-nan"],
     )
     def test_flags_fail_before_any_work(self, argv, message, k6_file, tmp_path, capsys,
                                         monkeypatch, no_input_read):
         def unreached(*args, **kwargs):
             raise AssertionError("reached")
 
-        for name in ("enumerate_cliques", "solve_lp", "second_eigenvalue"):
+        for name in ("enumerate_cliques", "solve_lp", "second_eigenvalue", "run_end_to_end"):
             monkeypatch.setattr(cli_mod, name, unreached)
-        out = tmp_path / "out"
-        argv = [a.format(k6=k6_file) for a in argv]
+        out, table = tmp_path / "out", tmp_path / "x.csv"
+        argv = [a.format(k6=k6_file, csv=table) for a in argv]
         assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-        assert not out.exists()
+        assert not out.exists() and not table.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7"])
     @pytest.mark.parametrize(

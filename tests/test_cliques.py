@@ -1,4 +1,4 @@
-"""Clique enumeration, density windows, and local family / span audits."""
+"""Clique enumeration, density windows, and span audits."""
 
 import gc
 import math
@@ -18,11 +18,8 @@ from cfl import (
     from_edge_list,
     gen_complete,
     gen_random_regular,
-    graph_difference,
     induced_subgraph,
-    property_P_audit,
     span_clique_audit,
-    vertex_family,
 )
 from oracles import brute_force_cliques
 
@@ -144,116 +141,51 @@ def _gnp(n: int, p: float, seed: int):
 
 class TestDensityWindow:
     def test_k6_pair_window(self, k6):
-        count, lower, upper, within = count_cliques_window(k6, None, range(6), 2)
+        count, lower, upper, within = count_cliques_window(k6, range(6), 2)
         assert count == 15
         assert lower == pytest.approx(0.9375)
         assert upper == pytest.approx(240.0)
         assert within is True
 
     def test_triangle_free_graph_leaves_window(self, petersen):
-        count, lower, _, within = count_cliques_window(petersen, None, range(10), 3)
+        count, lower, _, within = count_cliques_window(petersen, range(10), 3)
         assert count == 0
         assert lower > 0
         assert within is False
 
     def test_dense_random_regular_pairs(self):
         g = gen_random_regular(100, 50, 2025)
-        count, lower, upper, within = count_cliques_window(g, None, range(100), 2)
+        count, lower, upper, within = count_cliques_window(g, range(100), 2)
         assert count == len(g.edges) == 2500
         assert lower == pytest.approx(156.25)
         assert upper == pytest.approx(40000.0)
         assert within is True
 
     def test_subset_window_counts_induced_cliques(self, k6):
-        count, _, _, within = count_cliques_window(k6, None, [0, 1, 2], 2)
+        count, _, _, within = count_cliques_window(k6, [0, 1, 2], 2)
         assert count == 3
         assert within is True
 
-    def test_difference_graph_count_matches_brute_force(self, rr_20_6):
-        gprime = from_edge_list(20, rr_20_6.edges[:10])
+    def test_subset_count_matches_brute_force(self, rr_20_6):
         U = list(range(12))
-        count, _, _, _ = count_cliques_window(rr_20_6, gprime, U, 3)
-        diff = graph_difference(rr_20_6, gprime)
-        sub, _ = induced_subgraph(diff, U)
+        count, _, _, _ = count_cliques_window(rr_20_6, U, 3)
+        sub, _ = induced_subgraph(rr_20_6, U)
         assert count == len(brute_force_cliques(sub, 3))
 
     def test_window_shrinks_center_by_subset_size(self, k6):
         # |U|^i scaling: center for |U|=3 is (3/6)^2 of the full-window center
-        _, lower_full, _, _ = count_cliques_window(k6, None, range(6), 2)
-        _, lower_sub, _, _ = count_cliques_window(k6, None, [0, 1, 2], 2)
+        _, lower_full, _, _ = count_cliques_window(k6, range(6), 2)
+        _, lower_sub, _, _ = count_cliques_window(k6, [0, 1, 2], 2)
         assert lower_sub == pytest.approx(lower_full / 4)
 
     def test_small_i_rejected(self, k6):
         with pytest.raises(InputError):
-            count_cliques_window(k6, None, range(6), 1)
+            count_cliques_window(k6, range(6), 1)
 
     def test_irregular_host_rejected(self):
         path = from_edge_list(3, [(0, 1), (1, 2)])
         with pytest.raises(InputError, match="regular"):
-            count_cliques_window(path, None, range(3), 2)
-
-
-class TestVertexFamily:
-    def test_k6_family_pairwise_meets_only_at_center(self, k6):
-        fam = vertex_family(k6, None, 0, 3, 2)
-        assert len(fam.cliques) == 2
-        for tup in fam.cliques:
-            assert 0 in tup and len(tup) == 3
-        a, b = map(set, fam.cliques)
-        assert a & b == {0}
-
-    def test_k6_family_saturates_at_neighborhood_capacity(self, k6):
-        # N(0) is a K_5: at most floor(5/2) = 2 disjoint pairs exist
-        fam = vertex_family(k6, None, 0, 3, 3)
-        assert len(fam.cliques) == 2
-
-    def test_zero_target_returns_empty(self, k6):
-        assert vertex_family(k6, None, 0, 3, 0).cliques == ()
-
-    def test_triangle_free_graph_has_no_members(self, petersen):
-        assert vertex_family(petersen, None, 0, 3, 1).cliques == ()
-
-    def test_removed_edges_steer_first_fit(self, k6):
-        gprime = from_edge_list(6, [(1, 2)])
-        fam = vertex_family(k6, gprime, 0, 3, 2)
-        assert fam.cliques == ((0, 1, 3), (0, 2, 4))
-
-    def test_small_t_rejected(self, k6):
-        with pytest.raises(InputError):
-            vertex_family(k6, None, 0, 2, 1)
-
-    def test_vertex_out_of_range_rejected(self, k6):
-        with pytest.raises(InputError):
-            vertex_family(k6, None, 6, 3, 1)
-
-
-class TestPropertyP:
-    def test_k12_passes_with_small_demand(self):
-        g = gen_complete(12)
-        rep = property_P_audit(g, 3, 6, 4, trials=5, seed=1)
-        assert rep.failures == 0
-        assert rep.witness is None
-        assert rep.to_dict()["witness"] is None
-
-    def test_k12_fails_when_demand_exceeds_pool(self):
-        # |U| = 6 with |U_0| = 2 leaves a 4-vertex pool outside U_0, so at
-        # most 2 vertex-disjoint-outside-U_0 triangles exist; target is 4.
-        g = gen_complete(12)
-        rep = property_P_audit(g, 3, 6, 8, trials=5, seed=1)
-        assert rep.failures == rep.trials == 5
-        U, u0 = rep.witness
-        assert len(U) == 6 and len(u0) == 2
-        assert set(u0) <= set(U)
-        d = rep.to_dict()
-        assert d["witness"] == {"U": list(U), "U0": list(u0)}
-
-    def test_oversized_hole_rejected(self, k6):
-        with pytest.raises(InputError):
-            property_P_audit(k6, 3, 7, 2, trials=1, seed=0)
-
-    def test_zero_trials_rejected(self, k6):
-        with pytest.raises(InputError):
-            property_P_audit(k6, 3, 3, 2, trials=0, seed=0)
+            count_cliques_window(path, range(3), 2)
 
 
 class TestSpanAudit:
@@ -276,6 +208,11 @@ class TestSpanAudit:
     def test_oversized_subset_rejected(self, k6):
         with pytest.raises(InputError):
             span_clique_audit(k6, 3, 7, trials=1, seed=0)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_nonpositive_size_rejected(self, k6, size):
+        with pytest.raises(InputError, match="size must be in"):
+            span_clique_audit(k6, 3, size, trials=1, seed=0)
 
     def test_zero_trials_rejected(self, k6):
         with pytest.raises(InputError):

@@ -1,7 +1,6 @@
 """Fractional clique-matching LP: primal/dual, factor certificates, audits."""
 
 import itertools
-import json
 import warnings
 
 import numpy as np
@@ -18,7 +17,6 @@ from cfl import (
     WeightedGraph,
     check_prop3,
     complementary_slackness,
-    corollary_ff_driver,
     enumerate_cliques,
     from_edge_list,
     gen_complete,
@@ -32,7 +30,6 @@ from cfl import (
     t_star,
     uniform_weights,
 )
-from cfl.cli import canonical_json
 from cfl.factor_lp import DualSolution, PrimalSolution
 from oracles import (
     edge_weights,
@@ -782,28 +779,3 @@ class TestComplementarySlackness:
         bad = DualSolution(g=g, h=d.h, objective=d.objective + 0.5)
         with pytest.raises(InputError, match="gap"):
             complementary_slackness(p, bad, k6_unit, cliques)
-
-
-class TestFactorDriver:
-    def test_k60_hypotheses_and_factor(self):
-        wg = uniform_weights(gen_complete(60))
-        rep = corollary_ff_driver(wg, 3, alpha=1e-3, D=6, trials=5, seed=0)
-        assert rep.rich_edge_count == 1770
-        assert rep.hyp_family_target == 3
-        assert rep.hyp_family_pass is True
-        assert rep.hyp_span_size == 3
-        assert rep.hyp_span_pass is True
-        assert rep.hyp_propP_pass is True
-        assert rep.cert.has_factor is True
-        d = json.loads(canonical_json(rep))
-        assert d["cert"]["has_factor"] is True
-
-    def test_alpha_bound_enforced(self, k6_unit):
-        with pytest.raises(InputError, match="alpha"):
-            corollary_ff_driver(k6_unit, 3, alpha=0.02, D=3, trials=1, seed=0)
-
-    def test_degree_parameter_window(self, k6_unit):
-        with pytest.raises(InputError, match="D="):
-            corollary_ff_driver(k6_unit, 3, alpha=1e-3, D=2, trials=1, seed=0)
-        with pytest.raises(InputError, match="D="):
-            corollary_ff_driver(k6_unit, 3, alpha=1e-3, D=4, trials=1, seed=0)
