@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -422,8 +423,7 @@ def criterion_8() -> dict:
         hf = build_Hf(g, 3, bundle, seed, cliques)
         hyperedges += len(hf.hyperedges)
         degree_sums += hf_degrees(hf)
-        codeg = hf_codegrees(hf)
-        worst = max(codeg.values(), default=0)
+        worst = int(hf_codegrees(hf).max(initial=0))
         max_codeg = max(max_codeg, worst)
         if worst > bound:
             codeg_violations += 1
@@ -483,16 +483,14 @@ def criterion_9() -> dict:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode not in (0, 1):
                 failures.append(f"run {label}: exit {proc.returncode}: {proc.stderr.strip()}")
+            elif not os.path.isfile(out) or not os.path.getsize(out):
+                last = (proc.stderr.strip().splitlines() or [""])[-1]
+                failures.append(f"run {label}: exit {proc.returncode}, no report: {last}")
             outs.append(out)
         if not failures:
-            with open(outs[0], "rb") as fh:
-                first = fh.read()
-            with open(outs[1], "rb") as fh:
-                second = fh.read()
+            first, second = (pathlib.Path(out).read_bytes() for out in outs)
             if first != second:
                 failures.append("reports differ between identical runs")
-            if not first:
-                failures.append("empty report")
     runtime = time.perf_counter() - start
     return {
         "criterion": 9,

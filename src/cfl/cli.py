@@ -178,6 +178,9 @@ def _check_flags(args) -> None:
             raise InputError(f"--span-size must be at least 1, got {args.span_size}")
         if args.span_trials is None:
             raise InputError("--span-size needs --span-trials")
+    least = 3 if args.command == "pipeline" else 2
+    if getattr(args, "t", least) < least:
+        raise InputError(f"--t must be at least {least}, got {args.t}")
     if getattr(args, "ell", None) is not None and args.ell < 1:
         raise InputError(f"--ell must be at least 1, got {args.ell}")
     if not 0 < getattr(args, "epsilon", 0.5) < 1:

@@ -7,7 +7,8 @@ the sparse engine partitions the edge set uniformly at random and solves each
 part at unit weights.  A bundle is then sampled into a random t-uniform
 hypergraph H_f (clique T survives with probability f(T) = sum_i f_i(T)),
 matched by a greedy or nibble matcher, and topped up by a greedy completion
-pass on whatever the matcher left uncovered.
+pass on whatever the matcher left uncovered.  The host's cliques are
+enumerated once; H_f, the matchings and the completion are rows of that set.
 
 All randomness flows from a single seed through numpy SeedSequence spawning,
 so identical (graph, config) runs produce identical reports.
@@ -15,10 +16,8 @@ so identical (graph, config) runs produce identical reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,7 +32,6 @@ from .graphs import (
     Graph,
     WeightedGraph,
     from_edge_list,
-    induced_subgraph,
     regularity,
     uniform_weights,
 )
@@ -270,14 +268,15 @@ def sparse_extract(
 class RandomHypergraph:
     """Sampled t-uniform hypergraph on the host's vertex set.
 
-    hyperedges are the surviving cliques (tuples of source labels).
-    candidates and inclusion_prob are aligned arrays: the ascending ids of
-    the cliques with f(T) > 0 and their probabilities min(f(T), 1).
+    hyperedges holds the surviving cliques as rows of the host clique set's
+    members, in ascending clique id.  candidates and inclusion_prob are
+    aligned arrays: the ascending ids of the cliques with f(T) > 0 and their
+    probabilities min(f(T), 1).
     """
 
     t: int
     vertices: int
-    hyperedges: tuple
+    hyperedges: np.ndarray
     candidates: np.ndarray
     inclusion_prob: np.ndarray
 
@@ -314,7 +313,7 @@ def build_Hf(
     return RandomHypergraph(
         t=t,
         vertices=g.n,
-        hyperedges=tuple(map(tuple, cliques.members[kept].tolist())),
+        hyperedges=cliques.members[kept],
         candidates=candidates,
         inclusion_prob=p,
     )
@@ -345,11 +344,14 @@ class ConcentrationReport:
 
 
 def hf_degrees(hf: RandomHypergraph) -> np.ndarray:
-    return np.bincount(np.ravel(hf.hyperedges).astype(int), minlength=hf.vertices)
+    return np.bincount(hf.hyperedges.ravel(), minlength=hf.vertices)
 
 
-def hf_codegrees(hf: RandomHypergraph) -> dict:
-    return Counter(pair for e in hf.hyperedges for pair in itertools.combinations(e, 2))
+def hf_codegrees(hf: RandomHypergraph) -> np.ndarray:
+    """Codegree of each vertex pair some hyperedge holds, in ascending pair key u*n + v."""
+    u, v = np.triu_indices(hf.t, 1)
+    rows = hf.hyperedges.astype(np.int64)
+    return np.unique(rows[:, u] * hf.vertices + rows[:, v], return_counts=True)[1]
 
 
 def concentration_audit(hf: RandomHypergraph, ell: int, n: int) -> ConcentrationReport:
@@ -377,8 +379,8 @@ def concentration_audit(hf: RandomHypergraph, ell: int, n: int) -> Concentration
     outside = int(np.sum((deg < lo) | (deg > hi)))
     codeg = hf_codegrees(hf)
     bound = 1 + 3 * math.log(n) if n else 0.0
-    max_co = max(codeg.values(), default=0)
-    co_outside = sum(1 for x in codeg.values() if x > bound)
+    max_co = int(codeg.max(initial=0))
+    co_outside = int(np.count_nonzero(codeg > bound))
     return ConcentrationReport(
         applicable=True,
         ell=ell,
@@ -402,25 +404,27 @@ class MatchingResult:
     uncovered_count: int
 
 
-def _greedy_pass(order, hyperedges, covered) -> list:
+def _uncovered_rows(rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """The rows none of whose members is covered, in their order."""
+    return rows[~covered[rows].any(axis=1)]
+
+
+def _greedy_pass(rows: np.ndarray, order: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Rows greedy takes visiting rows[order]: no member covered or in an earlier pick."""
+    free = (~covered).tolist()
     taken = []
-    for idx in order:
-        e = hyperedges[idx]
-        if all(not covered[v] for v in e):
+    for e in rows[order].tolist():
+        if all(free[v] for v in e):
             taken.append(e)
             for v in e:
-                covered[v] = True
-    return taken
+                free[v] = False
+    return np.array(taken, dtype=np.int32).reshape(-1, rows.shape[1])
 
 
-def _result(n: int, matched: list) -> MatchingResult:
-    covered = set()
-    for e in matched:
-        covered.update(e)
-    uncovered = tuple(v for v in range(n) if v not in covered)
-    return MatchingResult(
-        matched=tuple(sorted(matched)), uncovered=uncovered, uncovered_count=len(uncovered)
-    )
+def _result(n: int, rows: np.ndarray) -> MatchingResult:
+    rows = rows[np.lexsort(rows.T[::-1])]
+    uncovered = tuple(np.flatnonzero(np.bincount(rows.ravel(), minlength=n) == 0).tolist())
+    return MatchingResult(tuple(map(tuple, rows.tolist())), uncovered, len(uncovered))
 
 
 def nibble_matching(
@@ -431,8 +435,9 @@ def nibble_matching(
     Nibble rounds activate each surviving hyperedge with probability
     epsilon / Delta (Delta = current max vertex degree); activations that
     clash with another activation are discarded wholesale, the rest join the
-    matching.  Capped at 10 ceil(ln n) rounds, then a greedy pass sweeps the
-    survivors, so the result is always maximal.
+    matching (they are pairwise disjoint, so one bincount decides them all).
+    Capped at 10 ceil(ln n) rounds, then a greedy pass sweeps the survivors,
+    so the result is always maximal.
     """
     if not (0 < epsilon < 1):
         raise InputError(f"epsilon must lie in (0,1), got {epsilon}")
@@ -440,50 +445,44 @@ def nibble_matching(
         raise InputError(f"unknown matching mode {mode!r}")
     n = hf.vertices
     rng = np.random.default_rng(seed)
-    covered = [False] * n
-    matched: list = []
-    alive = list(hf.hyperedges)
-    if mode == "nibble" and alive:
+    covered = np.zeros(n, dtype=bool)
+    picks = []
+    alive = hf.hyperedges
+    if mode == "nibble" and len(alive):
         cap = 10 * math.ceil(math.log(n)) if n > 1 else 1
         for _ in range(max(1, cap)):
-            alive = [e for e in alive if all(not covered[v] for v in e)]
-            if not alive:
+            alive = _uncovered_rows(alive, covered)
+            if not len(alive):
                 break
-            delta = int(np.bincount(np.ravel(alive)).max())
+            delta = int(np.bincount(alive.ravel()).max())
             p = min(1.0, epsilon / delta)
-            active = np.flatnonzero(rng.random(len(alive)) < p)
-            use = np.bincount(np.ravel([alive[i] for i in active]).astype(int), minlength=n)
-            for i in active:
-                e = alive[i]
-                if all(use[v] == 1 for v in e):
-                    matched.append(e)
-                    for v in e:
-                        covered[v] = True
-    alive = [e for e in alive if all(not covered[v] for v in e)]
-    matched.extend(_greedy_pass(rng.permutation(len(alive)), alive, covered))
-    return _result(n, matched)
+            active = alive[rng.random(len(alive)) < p]
+            use = np.bincount(active.ravel(), minlength=n)
+            won = active[(use[active] == 1).all(axis=1)]
+            picks.append(won)
+            covered[won.ravel()] = True
+    alive = _uncovered_rows(alive, covered)
+    picks.append(_greedy_pass(alive, rng.permutation(len(alive)), covered))
+    return _result(n, np.concatenate(picks))
 
 
-def greedy_completion(g: Graph, t: int, uncovered, seed: int) -> tuple:
-    """Greedily pack K_t copies of g into the uncovered set, random order.
+def greedy_completion(cliques: CliqueSet, uncovered, seed: int) -> np.ndarray:
+    """Greedily pack the host's K_t copies into the uncovered set, random order.
 
-    One randomized greedy pass over the cliques of G[uncovered] is maximal:
-    any clique disjoint from the picks would itself have been picked.
-    Returns (added cliques in source labels, remaining uncovered tuple).
+    The cliques of G[uncovered], in the order its enumeration would give
+    them, are the host rows with every member uncovered.  One randomized
+    greedy pass over them is maximal: any clique disjoint from the picks
+    would itself have been picked.  Returns the added rows, in pick order.
     """
-    unc = sorted(uncovered)
-    added = []
-    if len(unc) >= t:
-        sub, verts = induced_subgraph(g, unc)
-        cs = enumerate_cliques(sub, t)
-        if len(cs):
-            rng = np.random.default_rng(seed)
-            covered = [False] * sub.n
-            for row in _greedy_pass(rng.permutation(len(cs)), cs.members.tolist(), covered):
-                added.append(tuple(verts[x] for x in row))
-    taken = {v for e in added for v in e}
-    remaining = tuple(v for v in unc if v not in taken)
-    return added, remaining
+    n = cliques.graph.n
+    unc = np.asarray(uncovered, dtype=np.int64)
+    bad = unc[(unc < 0) | (unc >= n)]
+    if bad.size:
+        raise InputError(f"vertex {bad.min()} not in graph")
+    covered = np.ones(n, dtype=bool)
+    covered[unc] = False
+    rows = _uncovered_rows(cliques.members, covered)
+    return _greedy_pass(rows, np.random.default_rng(seed).permutation(len(rows)), covered)
 
 
 @dataclass(frozen=True)
@@ -583,14 +582,13 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
     with _stage("matching"):
         pre = nibble_matching(hf, config.matcher, config.epsilon, s_match)
 
-    matched = list(pre.matched)
+    result = pre
     completion_added = 0
     if config.completion and pre.uncovered_count >= t:
         with _stage("completion"):
-            added, _ = greedy_completion(g, t, pre.uncovered, s_complete)
-        matched.extend(added)
+            added = greedy_completion(cliques, pre.uncovered, s_complete)
         completion_added = len(added)
-    result = _result(g.n, matched)
+        result = _result(g.n, np.vstack([np.array(pre.matched, np.int32).reshape(-1, t), added]))
 
     bound = g.n ** (1 - 1 / (8 * t**4)) if g.n else 0.0
     parameters = {

@@ -8,19 +8,26 @@ matrix and runs a scipy solver on it: min_max_factor_value decides whether
 a fractional factor exists by the direct min-max LP, vertex_only_matching_value
 keeps the integral matching MILP without the library's cardinality row, and
 max_entropy_fit tests a witness against the optimality conditions of the
-maximum-entropy factor by bounded least squares.
+maximum-entropy factor by bounded least squares.  completion_cliques takes
+the route the covering stage's completion used to take: it enumerates the
+induced subgraph G[U] and relabels its cliques back to host labels, and
+nibble_by_loops is the matcher as a loop over tuples, one activation at a
+time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, lsq_linear, milp
 
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
-from cfl.graphs import WeightedGraph
+from cfl.cliques import enumerate_cliques
+from cfl.graphs import WeightedGraph, induced_subgraph
 
 
 def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
@@ -167,3 +174,57 @@ def slackness_by_loops(f: dict, g: dict, h: dict, wg: WeightedGraph, cliques, th
         if f.get(j, 0.0) > thr
     ]
     return [(max(xs, default=0.0), len(xs)) for xs in (vert, pair, cover)]
+
+
+def completion_cliques(g, t: int, U) -> np.ndarray:
+    """The K_t copies of G[U] in host labels: enumerate G[U], relabel its rows."""
+    sub, verts = induced_subgraph(g, U)
+    return np.asarray(verts, dtype=np.int32)[enumerate_cliques(sub, t).members]
+
+
+def completion_greedy(g, t: int, U, seed: int) -> list:
+    """Random-order greedy over completion_cliques(g, t, U): the picks, in pick order."""
+    rows = completion_cliques(g, t, U)
+    taken, used = [], set()
+    for row in rows[np.random.default_rng(seed).permutation(len(rows))].tolist():
+        if used.isdisjoint(row):
+            taken.append(row)
+            used.update(row)
+    return taken
+
+
+def nibble_by_loops(hyperedges: list, n: int, mode: str, epsilon: float, seed: int) -> tuple:
+    """The matched tuples, sorted, of the nibble (or greedy) matcher run tuple by tuple.
+
+    Draws from the generator in the library's order: one uniform per alive
+    hyperedge per round, then one permutation for the closing greedy sweep.
+    """
+    rng = np.random.default_rng(seed)
+    covered = [False] * n
+    matched = []
+    alive = list(hyperedges)
+
+    def free(e):
+        return not any(covered[v] for v in e)
+
+    if mode == "nibble" and alive:
+        for _ in range(max(1, 10 * math.ceil(math.log(n)) if n > 1 else 1)):
+            alive = [e for e in alive if free(e)]
+            if not alive:
+                break
+            delta = max(Counter(v for e in alive for v in e).values())
+            draws = rng.random(len(alive)) < min(1.0, epsilon / delta)
+            active = [e for e, on in zip(alive, draws) if on]
+            use = Counter(v for e in active for v in e)
+            for e in active:
+                if all(use[v] == 1 for v in e):
+                    matched.append(e)
+                    for v in e:
+                        covered[v] = True
+    alive = [e for e in alive if free(e)]
+    for i in rng.permutation(len(alive)).tolist():
+        if free(alive[i]):
+            matched.append(alive[i])
+            for v in alive[i]:
+                covered[v] = True
+    return tuple(sorted(matched))

@@ -5,11 +5,14 @@ Each criterion prints one PASS/FAIL line with its runtime so a bare
 details dict is attached to the assertion message on failure.
 """
 
+import subprocess
+
 import pytest
 from scipy.optimize import linprog
 
+import cfl.acceptance as acceptance_mod
 import cfl.factor_lp as factor_lp_mod
-from cfl.acceptance import CRITERIA, _corpus, criterion_1
+from cfl.acceptance import CRITERIA, _corpus, criterion_1, criterion_9
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
@@ -41,3 +44,18 @@ def test_criterion_1_solves_each_instance_once(monkeypatch):
     assert calls.count((0, 1)) == instances
     assert calls.count((0, None)) == 2 * instances - 4
     assert len(calls) == 62
+
+
+def test_criterion_9_fails_when_a_run_writes_no_report(monkeypatch):
+    # a child that dies before main (a traceback) also exits 1, the code of
+    # a forced run, but leaves no report behind
+    def crashed(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 1, "", "Traceback ...\nImportError: boom\n")
+
+    monkeypatch.setattr(acceptance_mod.subprocess, "run", crashed)
+    result = criterion_9()
+    assert result["passed"] is False
+    assert result["details"]["failures"] == [
+        "run a: exit 1, no report: ImportError: boom",
+        "run b: exit 1, no report: ImportError: boom",
+    ]

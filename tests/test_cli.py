@@ -460,12 +460,16 @@ class TestSharedFlags:
             ([*PIPELINE_CSV, "--alpha", "-4"], "--alpha must lie in [0,1], got -4.0"),
             ([*PIPELINE_CSV, "--alpha", "1.5"], "--alpha must lie in [0,1], got 1.5"),
             ([*PIPELINE_CSV, "--alpha", "nan"], "--alpha must lie in [0,1], got nan"),
+            (["pipeline", "--in", "{k6}", "--t", "2", "--seed", "0", "--force"],
+             "--t must be at least 3, got 2"),
+            (["cliques", "--in", "{k6}", "--t", "1"], "--t must be at least 2, got 1"),
+            (["lp", "--in", "{k6}", "--t", "1"], "--t must be at least 2, got 1"),
         ],
         ids=["lp-prop3", "cliques-span-trials", "audit-mixing-samples", "span-trials-negative",
              "span-trials-zero", "window-negative", "window-one", "span-size-negative",
              "span-size-zero", "span-size-alone", "ell-zero", "ell-negative", "epsilon-two",
              "epsilon-zero", "epsilon-one", "epsilon-nan", "alpha-negative", "alpha-over-one",
-             "alpha-nan"],
+             "alpha-nan", "pipeline-t-two", "cliques-t-one", "lp-t-one"],
     )
     def test_flags_fail_before_any_work(self, argv, message, k6_file, tmp_path, capsys,
                                         monkeypatch, no_input_read):

@@ -28,8 +28,11 @@ from cfl import (
     sparse_extract,
     sparse_split,
 )
+import cfl.pipeline as pipeline_mod
 from cfl.cli import canonical_json
-from cfl.pipeline import _split, hf_codegrees, hf_degrees, part_cliques
+from cfl.pipeline import _split, _uncovered_rows, hf_codegrees, hf_degrees, part_cliques
+
+from oracles import completion_cliques, completion_greedy, nibble_by_loops
 
 
 def _vertex_drops(g, bundle):
@@ -199,14 +202,15 @@ class TestRandomHypergraph:
     def test_unit_probabilities_are_kept_surely(self, k6):
         cliques = enumerate_cliques(k6, 3)
         hf = build_Hf(k6, 3, self._bundle({0: 1.0, 19: 1.0}), seed=123, cliques=cliques)
-        assert hf.hyperedges == (tuple(cliques.members[0]), tuple(cliques.members[19]))
+        assert hf.hyperedges.dtype == np.int32
+        assert hf.hyperedges.tolist() == cliques.members[[0, 19]].tolist()
         assert hf.candidates.tolist() == [0, 19]
         assert hf.inclusion_prob.tolist() == [1.0, 1.0]
 
     def test_zero_mass_bundle_gives_empty_hypergraph(self, k6):
         bundle = FactorBundle(factors=(), ell=0, mode="dense", per_edge_load=np.zeros(15))
         hf = build_Hf(k6, 3, bundle, seed=0)
-        assert hf.hyperedges == ()
+        assert hf.hyperedges.shape == (0, 3)
         assert hf.candidates.size == hf.inclusion_prob.size == 0
 
     def test_aggregate_mass_above_tolerance_raises(self, k6):
@@ -223,7 +227,7 @@ class TestRandomHypergraph:
         bundle = dense_extract(k6, 3, 2)
         a = build_Hf(k6, 3, bundle, seed=0)
         b = build_Hf(k6, 3, bundle, seed=0)
-        assert a.hyperedges == b.hyperedges
+        assert np.array_equal(a.hyperedges, b.hyperedges)
         assert np.array_equal(a.candidates, b.candidates)
         assert np.array_equal(a.inclusion_prob, b.inclusion_prob)
 
@@ -231,7 +235,7 @@ class TestRandomHypergraph:
         bundle = dense_extract(k6, 3, 2)
         a = build_Hf(k6, 3, bundle, seed=0)
         b = build_Hf(k6, 3, bundle, seed=1)
-        assert a.hyperedges != b.hyperedges
+        assert not np.array_equal(a.hyperedges, b.hyperedges)
 
     def test_candidates_recorded_in_id_order(self, k6):
         bundle = dense_extract(k6, 3, 2)
@@ -266,7 +270,8 @@ class TestConcentrationAudit:
         hf = _hypergraph(6, ((0, 1, 2), (0, 1, 3)))
         deg = hf_degrees(hf)
         assert list(deg) == [2, 2, 1, 1, 0, 0]
-        assert hf_codegrees(hf)[(0, 1)] == 2
+        # pair keys 0*6+1, 0*6+2, 0*6+3, 1*6+2, 1*6+3: the shared pair (0, 1) first
+        assert hf_codegrees(hf).tolist() == [2, 1, 1, 1, 1]
         rep = concentration_audit(hf, 2, 6)
         assert rep.mean_degree == pytest.approx(1.0)
         assert rep.max_degree == 2 and rep.min_degree == 0
@@ -280,12 +285,13 @@ class TestConcentrationAudit:
 
 def _hypergraph(vertices, hyperedges=()):
     """A t = 3 hypergraph whose hyperedges are candidates 0, 1, ... at p = 1."""
-    ids = np.arange(len(hyperedges))
-    return RandomHypergraph(3, vertices, hyperedges, ids, np.ones(len(hyperedges)))
+    rows = np.array(hyperedges, dtype=np.int32).reshape(-1, 3)
+    ids = np.arange(len(rows))
+    return RandomHypergraph(3, vertices, rows, ids, np.ones(len(rows)))
 
 
 def _full_k6_hypergraph(k6):
-    return _hypergraph(6, tuple(map(tuple, enumerate_cliques(k6, 3).members.tolist())))
+    return _hypergraph(6, enumerate_cliques(k6, 3).members)
 
 
 class TestMatching:
@@ -307,7 +313,7 @@ class TestMatching:
         assert 3 * len(res.matched) + res.uncovered_count == 6
         used = [v for e in res.matched for v in e]
         assert len(used) == len(set(used))
-        assert all(e in hf.hyperedges for e in res.matched)
+        assert set(res.matched) <= set(map(tuple, hf.hyperedges.tolist()))
 
     def test_single_hyperedge(self):
         hf = _hypergraph(6, ((1, 3, 5),))
@@ -326,6 +332,19 @@ class TestMatching:
         b = nibble_matching(hf, "nibble", 0.1, seed=4)
         assert a.matched == b.matched
 
+    @pytest.mark.parametrize("mode", ["greedy", "nibble"])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.9])
+    def test_matches_the_loop_reference(self, mode, epsilon):
+        # rounds resolve their activations with one bincount, not one by one
+        g = gen_random_regular(30, 14, 5)
+        cliques = enumerate_cliques(g, 3)
+        bundle = dense_extract(g, 3, 2, cliques=cliques)
+        for seed in range(4):
+            hf = build_Hf(g, 3, bundle, seed, cliques)
+            res = nibble_matching(hf, mode, epsilon, seed)
+            tuples = list(map(tuple, hf.hyperedges.tolist()))
+            assert res.matched == nibble_by_loops(tuples, g.n, mode, epsilon, seed)
+
     def test_epsilon_outside_open_interval_rejected(self, k6):
         hf = _full_k6_hypergraph(k6)
         for eps in (0.0, 1.0, -0.5, 2.0):
@@ -337,30 +356,55 @@ class TestMatching:
             nibble_matching(_full_k6_hypergraph(k6), "exhaustive", 0.1, seed=0)
 
 
+def _remaining(uncovered, added):
+    return tuple(sorted(set(uncovered) - set(added.ravel().tolist())))
+
+
 class TestCompletion:
     def test_complete_graph_leftovers_are_fully_packed(self):
-        g = gen_complete(60)
-        added, remaining = greedy_completion(g, 3, range(60), seed=0)
-        assert remaining == ()
+        added = greedy_completion(enumerate_cliques(gen_complete(60), 3), range(60), seed=0)
+        assert _remaining(range(60), added) == ()
         assert len(added) == 20
-        used = [v for e in added for v in e]
-        assert sorted(used) == list(range(60))
+        assert sorted(added.ravel().tolist()) == list(range(60))
 
     def test_triangle_free_graph_adds_nothing(self, petersen):
-        added, remaining = greedy_completion(petersen, 3, range(10), seed=0)
-        assert added == []
-        assert remaining == tuple(range(10))
+        added = greedy_completion(enumerate_cliques(petersen, 3), range(10), seed=0)
+        assert added.shape == (0, 3)
+        assert _remaining(range(10), added) == tuple(range(10))
 
     def test_short_leftover_is_untouched(self, k6):
-        added, remaining = greedy_completion(k6, 3, (0, 1), seed=0)
-        assert added == []
-        assert remaining == (0, 1)
+        added = greedy_completion(enumerate_cliques(k6, 3), (0, 1), seed=0)
+        assert added.shape == (0, 3)
+        assert _remaining((0, 1), added) == (0, 1)
 
     def test_added_cliques_live_inside_the_uncovered_set(self, k6):
-        added, remaining = greedy_completion(k6, 3, (0, 2, 3, 5), seed=1)
-        for tup in added:
-            assert set(tup) <= {0, 2, 3, 5}
-        assert set(remaining) == {0, 2, 3, 5} - {v for e in added for v in e}
+        added = greedy_completion(enumerate_cliques(k6, 3), (0, 2, 3, 5), seed=1)
+        for row in added.tolist():
+            assert set(row) <= {0, 2, 3, 5}
+        assert len(added) == 1 and len(_remaining((0, 2, 3, 5), added)) == 1
+
+    @pytest.mark.parametrize("vertex", [6, -1])
+    def test_vertex_outside_the_graph_rejected(self, k6, vertex):
+        with pytest.raises(InputError, match=f"vertex {vertex} not in graph"):
+            greedy_completion(enumerate_cliques(k6, 3), (0, 1, vertex), seed=0)
+
+    @pytest.mark.parametrize("graph", ["k8", "petersen", "paley13", "rr_20_6"])
+    def test_host_rows_are_the_cliques_of_the_induced_subgraph(self, graph, request):
+        # the completion filters the host's rows instead of enumerating
+        # G[uncovered]; the reference route enumerates it and relabels back
+        g = gen_complete(8) if graph == "k8" else request.getfixturevalue(graph)
+        cliques = enumerate_cliques(g, 3)
+        rng = np.random.default_rng(7)
+        subsets = [(), (0, 1), tuple(range(g.n))]
+        subsets += [tuple(np.flatnonzero(rng.random(g.n) < q).tolist()) for q in (0.3, 0.6, 0.9)]
+        for U in subsets:
+            covered = np.ones(g.n, dtype=bool)
+            covered[list(U)] = False
+            want = completion_cliques(g, 3, U)
+            assert _uncovered_rows(cliques.members, covered).tolist() == want.tolist()
+            for seed in range(3):
+                picks = greedy_completion(cliques, U, seed)
+                assert picks.tolist() == completion_greedy(g, 3, U, seed)
 
 
 class TestEndToEnd:
@@ -463,3 +507,21 @@ class TestEndToEnd:
         rep = run_end_to_end(gen_complete(12), 3, cfg)
         assert rep.stage_audits["matching"]["matcher"] == matcher
         assert 0 <= rep.result.uncovered_count <= 12
+
+    @pytest.mark.parametrize(
+        "graph,config",
+        [((90, 45, 31), PipelineConfig(seed=0, force=True)),
+         ((100, 50, 31), PipelineConfig(seed=0, mode="sparse", ell=3, force=True))],
+        ids=["auto", "sparse"],
+    )
+    def test_one_enumeration_per_run(self, graph, config, monkeypatch):
+        calls = []
+
+        def counting(g, t):
+            calls.append(g.n)
+            return enumerate_cliques(g, t)
+
+        monkeypatch.setattr(pipeline_mod, "enumerate_cliques", counting)
+        rep = run_end_to_end(gen_random_regular(*graph), 3, config)
+        assert rep.stage_audits["completion"]["added"] > 0
+        assert calls == [graph[0]]
