@@ -6,12 +6,13 @@ identical seeds give identical graphs on every platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GenerationError, InputError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, complement, from_edge_list
 
 MAX_RESTARTS = 10**5
 
@@ -57,20 +58,7 @@ def gen_complete(n: int) -> Graph:
     """K_n."""
     if n < 1:
         raise InputError(f"complete graph needs n >= 1, got {n}")
-    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def gen_paley(q: int) -> Graph:
@@ -79,13 +67,15 @@ def gen_paley(q: int) -> Graph:
     Needs q prime with q = 1 (mod 4) so that -1 is a square and the relation
     is symmetric; the result is (q-1)/2-regular.
     """
-    if not _is_prime(q):
+    if q < 2 or any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
         raise InputError(f"paley requires a prime, got {q}")
     if q % 4 != 1:
         raise InputError(f"paley requires q = 1 (mod 4), got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-    pairs = [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in residues]
-    return from_edge_list(q, pairs)
+    square = np.zeros(q, dtype=bool)
+    square[np.arange(1, q) ** 2 % q] = True
+    u, v = np.triu_indices(q, 1)
+    keep = square[(v - u) % q]
+    return Graph(q, np.column_stack([u[keep], v[keep]]))
 
 
 def gen_circulant(n: int, connection_set) -> Graph:
@@ -96,11 +86,9 @@ def gen_circulant(n: int, connection_set) -> Graph:
     for s in offsets:
         if not (1 <= s <= n / 2):
             raise InputError(f"offset {s} outside 1 <= s <= n/2 for n={n}")
-    pairs = []
-    for s in offsets:
-        for u in range(n):
-            pairs.append((u, (u + s) % n))
-    return from_edge_list(n, pairs)
+    u = np.tile(np.arange(n), len(offsets))
+    v = (u + np.repeat(np.array(offsets, dtype=np.int64), n)) % n
+    return from_edge_list(n, np.column_stack([u, v]))
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -121,10 +109,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise InputError(f"n*d must be even, got n={n}, d={d}")
     if 2 * d > n:
-        h = gen_random_regular(n, n - 1 - d, seed)
-        return from_edge_list(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if not h.has_edge(u, v)]
-        )
+        return complement(gen_random_regular(n, n - 1 - d, seed))
     rng = np.random.default_rng(seed)
     restarts = 0
     while restarts <= MAX_RESTARTS:
@@ -147,7 +132,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
                 stuck = True
             stubs = leftover
         if not stuck:
-            return from_edge_list(n, sorted(edges))
+            return from_edge_list(n, list(edges))
         restarts += 1
     raise GenerationError(
         f"random_regular(n={n}, d={d}, seed={seed}) exceeded {MAX_RESTARTS} restarts"

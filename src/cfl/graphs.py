@@ -1,8 +1,10 @@
 """Simple undirected graphs and edge-weighted graphs.
 
-Vertices are dense integers 0..n-1.  Edges are canonical (min, max) tuples
-in lexicographic order, the index order of every per-edge array (weights,
-pair loads, duals) and of edge_ids.  Values are immutable; views are cached.
+Vertices are dense integers 0..n-1.  A graph's edge set is one read-only
+(m, 2) int32 array: u < v in every row, and the rows in strictly increasing
+key u*n + v.  Its row order is the index order of every per-edge array
+(weights, pair loads, duals) and of edge_ids.  `edges` and `edge_keys` are
+views derived from it.  Values are immutable; views are cached.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -21,45 +23,49 @@ from .errors import InputError, ParseError
 WEIGHT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """An undirected simple graph on vertices 0..n-1.
+    """An undirected simple graph on vertices 0..n-1; equal graphs have equal n and edge_array.
 
-    Attributes
-    ----------
-    n : int
-        Vertex count.
-    edges : tuple of (int, int)
-        Canonical (u, v) with u < v, sorted lexicographically.
-    adj : tuple of tuple of int
-        Per-vertex sorted neighbor lists, consistent with `edges`.
+    edge_array is the canonical array of the module docstring, and this
+    constructor is the one place that checks it: it takes any (m, 2) integer
+    array, raises InputError on the first row that breaks 0 <= u < v < n or
+    the increasing key order, and keeps a read-only int32 copy.
     """
 
     n: int
-    edges: tuple = ()
-    adj: tuple = ()
-    edge_set: frozenset = field(default_factory=frozenset, repr=False, compare=False)
+    edge_array: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        ends = np.asarray(self.edge_array)
+        if self.n < 0 or ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+            raise InputError(f"need n >= 0 and (m, 2) integer edges, got n={self.n}, {ends.shape}")
+        bad = (ends[:, 0] < 0) | (ends[:, 0] >= ends[:, 1]) | (ends[:, 1] >= self.n)
+        if not bad.any():  # keys order only rows within range
+            object.__setattr__(self, "edge_array", ends.astype(np.int32))
+            self.edge_array.flags.writeable = False
+            bad[1:] = self.edge_keys[1:] <= self.edge_keys[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InputError(f"edge row {i} {tuple(ends[i].tolist())} is not canonical for n={self.n}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return ((u, v) if u < v else (v, u)) in self.edge_set
+        return len(self.edge_array)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """`edges` as a read-only (m, 2) int32 array: row i is edge i."""
-        flat = itertools.chain.from_iterable(self.edges)
-        ends = np.fromiter(flat, dtype=np.int32, count=2 * self.m).reshape(-1, 2)
-        ends.flags.writeable = False
-        return ends
+    def edges(self) -> tuple:
+        """The rows of edge_array as (u, v) tuples of ints, for writers, messages and dict keys."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
-        """u*n + v of each edge as int64: ascending, since the edges are sorted."""
+        """u*n + v of each edge as int64: ascending, since the edges are canonical."""
         return self.edge_array[:, 0].astype(np.int64) * self.n + self.edge_array[:, 1]
 
 
@@ -77,27 +83,49 @@ def edge_ids(g: Graph, pairs) -> np.ndarray:
     return ids
 
 
-def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
-    """Build a Graph from (u, v) pairs, deduplicating undirected edges.
+def _is_label(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and -(2**63) <= x < 2**63
 
-    Raises InputError on out-of-range vertices or self-loops.
+
+def from_edge_list(n: int, pairs) -> Graph:
+    """Build a Graph from a (k, 2) array-like of (u, v) pairs in any order,
+    deduplicating undirected edges.
+
+    Raises InputError, naming the first offending pair, on a pair that is not
+    two integers (a float, a bool, a third entry), an out-of-range vertex or
+    a self-loop.
     """
-    if n < 0:
-        raise InputError(f"negative vertex count {n}")
-    seen = set()
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"vertex out of range in edge ({u},{v}) for n={n}")
-        if u == v:
-            raise InputError(f"self-loop at vertex {u}")
-        seen.add((u, v) if u < v else (v, u))
-    edges = tuple(sorted(seen))
-    nbr = [[] for _ in range(n)]
-    for u, v in edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    adj = tuple(tuple(sorted(a)) for a in nbr)
-    return Graph(n=n, edges=edges, adj=adj, edge_set=frozenset(edges))
+    rows = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    try:
+        p = np.asarray(rows)
+        ok = len(rows) == 0 or (p.ndim == 2 and p.shape[1] == 2 and p.dtype.kind in "iu")
+    except ValueError:  # ragged pairs
+        ok = False
+    if ok and isinstance(rows, list):
+        # numpy reads a bool among integers as 0 or 1, so look at the labels themselves
+        ok = not {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(rows)))
+    if not ok:
+        bad = next(r for r in rows if not (isinstance(r, (tuple, list, np.ndarray))
+                                           and len(r) == 2 and all(map(_is_label, r))))
+        bad = tuple(bad.tolist()) if isinstance(bad, np.ndarray) else bad
+        raise InputError(f"edge {bad!r} is not a pair of integer vertices")
+    p = p.astype(np.int64).reshape(-1, 2)
+    out = ((p < 0) | (p >= n)).any(axis=1)
+    bad = out | (p[:, 0] == p[:, 1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = p[i].tolist()
+        raise InputError(f"vertex out of range in edge ({u},{v}) for n={n}" if out[i]
+                         else f"self-loop at vertex {u}")
+    keys = np.unique(p.min(axis=1) * n + p.max(axis=1))
+    return Graph(n, np.column_stack(np.divmod(keys, n)))
+
+
+def complement(g: Graph) -> Graph:
+    """The graph on the same vertices whose edges are g's non-adjacent pairs."""
+    u, v = np.triu_indices(g.n, 1)
+    keys = np.setdiff1d(u * g.n + v, g.edge_keys, assume_unique=True)
+    return Graph(g.n, np.column_stack(np.divmod(keys, g.n)))
 
 
 @dataclass(frozen=True)
@@ -110,13 +138,9 @@ class RegularityInfo:
 
 def regularity(g: Graph) -> RegularityInfo:
     """Report the common degree, or the min/max degrees when not regular."""
-    if g.n == 0:
-        return RegularityInfo(True, 0, 0, 0)
-    degs = [len(a) for a in g.adj]
-    lo, hi = min(degs), max(degs)
-    if lo == hi:
-        return RegularityInfo(True, lo, lo, hi)
-    return RegularityInfo(False, None, lo, hi)
+    degs = np.bincount(g.edge_array.ravel(), minlength=g.n)
+    lo, hi = (int(degs.min()), int(degs.max())) if g.n else (0, 0)
+    return RegularityInfo(lo == hi, lo if lo == hi else None, lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +156,12 @@ class WeightedGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        w, m, edges = self.w, self.base.m, self.base.edges
+        w, m = self.w, self.base.m
         if isinstance(w, Mapping):
             ids = edge_ids(self.base, list(w))
             if len(ids) < m:
-                raise InputError(f"missing weight for edge {edges[np.setdiff1d(range(m), ids)[0]]}")
+                missing = np.setdiff1d(range(m), ids)[0]
+                raise InputError(f"missing weight for edge {self.base.edges[missing]}")
             w = np.empty(m)
             w[ids] = list(self.w.values())
         w = np.array(w, dtype=np.float64)
@@ -144,7 +169,7 @@ class WeightedGraph:
             raise InputError(f"expected {m} edge weights, got shape {w.shape}")
         bad = np.flatnonzero(~((-WEIGHT_SLACK <= w) & (w <= 1 + WEIGHT_SLACK)))
         if bad.size:
-            raise InputError(f"weight {w[bad[0]]} outside [0,1] on edge {edges[bad[0]]}")
+            raise InputError(f"weight {w[bad[0]]} outside [0,1] on edge {self.base.edges[bad[0]]}")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
@@ -164,13 +189,15 @@ def induced_subgraph(g: Graph, U: Iterable[int]) -> tuple:
     Returns (subgraph, vertices) where vertices[i] is the original label of
     new vertex i (sorted ascending).
     """
-    verts = sorted(set(U))
-    for v in verts:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} not in graph")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for (u, v) in g.edges if u in pos and v in pos]
-    return from_edge_list(len(verts), edges), tuple(verts)
+    verts = np.unique(np.fromiter(U, dtype=np.int64))
+    outside = verts[(verts < 0) | (verts >= g.n)]
+    if outside.size:
+        raise InputError(f"vertex {outside[0]} not in graph")
+    inside = np.zeros(g.n, dtype=bool)
+    inside[verts] = True
+    kept = g.edge_array[inside[g.edge_array].all(axis=1)]
+    # relabelling by the sorted vertex list is monotone, so the rows stay canonical
+    return Graph(len(verts), np.searchsorted(verts, kept)), tuple(verts.tolist())
 
 
 def induced_weighted(wg: WeightedGraph, U: Iterable[int]) -> tuple:
@@ -207,7 +234,7 @@ def _edge_lines(text: str):
 
 
 def _parse(text: str, weighted: bool) -> tuple:
-    """(graph, edge -> weight) of either text format; no weights for plain text."""
+    """(graph, weights in edge order) of either text format; all ones for plain text."""
     lines = list(_edge_lines(text))
     if not lines:
         raise ParseError(1, "empty input, expected 'n m' header")
@@ -216,7 +243,7 @@ def _parse(text: str, weighted: bool) -> tuple:
     if len(rest) != m:
         raise ParseError(hdr_no, f"header declares {m} edges, found {len(rest)} edge lines")
     form = "u v w" if weighted else "u v"
-    pairs, weights = [], {}
+    pairs, weights = [], []
     for line_no, line in rest:
         parts = line.split()
         if len(parts) != 2 + weighted:
@@ -231,12 +258,12 @@ def _parse(text: str, weighted: bool) -> tuple:
         if not (0 <= x <= 1):
             raise ParseError(line_no, f"weight {x} outside [0,1]")
         pairs.append((u, v))
-        if weighted:
-            weights[(u, v)] = x
-    g = from_edge_list(n, pairs)
-    if g.m != m:
-        raise ParseError(hdr_no, f"duplicate edges: {m} declared, {g.m} distinct")
-    return g, weights
+        weights.append(x)
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    keys, order = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True)
+    if len(keys) != m:
+        raise ParseError(hdr_no, f"duplicate edges: {m} declared, {len(keys)} distinct")
+    return Graph(n, ends[order]), np.array(weights)[order]
 
 
 def parse_graph(text: str) -> Graph:

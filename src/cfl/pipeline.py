@@ -31,7 +31,6 @@ from .graphs import (
     WEIGHT_SLACK,
     Graph,
     WeightedGraph,
-    from_edge_list,
     regularity,
     uniform_weights,
 )
@@ -181,10 +180,8 @@ def _split(g: Graph, ell: int, seed: int) -> tuple:
     if ell == 1:
         return np.zeros(g.m, dtype=np.int64), [g]
     assign = np.random.default_rng(seed).integers(0, ell, size=g.m)
-    buckets = [[] for _ in range(ell)]
-    for e, i in zip(g.edges, assign.tolist()):
-        buckets[i].append(e)
-    return assign, [from_edge_list(g.n, part) for part in buckets]
+    # a masked subsequence of a canonical edge array is canonical
+    return assign, [Graph(g.n, g.edge_array[assign == i]) for i in range(ell)]
 
 
 def sparse_split(g: Graph, ell: int, seed: int) -> list:
@@ -326,21 +323,22 @@ class ConcentrationReport:
     Degrees are compared against ell +/- (k/2) sqrt(ell ln ell) with
     k = 8 / sqrt(beta); codegrees against 1 + 3 ln n.  At small ell the
     degree band is far wider than ell itself, so emptiness is flagged
-    separately rather than relying on the band to catch it.
+    separately rather than relying on the band to catch it.  Where the audit
+    does not apply, the bands and statistics keep their zero defaults.
     """
 
     applicable: bool
     ell: int
-    band_low: float
-    band_high: float
-    degrees_outside: int
-    min_degree: int
-    max_degree: int
-    mean_degree: float
     codegree_bound: float
-    max_codegree: int
-    codegrees_outside: int
     empty: bool
+    band_low: float = 0.0
+    band_high: float = 0.0
+    degrees_outside: int = 0
+    min_degree: int = 0
+    max_degree: int = 0
+    mean_degree: float = 0.0
+    max_codegree: int = 0
+    codegrees_outside: int = 0
 
 
 def hf_degrees(hf: RandomHypergraph) -> np.ndarray:
@@ -357,28 +355,15 @@ def hf_codegrees(hf: RandomHypergraph) -> np.ndarray:
 def concentration_audit(hf: RandomHypergraph, ell: int, n: int) -> ConcentrationReport:
     """Audit H_f against the ell-regular-in-expectation degree band and the
     1 + 3 ln n codegree ceiling.  Not applicable below ell = 2 (ln ell = 0)."""
+    bound = 1 + 3 * math.log(n) if n else 0.0
     if ell < 2:
-        return ConcentrationReport(
-            applicable=False,
-            ell=ell,
-            band_low=0.0,
-            band_high=0.0,
-            degrees_outside=0,
-            min_degree=0,
-            max_degree=0,
-            mean_degree=0.0,
-            codegree_bound=1 + 3 * math.log(n) if n else 0.0,
-            max_codegree=0,
-            codegrees_outside=0,
-            empty=len(hf.hyperedges) == 0,
-        )
+        return ConcentrationReport(False, ell, bound, empty=len(hf.hyperedges) == 0)
     k = 8.0 / math.sqrt(beta_exponent(hf.t))
     half = (k / 2) * math.sqrt(ell * math.log(ell))
     lo, hi = ell - half, ell + half
     deg = hf_degrees(hf)
     outside = int(np.sum((deg < lo) | (deg > hi)))
     codeg = hf_codegrees(hf)
-    bound = 1 + 3 * math.log(n) if n else 0.0
     max_co = int(codeg.max(initial=0))
     co_outside = int(np.count_nonzero(codeg > bound))
     return ConcentrationReport(

@@ -12,7 +12,9 @@ maximum-entropy factor by bounded least squares.  completion_cliques takes
 the route the covering stage's completion used to take: it enumerates the
 induced subgraph G[U] and relabels its cliques back to host labels, and
 nibble_by_loops is the matcher as a loop over tuples, one activation at a
-time.
+time.  edges_by_sets, induced_by_dict, split_by_buckets and
+complement_by_pairs are the tuple routes the graph constructors used to
+take, one edge at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, lsq_linear, milp
 
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
 from cfl.cliques import enumerate_cliques
-from cfl.graphs import WeightedGraph, induced_subgraph
+from cfl.graphs import WeightedGraph, from_edge_list
 
 
 def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
@@ -176,9 +178,37 @@ def slackness_by_loops(f: dict, g: dict, h: dict, wg: WeightedGraph, cliques, th
     return [(max(xs, default=0.0), len(xs)) for xs in (vert, pair, cover)]
 
 
+def edges_by_sets(pairs) -> tuple:
+    """The edges of a pair list: the sorted set of its (min, max) tuples."""
+    return tuple(sorted({(u, v) if u < v else (v, u) for u, v in pairs}))
+
+
+def induced_by_dict(g, U) -> tuple:
+    """(edges, vertices) of G[U]: each edge of g with both ends in U, relabelled by a dict."""
+    verts = sorted(set(U))
+    pos = {v: i for i, v in enumerate(verts)}
+    return edges_by_sets((pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos), tuple(verts)
+
+
+def split_by_buckets(g, ell: int, seed: int) -> list:
+    """The edges of each part of sparse_split: each edge appended to the bucket of its draw."""
+    assign = np.random.default_rng(seed).integers(0, ell, size=g.m)
+    buckets = [[] for _ in range(ell)]
+    for e, i in zip(g.edges, assign.tolist()):
+        buckets[i].append(e)
+    return [tuple(b) for b in buckets]
+
+
+def complement_by_pairs(g) -> tuple:
+    """Every pair u < v, kept when a set of g's edges does not hold it."""
+    edges = set(g.edges)
+    return tuple((u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in edges)
+
+
 def completion_cliques(g, t: int, U) -> np.ndarray:
     """The K_t copies of G[U] in host labels: enumerate G[U], relabel its rows."""
-    sub, verts = induced_subgraph(g, U)
+    edges, verts = induced_by_dict(g, U)
+    sub = from_edge_list(len(verts), list(edges))
     return np.asarray(verts, dtype=np.int32)[enumerate_cliques(sub, t).members]
 
 

@@ -5,6 +5,7 @@ Each criterion prints one PASS/FAIL line with its runtime so a bare
 details dict is attached to the assertion message on failure.
 """
 
+import dataclasses
 import subprocess
 
 import pytest
@@ -12,7 +13,8 @@ from scipy.optimize import linprog
 
 import cfl.acceptance as acceptance_mod
 import cfl.factor_lp as factor_lp_mod
-from cfl.acceptance import CRITERIA, _corpus, criterion_1, criterion_9
+import cfl.pipeline as pipeline_mod
+from cfl.acceptance import CRITERIA, _corpus, criterion_1, criterion_6, criterion_9
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
@@ -59,3 +61,20 @@ def test_criterion_9_fails_when_a_run_writes_no_report(monkeypatch):
         "run a: exit 1, no report: ImportError: boom",
         "run b: exit 1, no report: ImportError: boom",
     ]
+
+
+def test_criterion_6_fails_on_an_empty_H_f(monkeypatch):
+    # completion alone still covers these instances, so only the H_f
+    # matcher's count before completion can tell that H_f was emptied
+    build = pipeline_mod.build_Hf
+
+    def emptied(*args, **kwargs):
+        hf = build(*args, **kwargs)
+        return dataclasses.replace(hf, hyperedges=hf.hyperedges[:0])
+
+    monkeypatch.setattr(pipeline_mod, "build_Hf", emptied)
+    result = criterion_6()
+    assert result["passed"] is False
+    assert result["details"]["k60_hf_uncovered"] == [60] * 5
+    assert result["details"]["rr90_hf_uncovered"] == [90] * 5
+    assert result["details"]["hf_within_two_thirds"] == [0, 0]

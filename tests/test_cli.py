@@ -19,6 +19,7 @@ from cfl import (
     gen_complete,
     gen_random_regular,
     parse_graph,
+    regularity,
     second_eigenvalue,
     uniform_weights,
     write_graph,
@@ -165,7 +166,8 @@ class TestGenCommand:
         )
         assert code == 0
         g = parse_graph(out.read_text())
-        assert sorted(len(a) for a in g.adj) == [4] * 10
+        info = regularity(g)
+        assert g.n == 10 and info.is_regular and info.d == 4
 
 
 class TestAnalysisCommands:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfl.acceptance import petersen
 from cfl.cli import _read_maybe_weighted
 from cfl.errors import InputError, ParseError
-from cfl.generators import gen_complete, gen_random_regular
+from cfl.generators import gen_complete, gen_paley, gen_random_regular
 from cfl.graphs import (
     Graph,
+    RegularityInfo,
     WeightedGraph,
+    complement,
     edge_ids,
     from_edge_list,
     induced_subgraph,
@@ -24,6 +28,8 @@ from cfl.graphs import (
     write_graph,
     write_weighted_graph,
 )
+from cfl.pipeline import sparse_split
+from oracles import complement_by_pairs, edges_by_sets, induced_by_dict, split_by_buckets
 
 
 class TestGraphConstruction:
@@ -32,15 +38,43 @@ class TestGraphConstruction:
         assert g.edges == ((0, 3), (1, 2))
         assert g.m == 2
 
-    def test_has_edge_symmetric(self):
-        g = from_edge_list(3, [(0, 1)])
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert not g.has_edge(0, 2)
-        assert not g.has_edge(1, 1)
-
-    def test_adjacency(self):
+    def test_degrees_through_regularity(self):
+        g = from_edge_list(3, [(1, 0)])
+        assert g == from_edge_list(3, [(0, 1)])
+        assert regularity(g) == RegularityInfo(False, None, 0, 1)
         g = from_edge_list(4, [(0, 1), (1, 2), (1, 3)])
-        assert g.adj[1] == (0, 2, 3)
+        assert regularity(g) == RegularityInfo(False, None, 1, 3)
+
+    @pytest.mark.parametrize(
+        "pairs,named",
+        [
+            ([(0, 1), (0, 1.5)], "(0, 1.5)"),
+            ([(0, 1, 2)], "(0, 1, 2)"),
+            ([(0, 1), (0, 1, 2)], "(0, 1, 2)"),
+            ([(0, 1), (0, True)], "(0, True)"),
+            ([(0, 1), (2,)], "(2,)"),
+            ([0, 1], "0"),
+            (np.array([[0.0, 1.0]]), "(0.0, 1.0)"),
+            (np.array([[True, False]]), "(True, False)"),
+            (np.array([[0, 1, 2]]), "(0, 1, 2)"),
+        ],
+    )
+    def test_malformed_pairs_rejected(self, pairs, named):
+        with pytest.raises(InputError, match=re.escape(f"edge {named} is not a pair")):
+            from_edge_list(3, pairs)
+
+    def test_numpy_input_gives_int_edges(self):
+        g = from_edge_list(3, np.array([[2, 1], [0, 1]], dtype=np.int64))
+        assert g.edges == ((0, 1), (1, 2))
+        assert {type(x) for e in g.edges for x in e} == {int}
+
+    def test_constructor_checks_the_invariant(self):
+        assert Graph(3, np.array([[0, 1], [0, 2]])).edges == ((0, 1), (0, 2))
+        for rows in ([[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 0]], [[0, 3]], [[-1, 2]]):
+            with pytest.raises(InputError, match="is not canonical for n=3"):
+                Graph(3, np.array(rows))
+        with pytest.raises(InputError):
+            Graph(3, np.array([[0.0, 1.0]]))
 
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
@@ -239,6 +273,66 @@ class TestTextFormat:
     def test_weighted_detects_missing_column(self):
         with pytest.raises(ParseError):
             parse_weighted_graph("2 1\n0 1\n")
+
+
+class TestArrayRoutesMatchTupleRoutes:
+    """The array constructors give the edges the old per-edge tuple routes gave."""
+
+    GRAPHS = {
+        "rr_20_6": lambda: gen_random_regular(20, 6, 101),
+        "paley_13": lambda: gen_paley(13),
+        "k8_minus_matching": lambda: from_edge_list(
+            8, [e for e in gen_complete(8).edges if e not in {(0, 1), (2, 3), (4, 5), (6, 7)}]
+        ),
+        "petersen": petersen,
+    }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_edge_list(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # duplicates in both orientations, then shuffled
+        pairs = np.vstack([pairs, pairs[: len(pairs) // 2, ::-1]])
+        pairs = pairs[rng.permutation(len(pairs))]
+        want = edges_by_sets(pairs.tolist())
+        for given in (pairs, pairs.tolist(), [tuple(p) for p in pairs.tolist()]):
+            g = from_edge_list(n, given)
+            assert g.edges == want
+            assert np.array_equal(g.edge_array, np.array(want, dtype=np.int32).reshape(-1, 2))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_induced_subgraph(self, name):
+        g = self.GRAPHS[name]()
+        rng = np.random.default_rng(5)
+        subsets = [[], range(g.n)] + [rng.permutation(g.n)[: int(rng.integers(1, g.n))] for _ in range(4)]
+        for U in subsets:
+            sub, verts = induced_subgraph(g, U)
+            edges, want = induced_by_dict(g, [int(u) for u in U])
+            assert verts == want and sub.n == len(want)
+            assert sub.edges == edges
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_split(self, name):
+        g = self.GRAPHS[name]()
+        for ell in (1, 3, 5):
+            for seed in range(3):
+                parts = sparse_split(g, ell, seed)
+                assert [p.edges for p in parts] == split_by_buckets(g, ell, seed)
+                assert all(p.n == g.n for p in parts)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_complement(self, name):
+        g = self.GRAPHS[name]()
+        assert complement(g).edges == complement_by_pairs(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_random_regular_is_the_complement(self, seed):
+        # 2d > n: drawn as the complement of rr(20, 5) with the same seed
+        g = gen_random_regular(20, 14, seed)
+        assert g.edges == complement_by_pairs(gen_random_regular(20, 5, seed))
+        assert regularity(g) == RegularityInfo(True, 14, 14, 14)
 
 
 def _gnp(n: int, p: float, seed: int) -> Graph:

@@ -8,11 +8,13 @@ files are read and executed here, not imported, so no bytecode is written
 next to them.
 """
 
+import hashlib
 import importlib
 import os
 import types
 
 import numpy as np
+import pytest
 
 from cfl.graphs import parse_graph, parse_weighted_graph, write_weighted_graph
 
@@ -52,3 +54,27 @@ def test_audit_inputs_parse_back(tmp_path):
     draws = np.random.default_rng(workloads.WEIGHT_SEED).random(wg.base.m)
     assert wg.w.tolist() == draws.tolist()
     assert write_weighted_graph(wg) == text
+
+
+# sha256 of each input file write_inputs writes.  The files hold vertex
+# labels and repr'd PCG64 draws, none of it computed through BLAS, so a
+# digest moves only when the generators, the writers or Graph change what
+# the benchmark runs.
+INPUT_DIGESTS = {
+    "dense": {"host.txt": "8bb07ac3fd1207bed43a7155969ea60d65639c2aa737b50fbd3cac65022d2ee5"},
+    "sparse": {"host.txt": "c3e5091ec6b1a423fbf47ddc7883b851d92f9f0558d343b44f6e5c4767229676"},
+    "audit": {
+        "mixing.txt": "fed8c1a2e65278ad4c57ae135f5b0f51d326f83da31b37560f2e702c98e6f0b6",
+        "weighted.txt": "604a325792821be31ce35dcb527ba495d6108ca3cac78522b7bca77adfc46015",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(INPUT_DIGESTS))
+def test_inputs_are_pinned(workload, tmp_path):
+    paths = _load("workloads").write_inputs(workload, str(tmp_path))
+    digests = {}
+    for path in paths.values():
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == INPUT_DIGESTS[workload]
