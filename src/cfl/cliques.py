@@ -9,6 +9,12 @@ the edge list.  A candidate w survives when, for every earlier member a, the
 key a*n + w is among the sorted edge keys.  Parents stay in order and upper
 neighbours are ascending, so the rows come out lexicographic with no sort,
 and a first-fit greedy over them is deterministic.
+
+Each clique also carries the edge ids of its member pairs (pair_ids), taken
+from the search rather than searched for again: a 2-clique's pair is its
+edge, the pair (last, w) is the CSR position w was read from, and (a, w)
+is the position the key search found for a.  The incidence operators and
+least pair weights are read from them.
 """
 
 from __future__ import annotations
@@ -21,15 +27,19 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, edge_ids, induced_subgraph, regularity
+from .graphs import Graph, induced_subgraph, regularity
 
 ENUMERATION_CAP = 10**7
 # Bytes one level of enumeration may allocate: what the cap allowed when a
 # K_3 was a tuple of ~233 bytes at its peak.  At the peak of level k a
-# candidate costs at most CANDIDATE_BYTES plus its 4k-byte row (measured
-# 37 bytes at k = 3 on rr(160,80) and rr(300,150), 51 at k = 4 on K_60).
+# candidate costs at most CANDIDATE_BYTES plus twice its row of k members
+# and C(k,2) pair ids, 4 bytes each, since the parent's columns are gathered
+# before the new row is stacked (peak over the level's start, measured with
+# tracemalloc: 38 bytes at k = 3 on rr(160,80) and rr(300,150), 71 at k = 4
+# on K_60, 102 at k = 5 on K_30 and 170 at k = 7 on K_20, against 64, 96,
+# 136 and 240 charged).
 ENUMERATION_BUDGET = 233 * 10**7
-CANDIDATE_BYTES = 40
+CANDIDATE_BYTES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +47,19 @@ class CliqueSet:
     """All K_t copies of a graph as one array, with its incidence operators.
 
     members is the (N, t) int32 array of the module docstring, in
-    enumeration order; a clique's id is its row.  A_vert (n x N) and A_pair
-    (m x N, rows in the order of graph.edges) are built from members on
-    first use and kept, so every LP and load computation over the same
-    clique set shares one copy: vertex loads of a clique weighting f are
-    A_vert @ f, pair loads A_pair @ f.
+    enumeration order; a clique's id is its row.  pair_ids is the (N,
+    C(t,2)) int32 array of the edge ids (rows of graph.edges) of each
+    clique's member pairs, in np.triu_indices(t, 1) order, so each row rises.
+    A_vert (n x N) and A_pair (m x N) are built from these on first use and
+    kept, so every LP and load computation over the same clique set shares
+    one copy: vertex loads of a clique weighting f are A_vert @ f, pair
+    loads A_pair @ f.
     """
 
     t: int
     members: np.ndarray = field(repr=False)
     graph: Graph = field(repr=False)  # the graph whose cliques these are
+    pair_ids: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -59,13 +72,11 @@ class CliqueSet:
     @cached_property
     def A_pair(self) -> sparse.csc_matrix:
         """Entry (e, j) is 1 iff both ends of edge e lie in clique j."""
-        pairs = np.stack(np.triu_indices(self.t, 1), axis=1)  # member positions (a, b), a < b
-        rows = edge_ids(self.graph, self.members.take(pairs, axis=1))
-        return _incidence(rows, len(pairs), (self.graph.m, len(self)))
+        return _incidence(self.pair_ids.ravel(), self.pair_ids.shape[1], (self.graph.m, len(self)))
 
     def least_weight(self, w: np.ndarray) -> np.ndarray:
         """Each clique's least pair weight under edge weights w (in edge order)."""
-        return np.minimum.reduceat(w[self.A_pair.indices], self.A_pair.indptr[:-1])
+        return w[self.pair_ids].min(axis=1)
 
 
 def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
@@ -86,9 +97,10 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
     would take more than ENUMERATION_BUDGET bytes, or when a level k >= 3
     keeps more than ENUMERATION_CAP cliques; past the cap on the last level
     it carries partial = ENUMERATION_CAP + 1, as a count that stops at the
-    cap would.  A K_3 costs 12 bytes as a row, 80 once both incidence operators
-    are built and 160 at the peak of building them (measured on rr(160,80)
-    and rr(300,150)), so the cap of 10**7 cliques stays within ~1.6 GB.
+    cap would.  A K_3 costs 24 bytes as its rows of members and pair ids, 80
+    once both incidence operators are built (their index arrays are those
+    rows) and 88 at the peak of building them (measured on rr(160,80) and
+    rr(300,150)), so the cap of 10**7 cliques stays within ~0.9 GB.
     """
     if t < 2:
         raise InputError(f"t must be >= 2, got {t}")
@@ -97,30 +109,41 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
     # CSR of upper neighbours: edges are sorted, so row u is ends[start[u]:start[u+1], 1]
     start = np.searchsorted(ends[:, 0], np.arange(n + 1))
     upper = ends[:, 1]
-    rows = ends
+    rows, ids = ends, np.arange(len(ends), dtype=np.int32)[:, None]  # a 2-clique's pair is its edge
     for k in range(3, t + 1):
         last = rows[:, -1]
         deg = start[last + 1] - start[last]
         total = int(deg.sum())
-        if total * (CANDIDATE_BYTES + 4 * k) > ENUMERATION_BUDGET:
+        if total * (CANDIDATE_BYTES + 8 * (k + math.comb(k, 2))) > ENUMERATION_BUDGET:
             raise ResourceError(
                 f"K_{k} enumeration needs {total} candidates, over the "
                 f"{ENUMERATION_BUDGET}-byte budget"
             )
-        parent = np.repeat(np.arange(len(rows)), deg)
-        # the j-th candidate of a parent is its last vertex's j-th upper neighbour
-        w = upper[np.arange(total) + np.repeat(start[last] - np.cumsum(deg) + deg, deg)]
+        parent = np.repeat(np.arange(len(rows), dtype=np.int32), deg)
+        # the j-th candidate of a parent is its last vertex's j-th upper neighbour,
+        # at CSR position pos, which is the edge id of (last, w)
+        pos = np.arange(total) + np.repeat(start[last] - np.cumsum(deg) + deg, deg)
+        w, pos = upper[pos], pos.astype(np.int32)
+        found = []  # edge id of (member a, w) for each earlier member a
         for a in range(k - 2):
             q = rows[parent, a].astype(np.int64) * n + w
-            hit = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
-            parent, w = parent[hit], w[hit]
+            at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+            hit = np.flatnonzero(keys[at] == q)  # indices: much faster to gather by than a mask
+            parent, w, pos = parent[hit], w[hit], pos[hit]
+            found = [f[hit] for f in found] + [at[hit].astype(np.int32)]
+        del q, at, hit  # the last search's arrays, before the new rows are built
         rows = np.column_stack([rows[parent], w])
         if len(rows) > ENUMERATION_CAP:
             raise ResourceError(
                 f"clique enumeration exceeded {ENUMERATION_CAP}: {len(rows)} K_{k}",
                 partial=ENUMERATION_CAP + 1 if k == t else None,
             )
-    return CliqueSet(t=t, members=rows, graph=g)
+        # the parent's pairs, then (a, w) for every earlier a: put them in triu_indices(k, 1) order
+        a_old, b_old = np.triu_indices(k - 1, 1)
+        order = np.lexsort((np.r_[b_old, np.full(k - 1, k - 1)], np.r_[a_old, np.arange(k - 1)]))
+        cols = [*ids[parent].T, *found, pos]
+        ids = np.column_stack([cols[c] for c in order])
+    return CliqueSet(t=t, members=rows, graph=g, pair_ids=ids)
 
 
 def count_cliques_window(g: Graph, U, i: int):

@@ -187,9 +187,15 @@ def induced_subgraph(g: Graph, U: Iterable[int]) -> tuple:
     """G[U] with vertices relabeled 0..|U|-1.
 
     Returns (subgraph, vertices) where vertices[i] is the original label of
-    new vertex i (sorted ascending).
+    new vertex i (sorted ascending).  A label that is not an integer (a
+    float, a bool) raises InputError naming it.
     """
-    verts = np.unique(np.fromiter(U, dtype=np.int64))
+    if not (isinstance(U, np.ndarray) and U.dtype.kind in "iu"):
+        U = list(U)
+        bad = [x for x in U if not _is_label(x)]
+        if bad:
+            raise InputError(f"vertex label {bad[0]!r} is not an integer")
+    verts = np.unique(np.asarray(U, dtype=np.int64))
     outside = verts[(verts < 0) | (verts >= g.n)]
     if outside.size:
         raise InputError(f"vertex {outside[0]} not in graph")

@@ -194,15 +194,20 @@ def part_cliques(cliques: CliqueSet, assign: np.ndarray, parts: list) -> list:
 
     assign[e] is the part of host edge e.  A host clique lies in part i iff
     the split put all of its pairs in i, which one gather of assign through
-    A_pair's rows decides for every clique.  Keeping the host's order, part
-    i's rows are exactly enumerate_cliques(parts[i], t).members.
+    pair_ids decides for every clique.  Keeping the host's order, part i's
+    rows are exactly enumerate_cliques(parts[i], t).members, and since part
+    i's edges are the host edges assigned to it in host order, one gather
+    maps its pair ids from host to part edge ids.
     """
-    pair_part = assign[cliques.A_pair.indices].reshape(len(cliques), math.comb(cliques.t, 2))
+    pair_part = assign[cliques.pair_ids]
     home = np.where((pair_part == pair_part[:, :1]).all(axis=1), pair_part[:, 0], -1)
+    local = np.empty(len(assign), dtype=np.int32)  # host edge id -> id within its part
     out = []
     for i, part in enumerate(parts):
+        local[assign == i] = np.arange(part.m)
         ids = np.flatnonzero(home == i)
-        out.append((ids, CliqueSet(cliques.t, cliques.members[ids], part)))
+        pair_ids = local[cliques.pair_ids[ids]]
+        out.append((ids, CliqueSet(cliques.t, cliques.members[ids], part, pair_ids)))
     return out
 
 

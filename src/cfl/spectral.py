@@ -3,10 +3,17 @@
 lambda here always means max_{i>=2} |mu_i| for the adjacency spectrum
 mu_1 >= ... >= mu_n of a d-regular graph (mu_1 = d).  Every path works from
 one sparse CSR adjacency.  Up to DENSE_LIMIT vertices it is densified for the
-full symmetric eigendecomposition, the reference path; above it, implicitly
-restarted Lanczos (ARPACK, via eigsh) finds both ends of the spectrum of
-A - (d/n) J, and each end is certified by its residual against A.  The
-mixing audit counts edges between sampled subsets with the same matrix.
+full symmetric eigendecomposition, the reference path: scipy.linalg.eigh's
+divide-and-conquer driver, with the witness residual taken against the CSR
+matrix.  Above it, implicitly restarted Lanczos (ARPACK, via eigsh) finds
+both ends of the spectrum of A - (d/n) J, and each end is certified by its
+residual against A.  The mixing audit counts edges between sampled subsets
+with the same matrix.
+
+Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
+never numpy's: numpy and scipy each load their own multithreaded OpenBLAS,
+and a numpy LAPACK call leaves that pool's workers spinning against scipy's,
+which slows the Cholesky factorisations of factor_lp.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InputError, NumericalError
@@ -96,7 +103,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) ->
         return SpectralCert(g.n, d, 0.0, method, 0.0, 0.0, 0.0, d == 0 and g.n > 1, tol)
     a = adjacency_matrix(g)
     if method == "dense_eig":
-        lam, residual, mu2, mun = _dense_lambda(a.toarray(), d)
+        lam, residual, mu2, mun = _dense_lambda(a, d)
     else:
         lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
     return SpectralCert(
@@ -112,8 +119,12 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) ->
     )
 
 
-def _dense_lambda(a: np.ndarray, d: int):
-    vals, vecs = np.linalg.eigh(a)  # ascending
+def _dense_lambda(a: sparse.csr_matrix, d: int):
+    """lambda from the full eigendecomposition of the densified adjacency a.
+
+    The witness eigenpair's residual is taken against a itself, in CSR form.
+    """
+    vals, vecs = linalg.eigh(a.toarray(), driver="evd")  # ascending
     # drop one copy of the Perron value d (largest); the rest is the lambda pool
     mu_sorted_desc = vals[::-1]
     mu2 = float(mu_sorted_desc[1])
@@ -124,7 +135,7 @@ def _dense_lambda(a: np.ndarray, d: int):
     # witness eigenpair: mu_sorted_desc[1:][k] sits at vals[len(vals)-2-k]
     j = len(vals) - 2 - k
     v = vecs[:, j]
-    residual = float(np.linalg.norm(a @ v - vals[j] * v))
+    residual = float(linalg.norm(a @ v - vals[j] * v))
     return lam, residual, mu2, mun
 
 
@@ -151,7 +162,7 @@ def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
         raise NumericalError(f"Lanczos did not converge: {exc}") from exc
     ends = []
     for theta, u in zip(vals.tolist(), vecs.T):
-        residual = float(np.linalg.norm(a @ u - theta * u))
+        residual = float(linalg.norm(a @ u - theta * u))
         ends.append((theta, residual) if residual <= tol else None)
     witnessed = [e for e in ends if e is not None]
     if not witnessed:

@@ -15,6 +15,7 @@ from cfl import (
     count_cliques_window,
     default_span_size,
     enumerate_cliques,
+    edge_ids,
     from_edge_list,
     gen_complete,
     gen_random_regular,
@@ -94,6 +95,26 @@ class TestEnumeration:
         assert cs.A_vert.shape == (10, 0)
         assert cs.A_pair.shape == (15, 0)
         assert (cs.A_vert @ np.zeros(len(cs))).tolist() == [0.0] * 10
+        assert cs.pair_ids.shape == (0, 3) and cs.pair_ids.dtype == np.int32
+        assert cs.least_weight(np.ones(petersen.m)).shape == (0,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.integers(3, 5),
+        n=st.integers(1, 24),
+        d=st.integers(0, 23),
+        seed=st.integers(0, 2**16),
+        complete=st.booleans(),
+    )
+    def test_pair_ids_are_the_searched_edge_ids(self, t, n, d, seed, complete):
+        d = min(d, n - 1)
+        g = gen_complete(n) if complete else gen_random_regular(n, d - (n * d) % 2, seed)
+        cs = enumerate_cliques(g, t)
+        pairs = np.stack(np.triu_indices(t, 1), axis=1)
+        searched = edge_ids(g, cs.members.take(pairs, axis=1)).reshape(len(cs), len(pairs))
+        assert cs.pair_ids.dtype == np.int32 and cs.pair_ids.shape == searched.shape
+        assert np.array_equal(cs.pair_ids, searched)
+        assert (np.diff(cs.pair_ids, axis=1) > 0).all()
 
     def test_enumeration_leaves_no_cyclic_garbage(self, rr_20_6):
         # garbage in a reference cycle (the adjacency sets) outlives the call
@@ -119,8 +140,9 @@ class TestEnumeration:
 
     def test_candidate_budget_trips_under_the_cap(self, k6, monkeypatch):
         # K_6 has 20 wedges u < v < w, each a K_3 candidate costing
-        # CANDIDATE_BYTES + 12 bytes; 20 triangles are far under the cap
-        per = cliques_mod.CANDIDATE_BYTES + 12
+        # CANDIDATE_BYTES + 8 * (3 members + 3 pair ids) bytes; 20
+        # triangles are far under the cap
+        per = cliques_mod.CANDIDATE_BYTES + 48
         monkeypatch.setattr(cliques_mod, "ENUMERATION_BUDGET", 20 * per - 1)
         with pytest.raises(ResourceError, match="20 candidates") as exc:
             enumerate_cliques(k6, 3)

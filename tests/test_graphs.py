@@ -186,6 +186,22 @@ class TestDifferenceAndInduced:
         with pytest.raises(InputError):
             induced_subgraph(k6, [0, 7])
 
+    @pytest.mark.parametrize("labels,bad", [
+        ([1.5, 2.7], "1.5"),
+        ([True, 2], "True"),
+        (np.array([1.0, 2.0]), "1.0"),
+    ], ids=["floats", "bool", "float_array"])
+    def test_induced_rejects_non_integer_labels(self, labels, bad):
+        with pytest.raises(InputError, match=f"vertex label .*{re.escape(bad)}.* is not an integer"):
+            induced_subgraph(gen_complete(4), labels)
+
+    @pytest.mark.parametrize("labels", [
+        [1, 2], [np.int64(1), np.int32(2)], np.array([2, 1], dtype=np.uint8), range(1, 3),
+    ], ids=["ints", "numpy_scalars", "uint8_array", "range"])
+    def test_induced_accepts_integer_labels(self, labels):
+        sub, verts = induced_subgraph(gen_complete(4), labels)
+        assert verts == (1, 2) and sub.edges == ((0, 1),)
+
     def test_induced_weighted_carries_weights(self, k6):
         w = {e: 0.25 for e in k6.edges}
         w[(1, 3)] = 0.75

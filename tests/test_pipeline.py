@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from cfl import (
     FactorBundle,
+    Graph,
     HypothesisRejected,
     InputError,
     InvariantError,
@@ -18,6 +22,7 @@ from cfl import (
     default_alpha,
     default_ell,
     dense_extract,
+    edge_ids,
     enumerate_cliques,
     from_edge_list,
     gen_complete,
@@ -153,6 +158,36 @@ class TestSparseSplit:
             assert np.array_equal(cs.members, enumerate_cliques(part, t).members)
             assert np.array_equal(host.members[ids], cs.members)
             assert cs.graph is part
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        t=st.integers(3, 5),
+        ell=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        complete=st.booleans(),
+    )
+    def test_part_pair_operators_equal_searching_the_part(self, t, ell, seed, complete):
+        g = gen_complete(12) if complete else gen_random_regular(24, 12, seed)
+        assign, parts = _split(g, ell, seed)
+        pairs = np.stack(np.triu_indices(t, 1), axis=1)
+        for ids, cs in part_cliques(enumerate_cliques(g, t), assign, parts):
+            rows = edge_ids(cs.graph, cs.members.take(pairs, axis=1))
+            searched = sparse.csc_matrix(
+                (np.ones(rows.size), rows, np.arange(len(cs) + 1) * len(pairs)),
+                shape=(cs.graph.m, len(cs)),
+            )
+            assert cs.A_pair.shape == searched.shape
+            assert (cs.A_pair != searched).nnz == 0
+
+    def test_an_empty_part_has_an_empty_clique_set(self, k6):
+        # every edge in part 0, none in part 1
+        assign = np.zeros(k6.m, dtype=np.int64)
+        empty = Graph(6, np.zeros((0, 2), dtype=np.int32))
+        (_, whole), (ids, cs) = part_cliques(enumerate_cliques(k6, 3), assign, [k6, empty])
+        assert len(whole) == 20 and ids.size == 0
+        assert cs.pair_ids.shape == (0, 3)
+        assert cs.A_pair.shape == (0, 0) and cs.A_vert.shape == (6, 0)
+        assert cs.least_weight(np.ones(0)).shape == (0,)
 
     def test_split_assignment_matches_the_parts(self, rr_20_6):
         assign, parts = _split(rr_20_6, 3, seed=5)

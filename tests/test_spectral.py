@@ -10,6 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import cfl.spectral as spectral_mod
 from cfl.errors import GenerationError, InputError, NumericalError
 from cfl.generators import gen_circulant, gen_complete, gen_paley, gen_random_regular
+from cfl.acceptance import petersen
 from cfl.graphs import from_edge_list
 from cfl.spectral import (
     SpectralCert,
@@ -146,6 +147,21 @@ class TestSecondEigenvalue:
     def test_dense_lambda_is_frozen(self, n, d, seed, lam):
         # the dense path's lambda for the benchmark instances, bit for bit
         assert second_eigenvalue(gen_random_regular(n, d, seed)).lam == lam
+
+    @pytest.mark.parametrize("g", [
+        gen_complete(7),
+        gen_circulant(5, [1]),
+        petersen(),
+        gen_paley(13),
+        gen_random_regular(160, 80, 31),
+    ], ids=["K_7", "C_5", "petersen", "paley13", "rr_160_80"])
+    def test_dense_path_matches_numpy_eigvalsh(self, g):
+        d = int(g.m * 2 // g.n)
+        lam, residual, mu2, mun = spectral_mod._dense_lambda(adjacency_matrix(g), d)
+        vals = np.linalg.eigvalsh(adjacency_matrix(g).toarray())  # ascending oracle
+        assert abs(mu2 - vals[-2]) <= 1e-10 and abs(mun - vals[0]) <= 1e-10
+        assert abs(lam - np.abs(vals[:-1]).max()) <= 1e-10
+        assert residual <= 1e-8  # second_eigenvalue's default tol
 
     def test_residual_witness(self, paley13):
         cert = second_eigenvalue(paley13)

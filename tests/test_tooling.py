@@ -11,6 +11,7 @@ next to them.
 import hashlib
 import importlib
 import os
+import re
 import types
 
 import numpy as np
@@ -78,3 +79,20 @@ def test_inputs_are_pinned(workload, tmp_path):
         with open(path, "rb") as fh:
             digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == INPUT_DIGESTS[workload]
+
+
+SRC_CFL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "cfl")
+
+
+def test_library_never_calls_numpy_lapack():
+    # numpy and scipy each load their own multithreaded OpenBLAS; one numpy
+    # LAPACK call leaves its pool's workers spinning against scipy's, which
+    # slowed factor_lp's per-step Cholesky several-fold.  So all dense linear
+    # algebra in cfl goes through scipy.linalg, and numpy's pool stays asleep.
+    pattern = re.compile(r"\b(np|numpy)\.linalg\b|from numpy import linalg")
+    hits = []
+    for name in sorted(os.listdir(SRC_CFL)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
+                hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if pattern.search(line)]
+    assert hits == []
