@@ -7,8 +7,11 @@ full symmetric eigendecomposition, the reference path: scipy.linalg.eigh's
 divide-and-conquer driver, with the witness residual taken against the CSR
 matrix.  Above it, implicitly restarted Lanczos (ARPACK, via eigsh) finds
 both ends of the spectrum of A - (d/n) J, and each end is certified by its
-residual against A.  The mixing audit counts edges between sampled subsets
-with the same matrix.
+residual against A.  The mixing audit draws its subsets in batches, as the
+0/1 columns of an n x k array: column j holds the vertices whose uniform key
+falls below a uniform threshold q_j, with empty columns drawn again.  Edges
+between the subsets of a pair are counted by one sparse product with the same
+matrix.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
 never numpy's: numpy and scipy each load their own multithreaded OpenBLAS,
@@ -32,6 +35,9 @@ DENSE_LIMIT = 2000
 # Strict EML inequality is relaxed by this much; covers the degenerate
 # |A| = 0 bound 0 < 0 and float noise in the counted side.
 EML_SLACK = 1e-9
+# Entries per n x k float64 array in a mixing-audit batch: three such arrays
+# are live at once, so a batch holds about 3 * 8 * MIXING_BATCH_ENTRIES bytes.
+MIXING_BATCH_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -172,42 +178,82 @@ def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
     return abs(theta), residual, mu2, mun
 
 
+def _mixing_batch_width(n: int) -> int:
+    """Subset pairs per mixing-audit batch: at most 512, within the entry budget."""
+    return max(1, min(512, MIXING_BATCH_ENTRIES // n))
+
+
+def _draw_subsets(rng: np.random.Generator, n: int, k: int):
+    """k random non-empty subsets of range(n), n >= 1, as 0/1 float64 columns.
+
+    Column j is {i : key_ij < q_j} for one threshold q_j ~ U(0,1) and uniform
+    keys.  Given q_j its size is Binomial(n, q_j), so
+    P(size = s) = C(n,s) * integral_0^1 q^s (1-q)^(n-s) dq = 1/(n+1) for every
+    s in 0..n, and since the keys are exchangeable the subset is uniform given
+    its size.  An empty column (probability 1/(n+1)) is drawn again, which
+    makes the size uniform on [1, n].  The generator's grid is the only
+    approximation: its uniforms are multiples of 2^-53, so P(key < q) is q
+    exactly and the integral becomes a 2^53-point sum within 2^-52 of it.
+    Returns the (n, k) array and its column sums, the subset sizes.
+    """
+    ind = _threshold_columns(rng, n, k)
+    sizes = ind.sum(axis=0)
+    empty = np.flatnonzero(sizes == 0)
+    while empty.size:
+        cols = _threshold_columns(rng, n, empty.size)
+        ind[:, empty] = cols
+        sizes[empty] = cols.sum(axis=0)
+        empty = empty[sizes[empty] == 0]
+    return ind, sizes
+
+
+def _threshold_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    q = rng.random(k)
+    keys = rng.random((n, k))
+    return np.less(keys, q, out=keys)  # 0/1 in place: no second n x k array
+
+
+def _pair_counts(a: sparse.csr_matrix, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """e(A_j, B_j) = 1_{A_j}^T A 1_{B_j} for every column j of the indicator arrays.
+
+    The counts are float64 integers below n*d < 2^53, so exact.
+    """
+    return np.einsum("ij,ij->j", ia, a @ ib)
+
+
 def mixing_audit(g: Graph, cert: SpectralCert, num_samples: int, seed: int) -> MixingAuditReport:
     """Sample subset pairs and check |e(A,B) - (d/n)|A||B|| < lambda sqrt(|A||B|).
 
     e(A,B) = 1_A^T A 1_B counts ordered pairs (a, b) with ab an edge, so an
-    edge with both ends in both A and B counts twice.  Subset sizes are
-    uniform on [1, n]; subsets uniform given the size.  The strict inequality
-    is relaxed by EML_SLACK; max_violation is the raw maximum of
-    |e - expected| - lambda*sqrt(|A||B|) over the samples.
+    edge with both ends in both A and B counts twice.  A and B are drawn
+    independently by _draw_subsets: sizes uniform on [1, n], subsets uniform
+    given the size.  They are drawn and counted _mixing_batch_width(n) pairs
+    at a time, A's batch before B's, from one generator seeded by seed.  The
+    strict inequality is relaxed by EML_SLACK; max_violation is the raw
+    maximum of |e - expected| - lambda*sqrt(|A||B|) over the samples.
     """
     if cert.n != g.n:
         raise InputError("certificate does not match graph")
     if num_samples < 1:
         raise InputError("num_samples must be >= 1")
+    if g.n == 0:
+        raise InputError("the mixing audit needs at least one vertex")
     n, d, lam = g.n, cert.d, cert.lam
     rng = np.random.default_rng(seed)
     a = adjacency_matrix(g)
     worst = -math.inf
     worst_sizes = (0, 0)
-    batch = 512
-    done = 0
-    while done < num_samples:
-        k = min(batch, num_samples - done)
-        sa = rng.integers(1, n + 1, size=k)
-        sb = rng.integers(1, n + 1, size=k)
-        ia = np.zeros((k, n))
-        ib = np.zeros((k, n))
-        for i in range(k):
-            ia[i, rng.permutation(n)[: sa[i]]] = 1.0
-            ib[i, rng.permutation(n)[: sb[i]]] = 1.0
-        counts = np.einsum("ij,ji->i", ia, a @ ib.T)
+    width = _mixing_batch_width(n)
+    for start in range(0, num_samples, width):
+        k = min(width, num_samples - start)
+        ia, sa = _draw_subsets(rng, n, k)
+        ib, sb = _draw_subsets(rng, n, k)
+        counts = _pair_counts(a, ia, ib)
         excess = np.abs(counts - (d / n) * sa * sb) - lam * np.sqrt(sa * sb)
         j = int(np.argmax(excess))
         if excess[j] > worst:
             worst = float(excess[j])
             worst_sizes = (int(sa[j]), int(sb[j]))
-        done += k
     return MixingAuditReport(
         samples=num_samples,
         max_violation=worst,

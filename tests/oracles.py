@@ -14,7 +14,8 @@ induced subgraph G[U] and relabels its cliques back to host labels, and
 nibble_by_loops is the matcher as a loop over tuples, one activation at a
 time.  edges_by_sets, induced_by_dict, split_by_buckets and
 complement_by_pairs are the tuple routes the graph constructors used to
-take, one edge at a time.
+take, one edge at a time.  edge_count_by_loops counts e(A,B) for the mixing
+audit by walking the edge list, with no adjacency matrix.
 """
 
 from __future__ import annotations
@@ -203,6 +204,12 @@ def complement_by_pairs(g) -> tuple:
     """Every pair u < v, kept when a set of g's edges does not hold it."""
     edges = set(g.edges)
     return tuple((u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in edges)
+
+
+def edge_count_by_loops(g, A, B) -> int:
+    """e(A,B): ordered pairs (a, b) with a in A, b in B and ab an edge, one edge at a time."""
+    A, B = set(A), set(B)
+    return sum((u in A and v in B) + (v in A and u in B) for u, v in g.edges)
 
 
 def completion_cliques(g, t: int, U) -> np.ndarray:

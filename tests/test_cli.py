@@ -206,6 +206,17 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mixing"]["violated"] is False
 
+    def test_audit_mixing_without_vertices_exits_2(self, tmp_path, capsys):
+        path, out = tmp_path / "empty.txt", tmp_path / "out"
+        path.write_text("0 0\n")
+        code = main(["audit-mixing", "--in", str(path), "--samples", "10", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the mixing audit needs at least one vertex\n"
+        assert not out.exists()
+
     def test_cliques_window(self, k6_file, capsys):
         assert main(["cliques", "--in", k6_file, "--t", "3", "--window", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)

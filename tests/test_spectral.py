@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import cfl.spectral as spectral_mod
@@ -23,6 +25,7 @@ from cfl.spectral import (
     mixing_audit,
     second_eigenvalue,
 )
+from oracles import edge_count_by_loops
 
 
 class TestSecondEigenvalue:
@@ -226,13 +229,14 @@ class TestMixing:
 
     @pytest.mark.parametrize("name,lam,expected", [
         ("paley13", None, (-1.7643140992704587, False, 1, 1)),
-        ("paley13", 0.3, (2.6711624058622587, True, 6, 7)),
+        ("paley13", 0.3, (3.2029861736383483, True, 6, 5)),
         ("petersen", None, (-1.300000000000001, False, 1, 1)),
-        ("petersen", 0.3, (2.1272077938642138, True, 3, 6)),
+        ("petersen", 0.3, (2.658359213500126, True, 4, 5)),
     ])
     def test_reports_are_frozen(self, request, name, lam, expected):
         # frozen values: the sampled subsets and the exact integer counts must
-        # reproduce them bit for bit
+        # reproduce them bit for bit, and the edge-loop oracle over the same
+        # subsets must derive them again
         g = request.getfixturevalue(name)
         cert = second_eigenvalue(g)
         if lam is not None:
@@ -241,12 +245,122 @@ class TestMixing:
         assert report.samples == 2000
         got = (report.max_violation, report.violated, report.worst_a_size, report.worst_b_size)
         assert got == expected
+        worst, sizes = _audit_by_oracle(g, cert, 2000, seed=11)
+        assert (worst, worst > spectral_mod.EML_SLACK, *sizes) == expected
 
     def test_deterministic(self, paley13):
         cert = second_eigenvalue(paley13)
         a = mixing_audit(paley13, cert, 500, seed=3)
         b = mixing_audit(paley13, cert, 500, seed=3)
         assert a == b
+
+    def test_deterministic_across_batches(self, paley13):
+        # 2 * width + 1 samples: two full batches and a one-pair batch
+        cert = dataclasses.replace(second_eigenvalue(paley13), lam=0.3)
+        samples = 2 * spectral_mod._mixing_batch_width(paley13.n) + 1
+        a = mixing_audit(paley13, cert, samples, seed=8)
+        b = mixing_audit(paley13, cert, samples, seed=8)
+        assert a == b and a.samples == samples
+        worst, sizes = _audit_by_oracle(paley13, cert, samples, seed=8)
+        assert (a.max_violation, a.worst_a_size, a.worst_b_size) == (worst, *sizes)
+
+    @pytest.mark.parametrize("name", ["petersen", "paley13", "rr_20_6", "k6"])
+    def test_counts_match_the_edge_loop_oracle(self, request, name):
+        g = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        ia, sa = spectral_mod._draw_subsets(rng, g.n, 300)
+        ib, sb = spectral_mod._draw_subsets(rng, g.n, 300)
+        counts = spectral_mod._pair_counts(adjacency_matrix(g), ia, ib)
+        expected = [
+            edge_count_by_loops(g, np.flatnonzero(ia[:, j]), np.flatnonzero(ib[:, j]))
+            for j in range(300)
+        ]
+        assert counts.tolist() == expected
+        for ind, sizes in ((ia, sa), (ib, sb)):
+            assert ind.shape == (g.n, 300) and ind.dtype == np.float64
+            assert set(np.unique(ind).tolist()) <= {0.0, 1.0}
+            assert sizes.tolist() == np.count_nonzero(ind, axis=0).tolist()
+
+    def test_sizes_are_uniform(self):
+        n, k = 7, 70000
+        _, sizes = spectral_mod._draw_subsets(np.random.default_rng(0), n, k)
+        observed = np.bincount(sizes.astype(int), minlength=n + 1)
+        assert observed[0] == 0
+        assert stats.chisquare(observed[1:]).pvalue > 1e-3
+
+    def test_each_size_includes_every_vertex_at_rate_s_over_n(self):
+        n, k = 7, 70000
+        ind, sizes = spectral_mod._draw_subsets(np.random.default_rng(1), n, k)
+        for s in range(1, n + 1):
+            cols = ind[:, sizes == s]
+            freq = cols.mean(axis=1)
+            sigma = math.sqrt((s / n) * (1 - s / n) / cols.shape[1])
+            assert np.all(np.abs(freq - s / n) <= 5 * sigma + 1e-12), (s, freq)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_columns_are_drawn_again(self, n):
+        k, seed = 2000, 4
+        # the first pass of the same draw leaves empty columns (probability 1/(n+1) each) ...
+        rng = np.random.default_rng(seed)
+        q = rng.random(k)
+        first = rng.random((n, k)) < q
+        assert np.count_nonzero(first.sum(axis=0) == 0) > 0
+        # ... and the draw returns none
+        ind, sizes = spectral_mod._draw_subsets(np.random.default_rng(seed), n, k)
+        assert sizes.min() >= 1
+        assert np.count_nonzero(ind, axis=0).tolist() == sizes.tolist()
+        assert set(sizes.tolist()) == set(range(1, n + 1))
+
+    def test_empty_graph_is_an_input_error(self):
+        g = from_edge_list(0, [])
+        with pytest.raises(InputError, match="at least one vertex"):
+            mixing_audit(g, second_eigenvalue(g), 10, seed=0)
+
+    def test_single_vertex_never_violates(self):
+        g = from_edge_list(1, [])
+        report = mixing_audit(g, second_eigenvalue(g), 50, seed=0)
+        assert not report.violated
+        assert (report.worst_a_size, report.worst_b_size) == (1, 1)
+
+    def test_memory_is_bounded_per_batch(self):
+        # n = 40,000 gives 104 pairs a batch, where 512 would put 164 MB in
+        # each n x k array; each array is within the entry budget, three are live
+        n = 40000
+        g = gen_circulant(n, [1, 2])
+        cert = SpectralCert(
+            n=n, d=4, lam=4.0, method="lanczos", residual=0.0,
+            mu2=None, mu_n=None, lambda_equals_d=False, tol=1e-8,
+        )
+        width = spectral_mod._mixing_batch_width(n)
+        assert n * width <= spectral_mod.MIXING_BATCH_ENTRIES
+        budget = 8 * spectral_mod.MIXING_BATCH_ENTRIES
+        tracemalloc.start()
+        try:
+            report = mixing_audit(g, cert, width + 1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.violated
+        assert peak <= 4 * budget, peak / budget
+
+
+def _audit_by_oracle(g, cert, samples, seed):
+    """The audit's worst excess and its sizes, over the library's subsets but counted by loops."""
+    rng = np.random.default_rng(seed)
+    width = spectral_mod._mixing_batch_width(g.n)
+    worst, worst_sizes = -math.inf, None
+    for start in range(0, samples, width):
+        k = min(width, samples - start)
+        ia, _ = spectral_mod._draw_subsets(rng, g.n, k)
+        ib, _ = spectral_mod._draw_subsets(rng, g.n, k)
+        for j in range(k):
+            A, B = np.flatnonzero(ia[:, j]).tolist(), np.flatnonzero(ib[:, j]).tolist()
+            e = edge_count_by_loops(g, A, B)
+            sa, sb = float(len(A)), float(len(B))
+            excess = abs(e - (cert.d / g.n) * sa * sb) - cert.lam * math.sqrt(sa * sb)
+            if excess > worst:
+                worst, worst_sizes = excess, (len(A), len(B))
+    return worst, worst_sizes
 
 
 class TestFloorAndHypotheses:
