@@ -369,7 +369,6 @@ def criterion_7() -> dict:
     """
     start = time.perf_counter()
     g = gen_random_regular(100, 50, 2025)
-    cliques = enumerate_cliques(g, 3)
     ell = 5
     mean = g.m / ell
     sigma = math.sqrt(g.m * (1 / ell) * (1 - 1 / ell))
@@ -383,11 +382,11 @@ def criterion_7() -> dict:
         for i, p in enumerate(parts):
             if abs(p.m - mean) > 5 * sigma:
                 failures.append(f"seed {seed}: part {i} has {p.m} edges vs {mean:.0f}")
-        bundle = sparse_extract(g, 3, ell, seed, cliques=cliques)
+        bundle = sparse_extract(g, 3, ell, seed)
         achieved["ell=5"].append(bundle.ell)
         positive += _one_part_per_clique(bundle, f"seed {seed}", failures)
     for seed in range(3):
-        bundle = sparse_extract(g, 3, 2, seed, cliques=cliques)
+        bundle = sparse_extract(g, 3, 2, seed)
         achieved["ell=2"].append(bundle.ell)
         if bundle.ell < 1:
             failures.append(f"ell=2 seed {seed}: no factor extracted")
@@ -414,15 +413,14 @@ def criterion_8() -> dict:
     """H_f on a K_12 dense ell=2 bundle: mean degree 2 +/- 0.5, codegree bound."""
     start = time.perf_counter()
     g = gen_complete(12)
-    cliques = enumerate_cliques(g, 3)
-    bundle = dense_extract(g, 3, 2, cliques=cliques)
+    bundle = dense_extract(g, 3, 2)
     degree_sums = np.zeros(12)
     max_codeg = 0
     bound = 1 + 3 * math.log(12)
     codeg_violations = 0
     hyperedges = 0
     for seed in range(200):
-        hf = build_Hf(g, 3, bundle, seed, cliques)
+        hf = build_Hf(g, 3, bundle, seed)
         hyperedges += len(hf.hyperedges)
         degree_sums += hf_degrees(hf)
         worst = int(hf_codegrees(hf).max(initial=0))

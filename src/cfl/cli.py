@@ -39,7 +39,7 @@ from .factor_lp import check_prop3, complementary_slackness, has_fractional_fact
 # bound here for perfbench/spans.py to wrap, until ROADMAP item 4 retires it
 from .factor_lp import solve_dual, solve_primal  # noqa: F401
 from .generators import GenSpec, build
-from .graphs import _edge_lines, parse_graph, parse_weighted_graph, uniform_weights, write_graph
+from .graphs import parse_graph, parse_weighted_graph, uniform_weights, write_graph
 from .pipeline import HypothesisRejected, PipelineConfig, fan_out, run_end_to_end
 from .spectral import mixing_audit, second_eigenvalue
 
@@ -138,7 +138,7 @@ def _read_maybe_weighted(path: str):
     """Weighted files carry three tokens per edge line (the second non-blank line), plain two."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lines = [line for _, line in itertools.islice(_edge_lines(text), 2)]
+    lines = list(itertools.islice(filter(str.strip, text.splitlines()), 2))
     if len(lines) == 2 and len(lines[1].split()) == 3:
         return parse_weighted_graph(text)
     return uniform_weights(parse_graph(text))

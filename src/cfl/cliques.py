@@ -44,10 +44,11 @@ CANDIDATE_BYTES = 16
 
 @dataclass(frozen=True, eq=False)
 class CliqueSet:
-    """All K_t copies of a graph as one array, with its incidence operators.
+    """K_t copies of a graph as one array, with its incidence operators.
 
-    members is the (N, t) int32 array of the module docstring, in
-    enumeration order; a clique's id is its row.  pair_ids is the (N,
+    members is the (N, t) int32 array of the module docstring: all of the
+    graph's K_t in enumeration order, or a sparse bundle's subset of them in
+    the same order; a clique's id is its row.  pair_ids is the (N,
     C(t,2)) int32 array of the edge ids (rows of graph.edges) of each
     clique's member pairs, in np.triu_indices(t, 1) order, so each row rises.
     A_vert (n x N) and A_pair (m x N) are built from these on first use and

@@ -219,57 +219,86 @@ def induced_weighted(wg: WeightedGraph, U: Iterable[int]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _parse_header(line: str, line_no: int) -> tuple:
-    parts = line.split()
-    if len(parts) != 2:
-        raise ParseError(line_no, f"expected 'n m' header, got {line!r}")
+# Code points str.split() splits at, and those str.splitlines() ends a line at
+_SPACES = np.array([9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
+                    8232, 8233, 8239, 8287, 12288], np.uint32)
+_BREAKS = np.array([10, 11, 12, 13, 28, 29, 30, 133, 8232, 8233], np.uint32)
+
+
+def _token_lines(text: str) -> np.ndarray:
+    """The line of each token of text.split(), numbered from 1 as in text.splitlines()."""
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    space, ends = np.isin(code, _SPACES), np.isin(code, _BREAKS)
+    ends[1:] &= (code[:-1] != 13) | (code[1:] != 10)  # "\r\n" ends one line
+    starts = np.flatnonzero(~space & np.r_[True, space[:-1]])
+    return 1 + np.searchsorted(np.flatnonzero(ends), starts)  # line ends before each token
+
+
+def _converts(cells: list) -> bool:
+    """Whether one edge line's cells read as two int64 ends and, if weighted, a float."""
     try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(line_no, f"non-integer header field in {line!r}") from None
-    if n < 0 or m < 0:
-        raise ParseError(line_no, f"negative header value in {line!r}")
-    return n, m
-
-
-def _edge_lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield i, line
+        np.array([int(c) for c in cells[:2]], dtype=np.int64), [float(c) for c in cells[2:]]
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def _parse(text: str, weighted: bool) -> tuple:
-    """(graph, weights in edge order) of either text format; all ones for plain text."""
-    lines = list(_edge_lines(text))
-    if not lines:
+    """(graph, weights in edge order) of either text format; all ones for plain text.
+
+    One array pass over the tokens of text.split(), each placed on its line
+    by _token_lines.  A ParseError names the first bad line and the first
+    check it fails: token count, integer ends and decimal weight,
+    0 <= u < v < n, weight in [0,1].
+    """
+    tokens = text.split()
+    if not tokens:
         raise ParseError(1, "empty input, expected 'n m' header")
-    (hdr_no, hdr), rest = lines[0], lines[1:]
-    n, m = _parse_header(hdr, hdr_no)
-    if len(rest) != m:
-        raise ParseError(hdr_no, f"header declares {m} edges, found {len(rest)} edge lines")
-    form = "u v w" if weighted else "u v"
-    pairs, weights = [], []
-    for line_no, line in rest:
-        parts = line.split()
-        if len(parts) != 2 + weighted:
-            raise ParseError(line_no, f"expected '{form}', got {line!r}")
+    at = _token_lines(text)
+    starts = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])  # each non-blank line's first token
+    width = np.diff(starts, append=len(tokens))
+
+    def line(no: int) -> str:
+        return text.splitlines()[no - 1].strip()
+
+    hdr_no = int(at[0])
+    if width[0] != 2:
+        raise ParseError(hdr_no, f"expected 'n m' header, got {line(hdr_no)!r}")
+    try:
+        n, m = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ParseError(hdr_no, f"non-integer header field in {line(hdr_no)!r}") from None
+    if n < 0 or m < 0:
+        raise ParseError(hdr_no, f"negative header value in {line(hdr_no)!r}")
+    if len(starts) != m + 1:
+        raise ParseError(hdr_no, f"header declares {m} edges, found {len(starts) - 1} edge lines")
+    # each check sees only the edge rows before the first failure of the checks ahead of it
+    k, form = (3, "u v w") if weighted else (2, "u v")
+    wrong = np.flatnonzero(width[1:] != k)
+    rows, fail = (int(wrong[0]), f"expected '{form}', got {{!r}}") if wrong.size else (m, None)
+    cells = tokens[2 : 2 + k * rows]
+    while True:
         try:
-            u, v = int(parts[0]), int(parts[1])
-            x = float(parts[2]) if weighted else 1.0
-        except ValueError:
-            raise ParseError(line_no, f"malformed edge line {line!r}") from None
-        if not (0 <= u < v < n):
-            raise ParseError(line_no, f"edge ({u},{v}) violates 0 <= u < v < n={n}")
-        if not (0 <= x <= 1):
-            raise ParseError(line_no, f"weight {x} outside [0,1]")
-        pairs.append((u, v))
-        weights.append(x)
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            ends = np.fromiter(map(int, cells[0::k] + cells[1::k]), np.int64, 2 * rows)
+            x = np.fromiter(map(float, cells[2::k]), np.float64, rows) if weighted else np.ones(rows)
+            break
+        except (ValueError, OverflowError):
+            rows = next(r for r in range(rows) if not _converts(cells[k * r : k * r + k]))
+            fail, cells = "malformed edge line {!r}", cells[: k * rows]
+    ends = ends.reshape(2, rows).T
+    bad = np.flatnonzero(~((0 <= ends[:, 0]) & (ends[:, 0] < ends[:, 1]) & (ends[:, 1] < n)))
+    if bad.size:
+        rows, fail = int(bad[0]), "edge ({},{}) violates 0 <= u < v < n={}".format(*ends[bad[0]], n)
+    bad = np.flatnonzero(~((0 <= x[:rows]) & (x[:rows] <= 1)))
+    if bad.size:
+        rows, fail = int(bad[0]), f"weight {float(x[bad[0]])} outside [0,1]"
+    if fail is not None:  # the last two messages hold no field to fill
+        no = int(at[starts[rows + 1]])
+        raise ParseError(no, fail.format(line(no)))
     keys, order = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True)
     if len(keys) != m:
         raise ParseError(hdr_no, f"duplicate edges: {m} declared, {len(keys)} distinct")
-    return Graph(n, ends[order]), np.array(weights)[order]
+    return Graph(n, ends[order]), x[order]
 
 
 def parse_graph(text: str) -> Graph:

@@ -7,8 +7,10 @@ the sparse engine partitions the edge set uniformly at random and solves each
 part at unit weights.  A bundle is then sampled into a random t-uniform
 hypergraph H_f (clique T survives with probability f(T) = sum_i f_i(T)),
 matched by a greedy or nibble matcher, and topped up by a greedy completion
-pass on whatever the matcher left uncovered.  The host's cliques are
-enumerated once; H_f, the matchings and the completion are rows of that set.
+pass on whatever the matcher left uncovered.  A bundle carries the clique set
+its factors index, whose rows H_f and the matchings are: the host's, or in
+sparse mode only the parts' (the host is never enumerated there).  The
+completion enumerates G[uncovered] on its own.
 
 All randomness flows from a single seed through numpy SeedSequence spawning,
 so identical (graph, config) runs produce identical reports.
@@ -26,11 +28,12 @@ import numpy as np
 
 from .cliques import CliqueSet, enumerate_cliques
 from .errors import InputError, InvariantError, NumericalError, ResourceError
-from .factor_lp import TOL_DEFAULT, FactorCert, has_fractional_factor
+from .factor_lp import TOL_DEFAULT, has_fractional_factor
 from .graphs import (
     WEIGHT_SLACK,
     Graph,
     WeightedGraph,
+    induced_subgraph,
     regularity,
     uniform_weights,
 )
@@ -53,18 +56,20 @@ def fan_out(fn, items) -> list:
 class FactorBundle:
     """A list of fractional factors extracted from one host graph.
 
-    factors[i] is an (ids, weights) pair of arrays: ascending source-graph
-    clique ids (rows of enumerate_cliques(g, t).members) and the factor's
-    weights on them, zero weights left out.  per_edge_load[e] is the
-    factors' summed load on edge e (length m, in the order of g.edges), and
-    audits["max_per_edge_load"] its maximum.  ell is the achieved count,
-    which may fall short of the request; audits carry the per-iteration or
-    per-part diagnostics.
+    cliques is the host clique set the factors index: all of the host's K_t,
+    or in sparse mode the parts' cliques in host order, pair_ids in host edge
+    ids.  factors[i] is an (ids, weights) pair of arrays: ascending row ids of
+    cliques.members and the factor's weights on them, zero weights left out.
+    per_edge_load[e] is the factors' summed load on edge e (length m, in the
+    order of g.edges), and audits["max_per_edge_load"] its maximum.  ell is
+    the achieved count, which may fall short of the request; audits carry
+    the per-iteration or per-part diagnostics.
     """
 
     factors: tuple
     ell: int
     mode: str  # dense | sparse
+    cliques: CliqueSet
     per_edge_load: np.ndarray
     audits: dict = field(default_factory=dict)
 
@@ -80,14 +85,9 @@ def default_ell(n: int, t: int) -> int:
 
 
 def dense_extract(
-    g: Graph,
-    t: int,
-    ell: int,
-    alpha: float | None = None,
-    tol: float = TOL_DEFAULT,
-    cliques: CliqueSet | None = None,
+    g: Graph, t: int, ell: int, alpha: float | None = None, tol: float = TOL_DEFAULT
 ) -> FactorBundle:
-    """Iterative weight-update extraction on a d-regular host.
+    """Iterative weight-update extraction on a d-regular host, over all its K_t.
 
     Starts from w == 1; each round certifies a fractional factor of the
     current weights, subtracts its pair loads from the weights, and clamps to
@@ -107,8 +107,7 @@ def dense_extract(
         alpha = default_alpha(g.n, info.d, t) if g.n else 0.0
     if not 0 <= alpha <= 1:
         raise InputError(f"alpha must lie in [0,1], got {alpha}")
-    if cliques is None:
-        cliques = enumerate_cliques(g, t)
+    cliques = enumerate_cliques(g, t)
     ends = g.edge_array
     w = np.ones(g.m)
     load = np.zeros(g.m)
@@ -168,6 +167,7 @@ def dense_extract(
         factors=tuple(factors),
         ell=len(factors),
         mode="dense",
+        cliques=cliques,
         per_edge_load=load,
         audits=audits,
     )
@@ -189,66 +189,46 @@ def sparse_split(g: Graph, ell: int, seed: int) -> list:
     return _split(g, ell, seed)[1]
 
 
-def part_cliques(cliques: CliqueSet, assign: np.ndarray, parts: list) -> list:
-    """Each part's clique set cut from the host's, with the host ids of its rows.
-
-    assign[e] is the part of host edge e.  A host clique lies in part i iff
-    the split put all of its pairs in i, which one gather of assign through
-    pair_ids decides for every clique.  Keeping the host's order, part i's
-    rows are exactly enumerate_cliques(parts[i], t).members, and since part
-    i's edges are the host edges assigned to it in host order, one gather
-    maps its pair ids from host to part edge ids.
-    """
-    pair_part = assign[cliques.pair_ids]
-    home = np.where((pair_part == pair_part[:, :1]).all(axis=1), pair_part[:, 0], -1)
-    local = np.empty(len(assign), dtype=np.int32)  # host edge id -> id within its part
-    out = []
-    for i, part in enumerate(parts):
-        local[assign == i] = np.arange(part.m)
-        ids = np.flatnonzero(home == i)
-        pair_ids = local[cliques.pair_ids[ids]]
-        out.append((ids, CliqueSet(cliques.t, cliques.members[ids], part, pair_ids)))
-    return out
-
-
-def sparse_extract(
-    g: Graph,
-    t: int,
-    ell: int,
-    seed: int,
-    tol: float = TOL_DEFAULT,
-    cliques: CliqueSet | None = None,
-) -> FactorBundle:
+def sparse_extract(g: Graph, t: int, ell: int, seed: int, tol: float = TOL_DEFAULT) -> FactorBundle:
     """Random-split extraction: unit weights, alpha = 0, one certificate per part.
 
-    Parts are edge-disjoint, so each clique receives positive weight in at
-    most one factor and aggregate pair loads never exceed 1.  No part is
-    enumerated: its clique set is cut from the host's (part_cliques), so
-    its factor maps back to host ids by indexing.  Parts without a
-    fractional factor are reported, not fatal.
+    Parts are edge-disjoint, so each clique lies in at most one part, gets
+    positive weight in at most one factor, and aggregate pair loads never
+    exceed 1.  Each part enumerates its own cliques; the host is never
+    enumerated.  The bundle's clique set merges the parts' rows into host
+    (lexicographic) order, part edge ids mapped to host ids; the merge keeps
+    each part's order, so ascending part ids map to ascending bundle ids.
+    Parts without a fractional factor are reported, not fatal.
     """
     if t < 3:
         raise InputError(f"t must be >= 3, got {t}")
     assign, parts = _split(g, ell, seed)
-    if cliques is None:
-        cliques = enumerate_cliques(g, t)
-    cut = part_cliques(cliques, assign, parts)
 
-    def solve(i: int) -> FactorCert:
-        return has_fractional_factor(uniform_weights(parts[i]), t, tol, cut[i][1])
+    def solve(i: int) -> tuple:
+        cs = enumerate_cliques(parts[i], t)
+        return cs, has_fractional_factor(uniform_weights(parts[i]), t, tol, cs)
 
-    certs = fan_out(solve, range(ell))
+    solved = fan_out(solve, range(ell))
+    members = np.concatenate([cs.members for cs, _ in solved])
+    # part i's edges are the host edges assigned to it, in host order
+    host_ids = [np.flatnonzero(assign == i).astype(np.int32) for i in range(ell)]
+    pair_ids = np.concatenate([host_ids[i][cs.pair_ids] for i, (cs, _) in enumerate(solved)])
+    order = np.lexsort(members.T[::-1])
+    rank = np.argsort(order)  # row of the concatenated parts -> bundle id
+    cliques = CliqueSet(t, members[order], g, pair_ids[order])
 
     total = np.zeros(len(cliques))
     factors = []
     failed = []
-    for i, cert in enumerate(certs):
-        if not cert.has_factor:
+    offset = 0
+    for i, (cs, cert) in enumerate(solved):
+        if cert.has_factor:
+            ids = rank[offset + cert.ids]
+            factors.append((ids, cert.weights))
+            total[ids] += cert.weights
+        else:
             failed.append(i)
-            continue
-        ids = cut[i][0][cert.ids]
-        factors.append((ids, cert.weights))
-        total[ids] += cert.weights
+        offset += len(cs)
     load = cliques.A_pair @ total
     audits = {
         "requested": ell,
@@ -261,6 +241,7 @@ def sparse_extract(
         factors=tuple(factors),
         ell=len(factors),
         mode="sparse",
+        cliques=cliques,
         per_edge_load=load,
         audits=audits,
     )
@@ -270,10 +251,10 @@ def sparse_extract(
 class RandomHypergraph:
     """Sampled t-uniform hypergraph on the host's vertex set.
 
-    hyperedges holds the surviving cliques as rows of the host clique set's
-    members, in ascending clique id.  candidates and inclusion_prob are
-    aligned arrays: the ascending ids of the cliques with f(T) > 0 and their
-    probabilities min(f(T), 1).
+    hyperedges holds the surviving cliques as rows of the bundle's clique
+    set's members (host labels), in ascending clique id.  candidates and
+    inclusion_prob are aligned arrays: the ascending ids, in the bundle's
+    set, of the cliques with f(T) > 0 and their probabilities min(f(T), 1).
     """
 
     t: int
@@ -284,22 +265,17 @@ class RandomHypergraph:
 
 
 def build_Hf(
-    g: Graph,
-    t: int,
-    bundle: FactorBundle,
-    seed: int,
-    cliques: CliqueSet | None = None,
-    tol: float = TOL_DEFAULT,
+    g: Graph, t: int, bundle: FactorBundle, seed: int, tol: float = TOL_DEFAULT
 ) -> RandomHypergraph:
-    """Include each clique T independently with probability min(f(T), 1).
+    """Include each clique T of bundle.cliques independently with probability min(f(T), 1).
 
     f(T) sums the bundle's factors; values beyond 1 + 10 tol indicate a
     corrupted bundle and raise, values in (1, 1+10 tol] are solver noise and
     clamp to 1.  Candidates, the cliques with f(T) > 0, take one uniform draw
-    each, in ascending clique id, so a fixed seed yields a fixed hypergraph.
+    each, in ascending clique id, so a fixed seed yields a fixed hypergraph;
+    both clique sets are in host order, so either engine's draws follow it.
     """
-    if cliques is None:
-        cliques = enumerate_cliques(g, t)
+    cliques = bundle.cliques
     f = np.zeros(len(cliques))
     for ids, weights in bundle.factors:
         f[ids] += weights
@@ -456,23 +432,20 @@ def nibble_matching(
     return _result(n, np.concatenate(picks))
 
 
-def greedy_completion(cliques: CliqueSet, uncovered, seed: int) -> np.ndarray:
-    """Greedily pack the host's K_t copies into the uncovered set, random order.
+def greedy_completion(g: Graph, t: int, uncovered, seed: int) -> np.ndarray:
+    """Greedily pack the K_t copies of G[uncovered] into the uncovered set, random order.
 
-    The cliques of G[uncovered], in the order its enumeration would give
-    them, are the host rows with every member uncovered.  One randomized
-    greedy pass over them is maximal: any clique disjoint from the picks
-    would itself have been picked.  Returns the added rows, in pick order.
+    G[uncovered] is enumerated on its own, so the work scales with the
+    leftover, not the host; relabelling is monotone, so its rows, in host
+    labels, are the host's cliques inside uncovered, in host order.  One
+    randomized greedy pass over them is maximal: any clique disjoint from
+    the picks would itself have been picked.  Returns the added rows, in
+    pick order.
     """
-    n = cliques.graph.n
-    unc = np.asarray(uncovered, dtype=np.int64)
-    bad = unc[(unc < 0) | (unc >= n)]
-    if bad.size:
-        raise InputError(f"vertex {bad.min()} not in graph")
-    covered = np.ones(n, dtype=bool)
-    covered[unc] = False
-    rows = _uncovered_rows(cliques.members, covered)
-    return _greedy_pass(rows, np.random.default_rng(seed).permutation(len(rows)), covered)
+    sub, verts = induced_subgraph(g, uncovered)
+    rows = enumerate_cliques(sub, t).members
+    order = np.random.default_rng(seed).permutation(len(rows))
+    return np.asarray(verts, dtype=np.int32)[_greedy_pass(rows, order, np.zeros(sub.n, bool))]
 
 
 @dataclass(frozen=True)
@@ -561,13 +534,12 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
     s_split, s_hf, s_match, s_complete = (int(x) for x in ss.generate_state(4))
 
     with _stage("extraction"):
-        cliques = enumerate_cliques(g, t)
         if mode == "dense":
-            bundle = dense_extract(g, t, ell, config.alpha, config.tol, cliques)
+            bundle = dense_extract(g, t, ell, config.alpha, config.tol)
         else:
-            bundle = sparse_extract(g, t, ell, s_split, config.tol, cliques)
+            bundle = sparse_extract(g, t, ell, s_split, config.tol)
     with _stage("hf"):
-        hf = build_Hf(g, t, bundle, s_hf, cliques, config.tol)
+        hf = build_Hf(g, t, bundle, s_hf, config.tol)
         conc = concentration_audit(hf, bundle.ell, g.n)
     with _stage("matching"):
         pre = nibble_matching(hf, config.matcher, config.epsilon, s_match)
@@ -576,7 +548,7 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
     completion_added = 0
     if config.completion and pre.uncovered_count >= t:
         with _stage("completion"):
-            added = greedy_completion(cliques, pre.uncovered, s_complete)
+            added = greedy_completion(g, t, pre.uncovered, s_complete)
         completion_added = len(added)
         result = _result(g.n, np.vstack([np.array(pre.matched, np.int32).reshape(-1, t), added]))
 

@@ -15,7 +15,10 @@ nibble_by_loops is the matcher as a loop over tuples, one activation at a
 time.  edges_by_sets, induced_by_dict, split_by_buckets and
 complement_by_pairs are the tuple routes the graph constructors used to
 take, one edge at a time.  edge_count_by_loops counts e(A,B) for the mixing
-audit by walking the edge list, with no adjacency matrix.
+audit by walking the edge list, with no adjacency matrix.  part_cliques_by_host
+is the route the sparse engine used to take to each part's cliques: enumerate
+the host, then cut its rows by the split.  parse_by_lines is the edge-list
+reader as a loop over lines, one check after another.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, lsq_linear, milp
 
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
 from cfl.cliques import enumerate_cliques
-from cfl.graphs import WeightedGraph, from_edge_list
+from cfl.errors import ParseError
+from cfl.graphs import Graph, WeightedGraph, from_edge_list
 
 
 def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
@@ -210,6 +214,60 @@ def edge_count_by_loops(g, A, B) -> int:
     """e(A,B): ordered pairs (a, b) with a in A, b in B and ab an edge, one edge at a time."""
     A, B = set(A), set(B)
     return sum((u in A and v in B) + (v in A and u in B) for u, v in g.edges)
+
+
+def part_cliques_by_host(g, t: int, ell: int, seed: int) -> tuple:
+    """(host clique set, part of each host clique or -1): the host's cut by sparse_split's draw.
+
+    A host clique lies in part i iff the split sends all of its pairs to i,
+    which one gather of the edge assignment through pair_ids decides.
+    """
+    host = enumerate_cliques(g, t)
+    pair_part = np.random.default_rng(seed).integers(0, ell, size=g.m)[host.pair_ids]
+    home = np.where((pair_part == pair_part[:, :1]).all(axis=1), pair_part[:, 0], -1)
+    return host, home
+
+
+def parse_by_lines(text: str, weighted: bool) -> tuple:
+    """(graph, weights) of the text format, read line by line; a bad line raises ParseError."""
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
+    if not lines:
+        raise ParseError(1, "empty input, expected 'n m' header")
+    (hdr_no, hdr), rest = lines[0], lines[1:]
+    parts = hdr.split()
+    if len(parts) != 2:
+        raise ParseError(hdr_no, f"expected 'n m' header, got {hdr!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(hdr_no, f"non-integer header field in {hdr!r}") from None
+    if n < 0 or m < 0:
+        raise ParseError(hdr_no, f"negative header value in {hdr!r}")
+    if len(rest) != m:
+        raise ParseError(hdr_no, f"header declares {m} edges, found {len(rest)} edge lines")
+    form = "u v w" if weighted else "u v"
+    pairs, weights = [], []
+    for line_no, line in rest:
+        parts = line.split()
+        if len(parts) != 2 + weighted:
+            raise ParseError(line_no, f"expected '{form}', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            x = float(parts[2]) if weighted else 1.0
+            np.int64(u), np.int64(v)  # ends beyond int64 are malformed
+        except (ValueError, OverflowError):
+            raise ParseError(line_no, f"malformed edge line {line!r}") from None
+        if not (0 <= u < v < n):
+            raise ParseError(line_no, f"edge ({u},{v}) violates 0 <= u < v < n={n}")
+        if not (0 <= x <= 1):
+            raise ParseError(line_no, f"weight {x} outside [0,1]")
+        pairs.append((u, v))
+        weights.append(x)
+    if len(set(pairs)) != m:
+        raise ParseError(hdr_no, f"duplicate edges: {m} declared, {len(set(pairs))} distinct")
+    order = sorted(range(m), key=pairs.__getitem__)
+    ends = np.array([pairs[i] for i in order], dtype=np.int64).reshape(-1, 2)
+    return Graph(n, ends), [weights[i] for i in order]
 
 
 def completion_cliques(g, t: int, U) -> np.ndarray:

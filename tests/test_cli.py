@@ -16,11 +16,13 @@ from cfl import (
     InputError,
     WeightedGraph,
     check_prop3,
+    enumerate_cliques,
     gen_complete,
     gen_random_regular,
     parse_graph,
     regularity,
     second_eigenvalue,
+    sparse_split,
     uniform_weights,
     write_graph,
     write_weighted_graph,
@@ -534,6 +536,28 @@ class TestPipelineCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["uncovered_count"] == 10
         assert payload["stage_audits"]["hypothesis_failed"] is True
+
+    def test_enumeration_cap_applies_per_enumerated_graph(self, tmp_path, capsys, monkeypatch):
+        # the sparse engine enumerates only its parts and G[uncovered], so a cap
+        # below the host's triangle count but above every part's stops dense alone
+        g = gen_random_regular(90, 45, 31)
+        path = tmp_path / "rr90.txt"
+        path.write_text(write_graph(g))
+        cap, host = 1000, len(enumerate_cliques(g, 3))
+        assert host > cap
+        monkeypatch.setattr(cliques_mod, "ENUMERATION_CAP", cap)
+        argv = ["pipeline", "--in", str(path), "--t", "3", "--seed", "0", "--force", "--ell", "3"]
+        assert main([*argv, "--mode", "sparse"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["parameters"]["mode_effective"] == "sparse"
+        parts = sparse_split(g, 3, payload["parameters"]["stage_seeds"]["split"])
+        assert max(len(enumerate_cliques(p, 3)) for p in parts) <= cap
+        assert main([*argv, "--mode", "dense"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: [stage:extraction] clique enumeration exceeded {cap}: {host} K_3\n"
+        )
 
     def test_forced_complete_graph_covers_all(self, k6_file, capsys):
         code = main(

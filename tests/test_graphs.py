@@ -28,8 +28,15 @@ from cfl.graphs import (
     write_graph,
     write_weighted_graph,
 )
+from cfl.graphs import _BREAKS, _SPACES
 from cfl.pipeline import sparse_split
-from oracles import complement_by_pairs, edges_by_sets, induced_by_dict, split_by_buckets
+from oracles import (
+    complement_by_pairs,
+    edges_by_sets,
+    induced_by_dict,
+    parse_by_lines,
+    split_by_buckets,
+)
 
 
 class TestGraphConstruction:
@@ -289,6 +296,102 @@ class TestTextFormat:
     def test_weighted_detects_missing_column(self):
         with pytest.raises(ParseError):
             parse_weighted_graph("2 1\n0 1\n")
+
+    def test_character_tables_are_strs_own(self):
+        # the reader places tokens on lines with these tables, so they must be
+        # exactly what str.split() and str.splitlines() use, over all of Unicode
+        chars = list(map(chr, range(0x110000)))
+        assert _SPACES.tolist() == [ord(c) for c in chars if c.isspace()]
+        assert _BREAKS.tolist() == [ord(c) for c in chars if len(f"a{c}b".splitlines()) == 2]
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("\n\n3 1\n\n0 0\n", 5, "edge (0,0) violates"),
+            ("3 2\r\n0 1\r\n\r\n1 5\r\n", 4, "edge (1,5) violates"),
+            ("3 2\r0 1\r1 x\r", 3, "malformed edge line '1 x'"),
+            ("3 2\x0b0 1\u20281 2 7\n", 3, "expected 'u v', got '1 2 7'"),
+            ("3 2\n0 1 \x1c 1 5\n", 3, "edge (1,5) violates"),
+            ("3 2\n1 5\n0 1 2\n", 2, "edge (1,5) violates"),
+            ("3 2\n0 1 2\n1 5\n", 2, "expected 'u v'"),
+            ("3 2\n0 99999999999999999999\n1 2\n", 2, "malformed edge line"),
+            ("3 2\n0 +1\n1_0 2\n", 3, "edge (10,2) violates"),
+            ("3 x\n0 1\n", 1, "non-integer header field"),
+            ("3\n0 1\n", 1, "expected 'n m' header"),
+            ("3 -1\n", 1, "negative header value"),
+            ("3 2\n\n0 1\n\n", 1, "header declares 2 edges, found 1 edge lines"),
+            ("  \n\t\n", 1, "empty input"),
+        ],
+        ids=["blank-lines", "crlf", "cr", "vt-and-line-separator", "file-separator",
+             "range-before-count", "count-before-range", "beyond-int64", "sign-and-underscore",
+             "header-field", "header-count", "header-negative", "edge-line-count", "empty"],
+    )
+    def test_first_bad_line_and_check(self, text, line, message):
+        # the first bad line in file order, whatever the line breaks, and on it
+        # the first check it fails: count, then integers, then 0 <= u < v < n
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line_no == line and message in str(exc.value)
+        with pytest.raises(ParseError) as ref:
+            parse_by_lines(text, weighted=False)
+        assert str(ref.value) == str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("2 2\n0 1 0.5\n0 1 1.5\n", 3, "weight 1.5 outside [0,1]"),
+            ("3 2\n0 1 nan\n1 5 0.5\n", 2, "weight nan outside [0,1]"),
+            ("3 2\n0 1 2.0\n1 x 0.5\n", 2, "weight 2.0 outside [0,1]"),
+            ("3 2\n1 5 0.5\n0 1 2.0\n", 2, "edge (1,5) violates"),
+            ("3 2\n0 1 0.5\n1 2 w\n", 3, "malformed edge line '1 2 w'"),
+            ("3 2\n0 1 0x1\n1 2\n", 2, "malformed edge line"),
+            ("3 2\n0 1 0.5\n0 1 0.25\n", 1, "duplicate edges: 2 declared, 1 distinct"),
+        ],
+        ids=["over-one", "nan-before-range", "weight-before-malformed", "range-before-weight",
+             "malformed-weight",
+             "hex-weight", "duplicate"],
+    )
+    def test_first_bad_weighted_line_and_check(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_weighted_graph(text)
+        assert exc.value.line_no == line and message in str(exc.value)
+        with pytest.raises(ParseError) as ref:
+            parse_by_lines(text, weighted=True)
+        assert str(ref.value) == str(exc.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        weighted=st.booleans(),
+        n=st.integers(0, 6),
+        m=st.integers(0, 6),
+    )
+    def test_matches_the_line_loop_reader(self, data, weighted, n, m):
+        # random, mostly broken files: the same graph and weights as the
+        # line-by-line reader, or the same ParseError, line and message
+        cell = st.sampled_from(
+            ["0", "1", "2", "3", "5", "-1", "+2", "1_0", "1.5", "0.5", "1", "x", "nan", "", "\u0663",
+             "99999999999999999999", "1e-1", "inf"]
+        )
+        gap = st.sampled_from([" ", "  ", "\t", "\x0b", "\xa0", "\u3000"])
+        end = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\u2028", "\x1c", "\n \n"])
+        rows = data.draw(st.lists(st.lists(cell, min_size=1, max_size=4), max_size=7))
+        head = data.draw(st.sampled_from([f"{n} {m}", f"{n} {len(rows)}", f"{n}", ""]))
+        text = head + data.draw(end)
+        for row in rows:
+            text += data.draw(gap).join(row) + data.draw(end)
+        try:
+            want = parse_by_lines(text, weighted)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                (parse_weighted_graph if weighted else parse_graph)(text)
+            assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+            return
+        if weighted:
+            got = parse_weighted_graph(text)
+            assert got.base == want[0] and got.w.tolist() == want[1]
+        else:
+            assert parse_graph(text) == want[0]
 
 
 class TestArrayRoutesMatchTupleRoutes:

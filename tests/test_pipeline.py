@@ -35,9 +35,9 @@ from cfl import (
 )
 import cfl.pipeline as pipeline_mod
 from cfl.cli import canonical_json
-from cfl.pipeline import _split, _uncovered_rows, hf_codegrees, hf_degrees, part_cliques
+from cfl.pipeline import _split, _uncovered_rows, hf_codegrees, hf_degrees
 
-from oracles import completion_cliques, completion_greedy, nibble_by_loops
+from oracles import completion_cliques, completion_greedy, nibble_by_loops, part_cliques_by_host
 
 
 def _vertex_drops(g, bundle):
@@ -80,11 +80,11 @@ class TestDenseExtraction:
         assert bundle.audits["max_per_edge_load"] == bundle.per_edge_load.max() <= 1 + 1e-7
 
     def test_factors_are_keyed_by_source_clique_ids(self, k6):
-        cliques = enumerate_cliques(k6, 3)
-        bundle = dense_extract(k6, 3, 2, cliques=cliques)
+        bundle = dense_extract(k6, 3, 2)
+        assert np.array_equal(bundle.cliques.members, enumerate_cliques(k6, 3).members)
         for ids, weights in bundle.factors:
             for cid, val in zip(ids.tolist(), weights.tolist()):
-                assert 0 <= cid < len(cliques)
+                assert 0 <= cid < len(bundle.cliques)
                 assert val > 0
 
     def test_default_alpha_formula(self):
@@ -146,18 +146,11 @@ class TestSparseSplit:
     @pytest.mark.parametrize("t,ell", [(3, 2), (3, 4), (4, 2), (4, 3)])
     @pytest.mark.parametrize("seed", range(4))
     def test_part_clique_sets_equal_enumerating_each_part(self, t, ell, seed):
+        # the host's rows cut by the split (the reference route) are each part's own cliques
         g = gen_random_regular(30, 16, 7 + seed)
-        parts = sparse_split(g, ell, seed)
-        # the assignment, rebuilt from the parts rather than taken from the split
-        row = {e: i for i, e in enumerate(g.edges)}
-        assign = np.zeros(g.m, dtype=np.int64)
-        for i, part in enumerate(parts):
-            assign[[row[e] for e in part.edges]] = i
-        host = enumerate_cliques(g, t)
-        for (ids, cs), part in zip(part_cliques(host, assign, parts), parts):
-            assert np.array_equal(cs.members, enumerate_cliques(part, t).members)
-            assert np.array_equal(host.members[ids], cs.members)
-            assert cs.graph is part
+        host, home = part_cliques_by_host(g, t, ell, seed)
+        for i, part in enumerate(sparse_split(g, ell, seed)):
+            assert np.array_equal(host.members[home == i], enumerate_cliques(part, t).members)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -167,24 +160,23 @@ class TestSparseSplit:
         complete=st.booleans(),
     )
     def test_part_pair_operators_equal_searching_the_part(self, t, ell, seed, complete):
+        # the parts' pair ids, mapped to host edge ids, give the operator a host search gives
         g = gen_complete(12) if complete else gen_random_regular(24, 12, seed)
-        assign, parts = _split(g, ell, seed)
+        cs = sparse_extract(g, t, ell, seed).cliques
         pairs = np.stack(np.triu_indices(t, 1), axis=1)
-        for ids, cs in part_cliques(enumerate_cliques(g, t), assign, parts):
-            rows = edge_ids(cs.graph, cs.members.take(pairs, axis=1))
-            searched = sparse.csc_matrix(
-                (np.ones(rows.size), rows, np.arange(len(cs) + 1) * len(pairs)),
-                shape=(cs.graph.m, len(cs)),
-            )
-            assert cs.A_pair.shape == searched.shape
-            assert (cs.A_pair != searched).nnz == 0
+        rows = edge_ids(g, cs.members.take(pairs, axis=1))
+        searched = sparse.csc_matrix(
+            (np.ones(rows.size), rows, np.arange(len(cs) + 1) * len(pairs)), shape=(g.m, len(cs))
+        )
+        assert cs.graph is g and cs.A_pair.shape == searched.shape
+        assert (cs.A_pair != searched).nnz == 0
 
     def test_an_empty_part_has_an_empty_clique_set(self, k6):
-        # every edge in part 0, none in part 1
-        assign = np.zeros(k6.m, dtype=np.int64)
-        empty = Graph(6, np.zeros((0, 2), dtype=np.int32))
-        (_, whole), (ids, cs) = part_cliques(enumerate_cliques(k6, 3), assign, [k6, empty])
-        assert len(whole) == 20 and ids.size == 0
+        # 15 parts of a 15-edge graph leave some part without edges
+        sizes = sparse_extract(k6, 3, 15, seed=0).audits["split_sizes"]
+        empty = sparse_split(k6, 15, 0)[sizes.index(0)]
+        cs = enumerate_cliques(empty, 3)
+        assert empty.m == 0 and len(cs) == 0
         assert cs.pair_ids.shape == (0, 3)
         assert cs.A_pair.shape == (0, 0) and cs.A_vert.shape == (6, 0)
         assert cs.least_weight(np.ones(0)).shape == (0,)
@@ -228,23 +220,59 @@ class TestSparseExtraction:
         with pytest.raises(InputError):
             sparse_extract(k6, 2, 2, seed=0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.integers(3, 5),
+        ell=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        graph=st.sampled_from(["k12", "rr_24_12", "k7"]),
+    )
+    def test_clique_set_is_the_host_cut(self, t, ell, seed, graph):
+        # the bundle's set is the host's rows that lie in a part, in host order,
+        # with host pair ids; each factor id names a host clique of its own part
+        g = gen_random_regular(24, 12, seed) if graph == "rr_24_12" else gen_complete(int(graph[1:]))
+        bundle = sparse_extract(g, t, ell, seed)
+        host, home = part_cliques_by_host(g, t, ell, seed)
+        kept = np.flatnonzero(home >= 0)
+        assert np.array_equal(bundle.cliques.members, host.members[kept])
+        assert np.array_equal(bundle.cliques.pair_ids, host.pair_ids[kept])
+        assert bundle.cliques.graph is g
+        solved = [i for i in range(ell) if i not in bundle.audits["failed_parts"]]
+        assert len(solved) == len(bundle.factors)
+        for part, (ids, _) in zip(solved, bundle.factors):
+            assert np.all(np.diff(ids) > 0)
+            assert np.all(home[kept[ids]] == part)
+        load = np.zeros(g.m)
+        for ids, weights in bundle.factors:
+            np.add.at(load, host.pair_ids[kept[ids]], weights[:, None])
+        assert np.allclose(bundle.per_edge_load, load, rtol=0, atol=1e-12)
+
+    def test_bundle_with_an_empty_part(self):
+        # K_4 in six parts: at least one part has no edge, and it adds no clique
+        bundle = sparse_extract(gen_complete(4), 3, 6, seed=3)
+        assert 0 in bundle.audits["split_sizes"]
+        host, home = part_cliques_by_host(gen_complete(4), 3, 6, 3)
+        assert np.array_equal(bundle.cliques.members, host.members[home >= 0])
+        assert bundle.cliques.pair_ids.shape == (len(bundle.cliques), 3)
+        assert bundle.cliques.A_pair.shape == (6, len(bundle.cliques))
+
 
 class TestRandomHypergraph:
     def _bundle(self, *factors):
         pairs = tuple((np.array(list(f)), np.array(list(f.values()))) for f in factors)
-        return FactorBundle(factors=pairs, ell=len(pairs), mode="dense", per_edge_load=np.zeros(15))
+        k6 = enumerate_cliques(gen_complete(6), 3)
+        return FactorBundle(pairs, len(pairs), "dense", k6, per_edge_load=np.zeros(15))
 
     def test_unit_probabilities_are_kept_surely(self, k6):
         cliques = enumerate_cliques(k6, 3)
-        hf = build_Hf(k6, 3, self._bundle({0: 1.0, 19: 1.0}), seed=123, cliques=cliques)
+        hf = build_Hf(k6, 3, self._bundle({0: 1.0, 19: 1.0}), seed=123)
         assert hf.hyperedges.dtype == np.int32
         assert hf.hyperedges.tolist() == cliques.members[[0, 19]].tolist()
         assert hf.candidates.tolist() == [0, 19]
         assert hf.inclusion_prob.tolist() == [1.0, 1.0]
 
     def test_zero_mass_bundle_gives_empty_hypergraph(self, k6):
-        bundle = FactorBundle(factors=(), ell=0, mode="dense", per_edge_load=np.zeros(15))
-        hf = build_Hf(k6, 3, bundle, seed=0)
+        hf = build_Hf(k6, 3, self._bundle(), seed=0)
         assert hf.hyperedges.shape == (0, 3)
         assert hf.candidates.size == hf.inclusion_prob.size == 0
 
@@ -372,10 +400,9 @@ class TestMatching:
     def test_matches_the_loop_reference(self, mode, epsilon):
         # rounds resolve their activations with one bincount, not one by one
         g = gen_random_regular(30, 14, 5)
-        cliques = enumerate_cliques(g, 3)
-        bundle = dense_extract(g, 3, 2, cliques=cliques)
+        bundle = dense_extract(g, 3, 2)
         for seed in range(4):
-            hf = build_Hf(g, 3, bundle, seed, cliques)
+            hf = build_Hf(g, 3, bundle, seed)
             res = nibble_matching(hf, mode, epsilon, seed)
             tuples = list(map(tuple, hf.hyperedges.tolist()))
             assert res.matched == nibble_by_loops(tuples, g.n, mode, epsilon, seed)
@@ -397,23 +424,23 @@ def _remaining(uncovered, added):
 
 class TestCompletion:
     def test_complete_graph_leftovers_are_fully_packed(self):
-        added = greedy_completion(enumerate_cliques(gen_complete(60), 3), range(60), seed=0)
+        added = greedy_completion(gen_complete(60), 3, range(60), seed=0)
         assert _remaining(range(60), added) == ()
         assert len(added) == 20
         assert sorted(added.ravel().tolist()) == list(range(60))
 
     def test_triangle_free_graph_adds_nothing(self, petersen):
-        added = greedy_completion(enumerate_cliques(petersen, 3), range(10), seed=0)
+        added = greedy_completion(petersen, 3, range(10), seed=0)
         assert added.shape == (0, 3)
         assert _remaining(range(10), added) == tuple(range(10))
 
     def test_short_leftover_is_untouched(self, k6):
-        added = greedy_completion(enumerate_cliques(k6, 3), (0, 1), seed=0)
+        added = greedy_completion(k6, 3, (0, 1), seed=0)
         assert added.shape == (0, 3)
         assert _remaining((0, 1), added) == (0, 1)
 
     def test_added_cliques_live_inside_the_uncovered_set(self, k6):
-        added = greedy_completion(enumerate_cliques(k6, 3), (0, 2, 3, 5), seed=1)
+        added = greedy_completion(k6, 3, (0, 2, 3, 5), seed=1)
         for row in added.tolist():
             assert set(row) <= {0, 2, 3, 5}
         assert len(added) == 1 and len(_remaining((0, 2, 3, 5), added)) == 1
@@ -421,12 +448,13 @@ class TestCompletion:
     @pytest.mark.parametrize("vertex", [6, -1])
     def test_vertex_outside_the_graph_rejected(self, k6, vertex):
         with pytest.raises(InputError, match=f"vertex {vertex} not in graph"):
-            greedy_completion(enumerate_cliques(k6, 3), (0, 1, vertex), seed=0)
+            greedy_completion(k6, 3, (0, 1, vertex), seed=0)
 
     @pytest.mark.parametrize("graph", ["k8", "petersen", "paley13", "rr_20_6"])
     def test_host_rows_are_the_cliques_of_the_induced_subgraph(self, graph, request):
-        # the completion filters the host's rows instead of enumerating
-        # G[uncovered]; the reference route enumerates it and relabels back
+        # the host's rows with every member uncovered are G[uncovered]'s cliques,
+        # relabelled, in the same order, so the completion's picks from its own
+        # enumeration of G[uncovered] are the reference's
         g = gen_complete(8) if graph == "k8" else request.getfixturevalue(graph)
         cliques = enumerate_cliques(g, 3)
         rng = np.random.default_rng(7)
@@ -438,7 +466,7 @@ class TestCompletion:
             want = completion_cliques(g, 3, U)
             assert _uncovered_rows(cliques.members, covered).tolist() == want.tolist()
             for seed in range(3):
-                picks = greedy_completion(cliques, U, seed)
+                picks = greedy_completion(g, 3, U, seed)
                 assert picks.tolist() == completion_greedy(g, 3, U, seed)
 
 
@@ -544,19 +572,29 @@ class TestEndToEnd:
         assert 0 <= rep.result.uncovered_count <= 12
 
     @pytest.mark.parametrize(
-        "graph,config",
-        [((90, 45, 31), PipelineConfig(seed=0, force=True)),
-         ((100, 50, 31), PipelineConfig(seed=0, mode="sparse", ell=3, force=True))],
+        "graph,config,mode",
+        [((90, 45, 31), PipelineConfig(seed=0, force=True), "dense"),
+         ((100, 50, 31), PipelineConfig(seed=0, mode="sparse", ell=3, force=True), "sparse")],
         ids=["auto", "sparse"],
     )
-    def test_one_enumeration_per_run(self, graph, config, monkeypatch):
-        calls = []
+    def test_enumerated_graphs_per_run(self, graph, config, mode, monkeypatch):
+        # dense: the host once; sparse: each part once and never the host;
+        # then G[uncovered] once, in both
+        seen = []
 
         def counting(g, t):
-            calls.append(g.n)
+            seen.append(g)
             return enumerate_cliques(g, t)
 
         monkeypatch.setattr(pipeline_mod, "enumerate_cliques", counting)
-        rep = run_end_to_end(gen_random_regular(*graph), 3, config)
+        g = gen_random_regular(*graph)
+        rep = run_end_to_end(g, 3, config)
+        assert rep.parameters["mode_effective"] == mode
         assert rep.stage_audits["completion"]["added"] > 0
-        assert calls == [graph[0]]
+        *extracted, leftover = seen
+        if mode == "dense":
+            assert extracted == [g]
+        else:
+            assert extracted == sparse_split(g, 3, rep.parameters["stage_seeds"]["split"])
+            assert g not in extracted
+        assert leftover.n == rep.stage_audits["matching"]["hf_uncovered_count"]
