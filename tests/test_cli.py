@@ -369,34 +369,41 @@ class TestAnalysisCommands:
         assert payload["gap"] <= 2e-7
         assert all(payload[part]["all_pass"] for part in ("prop3", "slackness") if part in payload)
 
-    @pytest.mark.parametrize(
-        "n,weight,rows,mutate",
-        [(7, 1.0, 35, "double"), (4, 0.2, 10, "zero_pairs")],
-        ids=["doubled_f", "zeroed_h"],
-    )
-    def test_lp_refuses_an_infeasible_read_off(self, n, weight, rows, mutate, tmp_path, capsys,
-                                              monkeypatch):
-        # K_7 solves the covering form and reads f off its marginals; K_4 at
-        # w = 0.2 solves the packing form, reads (g, h) off, and binds only pairs
+    @pytest.mark.parametrize("scale", [2.0], ids=["doubled_f"])
+    def test_lp_refuses_an_infeasible_read_off(self, scale, tmp_path, capsys, monkeypatch):
+        # K_7 reads f off the covering form's marginals; doubled, it
+        # loads every vertex with 2
         path = tmp_path / "g.txt"
-        path.write_text(write_weighted_graph(uniform_weights(gen_complete(n), weight)))
+        path.write_text(write_weighted_graph(uniform_weights(gen_complete(7))))
+        assert self._lp_with_read_off(path, scale, monkeypatch) == [35]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: LP pair infeasible")
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5], ids=["zeroed_f", "halved_f"])
+    def test_lp_refuses_a_read_off_below_the_optimum(self, scale, tmp_path, capsys, monkeypatch):
+        # a zeroed or halved f is feasible, and only the objective gap refuses it
+        path = tmp_path / "g.txt"
+        path.write_text(write_weighted_graph(uniform_weights(gen_complete(7))))
+        assert self._lp_with_read_off(path, scale, monkeypatch) == [35]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: LP pair not optimal: objective gap")
+
+    @staticmethod
+    def _lp_with_read_off(path, scale, monkeypatch) -> list:
+        """Run cfl lp with the read-off f scaled; expects exit 3, returns each LP's rows."""
         shapes = []
 
         def mutating(*args, **kwargs):
             res = linprog(*args, **kwargs)
             shapes.append(kwargs["A_ub"].shape[0])
-            if mutate == "double":
-                res.ineqlin.marginals *= 2.0
-            else:
-                res.ineqlin.marginals[n:] = 0.0
+            res.ineqlin.marginals *= scale
             return res
 
         monkeypatch.setattr(factor_lp_mod, "linprog", mutating)
         assert main(["lp", "--in", str(path), "--t", "3"]) == 3
-        assert shapes == [rows]
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: LP pair infeasible")
+        return shapes
 
 
 # a forced pipeline run that would write a CSV table as well as --out

@@ -145,13 +145,13 @@ class TestSolveLp:
     @pytest.mark.parametrize(
         "wg,rows",
         [
-            # K_6: 20 triangles <= 6 + 15, so the packing form, one row per vertex and pair
-            (uniform_weights(gen_complete(6)), 21),
-            # K_7: 35 triangles > 7 + 21, so the covering form, one row per clique
+            # the covering form, one row per clique, whether N is at most
+            # n + m (K_6: 20 <= 6 + 15) or above it (K_7: 35 > 7 + 21)
+            (uniform_weights(gen_complete(6)), 20),
             (uniform_weights(gen_complete(7)), 35),
             (_weighted_complete(9, 1, low=0.05), 84),
         ],
-        ids=["packing", "covering", "covering_binding_pairs"],
+        ids=["few_cliques", "covering", "covering_binding_pairs"],
     )
     def test_one_solve_gives_a_checked_optimal_pair(self, wg, rows, monkeypatch):
         cliques = enumerate_cliques(wg.base, 3)
@@ -179,8 +179,8 @@ class TestSolveLp:
         assert solve_dual(wg, cliques).h.tolist() == d.h.tolist()
 
     def test_doubled_primal_read_off_is_refused(self, monkeypatch):
-        # K_7 solves the covering form, so f is read off the marginals;
-        # doubled, it loads every vertex with 2
+        # f is read off the covering form's marginals; doubled, it loads
+        # every vertex of K_7 with 2
         def double(marginals):
             marginals *= 2.0
 
@@ -191,19 +191,37 @@ class TestSolveLp:
         assert shapes == [(35, 28)]
 
     def test_zeroed_pair_duals_are_refused(self, monkeypatch):
-        # K_4 at w = 0.2 solves the packing form, and only its pair rows
-        # bind (t* = 0.4): with h zeroed no clique is covered
-        def zero_pairs(marginals):
-            marginals[4:] = 0.0
+        # K_4 at w = 0.2 binds only its pair rows (t* = 0.4): with the
+        # solved h zeroed no clique is covered
+        shapes = []
+
+        def zero_pairs(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            shapes.append(kwargs["A_ub"].shape)
+            res.x[4:] = 0.0
+            return res
 
         wg = uniform_weights(gen_complete(4), 0.2)
-        shapes = _mutated_read_off(monkeypatch, zero_pairs)
+        monkeypatch.setattr(factor_lp_mod, "linprog", zero_pairs)
         with pytest.raises(NumericalError, match="cover shortfall"):
             solve_lp(wg, enumerate_cliques(wg.base, 3))
-        assert shapes == [(10, 4)]
+        assert shapes == [(4, 10)]
         monkeypatch.setattr(factor_lp_mod, "linprog", linprog)
         _, d = solve_lp(wg, enumerate_cliques(wg.base, 3))
         assert d.g.max() <= 1e-9 and d.h.max() > 0.1
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5], ids=["zeroed", "halved"])
+    def test_feasible_read_off_below_the_optimum_is_refused(self, scale, monkeypatch):
+        # a zeroed or halved f is still feasible, so only the objective gap
+        # (t* or t*/2 on K_7, against 2 tol) refuses it
+        def shrink(marginals):
+            marginals *= scale
+
+        shapes = _mutated_read_off(monkeypatch, shrink)
+        wg = uniform_weights(gen_complete(7))
+        with pytest.raises(NumericalError, match="not optimal: objective gap"):
+            solve_lp(wg, enumerate_cliques(wg.base, 3))
+        assert shapes == [(35, 28)]
 
     def test_fallback_certificate_solves_the_smaller_form(self, monkeypatch):
         # K_9 has 84 triangles against 9 + 36 rows; with no Newton steps the
@@ -314,8 +332,8 @@ class TestFactorCertificate:
         "wg,rows",
         [
             (uniform_weights(gen_complete(6)), []),
-            # Newton refutes the factor, and the primal (n + m rows) gives t*
-            (uniform_weights(gen_complete(4), 0.2), [10]),
+            # Newton refutes the factor, and one LP (a row per clique) gives t*
+            (uniform_weights(gen_complete(4), 0.2), [4]),
             (_weighted_complete(9, 1, low=0.05), []),
         ],
         ids=["factor", "no_factor", "binding_pair_rows"],
