@@ -22,7 +22,7 @@ import numpy as np
 
 from .cliques import count_cliques_window, enumerate_cliques
 from .errors import NumericalError
-from .factor_lp import check_prop3, solve_lp, t_star
+from .factor_lp import TOL_DEFAULT, check_prop3, solve_lp, t_star
 from .generators import gen_complete, gen_paley, gen_random_regular
 from .graphs import Graph, WeightedGraph, edge_ids, from_edge_list, uniform_weights, write_graph
 from .pipeline import (
@@ -159,7 +159,7 @@ def criterion_1() -> dict:
         max_gap = max(max_gap, gap)
         if gap > 2e-7:
             failures.append(f"{name}: gap {gap:.3e}")
-        report = check_prop3(wg, t, seed=idx, cliques=cliques, primal=p, dual=d)
+        report = check_prop3(wg, cliques, TOL_DEFAULT, idx, p, d)
         if not report.all_pass:
             failures.append(
                 f"{name}: prop3 i={report.i_pass} ii={report.ii_pass} "
@@ -182,13 +182,14 @@ def criterion_2() -> dict:
     failures = []
     worst = 0.0
     for name, wg, t in _corpus():
+        cliques = enumerate_cliques(wg.base, t)
         if wg.n <= 12:
-            lib = t_star(wg, t)
+            lib = t_star(wg, cliques)
             ora = oracle_t_star(wg, t)
             worst = max(worst, abs(lib - ora))
             if abs(lib - ora) > 1e-6:
                 failures.append(f"{name}: t_star {lib:.9f} vs oracle {ora:.9f}")
-        lib_cliques = list(map(tuple, enumerate_cliques(wg.base, t).members.tolist()))
+        lib_cliques = list(map(tuple, cliques.members.tolist()))
         if lib_cliques != brute_force_cliques(wg.base, t):
             failures.append(f"{name}: clique enumeration mismatch")
     paley_triangles = len(brute_force_cliques(gen_paley(13), 3))
@@ -420,7 +421,7 @@ def criterion_8() -> dict:
     codeg_violations = 0
     hyperedges = 0
     for seed in range(200):
-        hf = build_Hf(g, 3, bundle, seed)
+        hf = build_Hf(bundle, seed)
         hyperedges += len(hf.hyperedges)
         degree_sums += hf_degrees(hf)
         worst = int(hf_codegrees(hf).max(initial=0))

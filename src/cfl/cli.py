@@ -36,7 +36,7 @@ from .errors import (
     ResourceError,
 )
 from .factor_lp import check_prop3, complementary_slackness, has_fractional_factor, solve_lp
-# bound here for perfbench/spans.py to wrap, until ROADMAP item 4 retires it
+# bound here for perfbench/spans.py to wrap, until ROADMAP item 2 retires it
 from .factor_lp import solve_dual, solve_primal  # noqa: F401
 from .generators import GenSpec, build
 from .graphs import parse_graph, parse_weighted_graph, uniform_weights, write_graph
@@ -257,7 +257,7 @@ def _cmd_lp(args) -> int:
     wg = _read_maybe_weighted(args.infile)
     cliques = enumerate_cliques(wg.base, args.t)
     primal, dual = solve_lp(wg, cliques, args.tol)
-    cert = has_fractional_factor(wg, args.t, args.tol, cliques, primal=primal)
+    cert = has_fractional_factor(wg, cliques, args.tol, primal)
     payload: dict = {
         "n": wg.n,
         "m": wg.base.m,
@@ -270,9 +270,7 @@ def _cmd_lp(args) -> int:
     }
     failed = False
     if args.prop3:
-        report = check_prop3(
-            wg, args.t, args.tol, args.seed, cliques=cliques, primal=primal, dual=dual, cert=cert
-        )
+        report = check_prop3(wg, cliques, args.tol, args.seed, primal, dual, cert)
         payload["prop3"] = report
         failed = failed or not report.all_pass
     if args.slackness:

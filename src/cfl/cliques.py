@@ -96,12 +96,11 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
     over the parents, of the upper degree of each parent's last vertex (for
     t = 3, the wedge count).  ResourceError is raised when those candidates
     would take more than ENUMERATION_BUDGET bytes, or when a level k >= 3
-    keeps more than ENUMERATION_CAP cliques; past the cap on the last level
-    it carries partial = ENUMERATION_CAP + 1, as a count that stops at the
-    cap would.  A K_3 costs 24 bytes as its rows of members and pair ids, 80
-    once both incidence operators are built (their index arrays are those
-    rows) and 88 at the peak of building them (measured on rr(160,80) and
-    rr(300,150)), so the cap of 10**7 cliques stays within ~0.9 GB.
+    keeps more than ENUMERATION_CAP cliques.  A K_3 costs 24 bytes as its
+    rows of members and pair ids, 80 once both incidence operators are built
+    (their index arrays are those rows) and 88 at the peak of building them
+    (measured on rr(160,80) and rr(300,150)), so the cap of 10**7 cliques
+    stays within ~0.9 GB.
     """
     if t < 2:
         raise InputError(f"t must be >= 2, got {t}")
@@ -136,8 +135,7 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
         rows = np.column_stack([rows[parent], w])
         if len(rows) > ENUMERATION_CAP:
             raise ResourceError(
-                f"clique enumeration exceeded {ENUMERATION_CAP}: {len(rows)} K_{k}",
-                partial=ENUMERATION_CAP + 1 if k == t else None,
+                f"clique enumeration exceeded {ENUMERATION_CAP}: {len(rows)} K_{k}"
             )
         # the parent's pairs, then (a, w) for every earlier a: put them in triu_indices(k, 1) order
         a_old, b_old = np.triu_indices(k - 1, 1)

@@ -22,11 +22,7 @@ class ParseError(InputError):
 
 
 class ResourceError(RuntimeError):
-    """A declared resource budget was exceeded; carries partial results when available."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A declared resource budget was exceeded; the message names the budget."""
 
 
 class NumericalError(RuntimeError):

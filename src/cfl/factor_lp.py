@@ -199,14 +199,11 @@ def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) 
     return solve_lp(wg, cliques, tol)[1]
 
 
-def t_star(
-    wg: WeightedGraph, t: int, tol: float = TOL_DEFAULT, cliques: CliqueSet | None = None
-) -> float:
-    """Optimum of the fractional K_t-matching LP: the primal objective of
-    solve_lp's one feasibility-checked solve.  Guaranteed <= |V|/t + tol."""
-    if cliques is None:
-        cliques = enumerate_cliques(wg.base, t)
-    return _within_bound(solve_lp(wg, cliques, tol)[0].objective, wg.n, t, tol)
+def t_star(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> float:
+    """Optimum of the fractional K_t-matching LP, t = cliques.t: the primal
+    objective of solve_lp's one feasibility-checked solve.  Guaranteed
+    <= |V|/t + tol."""
+    return _within_bound(solve_lp(wg, cliques, tol)[0].objective, wg.n, cliques.t, tol)
 
 
 def _within_bound(val: float, n: int, t: int, tol: float) -> float:
@@ -246,9 +243,7 @@ def _clique_bounds(values, rows, upper, marginals) -> tuple:
     return top, top + np.minimum(d, 0.0)
 
 
-def integral_matching_value(
-    wg: WeightedGraph, t: int, cliques: CliqueSet | None = None
-) -> float:
+def integral_matching_value(wg: WeightedGraph, cliques: CliqueSet) -> float:
     """Exact max of sum_T min-edge-weight over vertex-disjoint clique families.
 
     Branch-and-bound (HiGHS MILP, zero gap) within the MATCHING_BUDGET clique
@@ -271,16 +266,13 @@ def integral_matching_value(
     is used, and the value is that family's clique values summed; a
     rounded family that overlaps raises NumericalError.
     """
-    if cliques is None:
-        cliques = enumerate_cliques(wg.base, t)
     N = len(cliques)
     if N == 0:
         return 0.0
     if N > MATCHING_BUDGET:
         raise ResourceError(
             f"{N} cliques exceed the exact-matching budget {MATCHING_BUDGET}; "
-            "use a greedy lower bound instead",
-            partial=None,
+            "use a greedy lower bound instead"
         )
     values, rows, upper = _matching_rows(wg, cliques)
 
@@ -329,24 +321,21 @@ def integral_matching_value(
 
 def has_fractional_factor(
     wg: WeightedGraph,
-    t: int,
+    cliques: CliqueSet,
     tol: float = TOL_DEFAULT,
-    cliques: CliqueSet | None = None,
     primal: PrimalSolution | None = None,
 ) -> FactorCert:
-    """Decide whether a fractional K_t-factor exists and, if so, return one.
+    """Decide whether a fractional K_t-factor, t = cliques.t, exists and, if so, return one.
 
     The witness is the maximum-entropy factor (see the module docstring).
     When Newton reaches none, the primal optimum decides; a caller holding
-    the primal of (wg, t, tol) passes it in.  With a factor t_star = sum f;
+    the primal of (wg, cliques, tol) passes it in.  With a factor t_star = sum f;
     without, the loads are an optimal fractional matching's, and the note
     marks a t_star within tol of |V|/t with an infeasible unit-load programme.
     """
     if not 0 < tol < np.inf:
         raise InputError(f"tol must be finite and positive, got {tol}")
-    if cliques is None:
-        cliques = enumerate_cliques(wg.base, t)
-    n = wg.n
+    n, t = wg.n, cliques.t
     if n == 0:
         return FactorCert(True, 0.0, 0.0, np.zeros(0), **_support(cliques, np.zeros(0)))
     caps = _instance(wg, cliques)[2]
@@ -483,12 +472,11 @@ class Prop3Report:
 
 def check_prop3(
     wg: WeightedGraph,
-    t: int,
-    tol: float = TOL_DEFAULT,
-    seed: int = 0,
-    cliques: CliqueSet | None = None,
-    primal: PrimalSolution | None = None,
-    dual: DualSolution | None = None,
+    cliques: CliqueSet,
+    tol: float,
+    seed: int,
+    primal: PrimalSolution,
+    dual: DualSolution,
     cert: FactorCert | None = None,
 ) -> Prop3Report:
     """Verify the four duality facts tying t*, t(G,w), |V|/t and the dual together.
@@ -500,26 +488,21 @@ def check_prop3(
     reported for a sweep of thresholds since the positivity cliff is
     tolerance-dependent in floating point.
 
-    A caller that already holds the clique set, the primal-dual pair of
-    solve_lp or the factor certificate of (wg, t, tol) passes them in;
-    whatever is missing is solved here, the pair by one solve_lp, which
-    checks both sides feasible.  t* is the pair's primal objective, the
-    value t_star returns.
+    t = cliques.t, and (primal, dual) is the pair solve_lp returns for
+    (wg, cliques, tol), which checks both sides feasible; t* is its primal
+    objective, the value t_star returns.  A caller holding the factor
+    certificate passes it in; otherwise it is solved here when needed.
     """
-    if cliques is None:
-        cliques = enumerate_cliques(wg.base, t)
-    n = wg.n
-    if primal is None or dual is None:
-        primal, dual = solve_lp(wg, cliques, tol)
+    n, t = wg.n, cliques.t
     ts = _within_bound(primal.objective, n, t, tol)
-    integral = integral_matching_value(wg, t, cliques)
+    integral = integral_matching_value(wg, cliques)
     i_pass = ts >= integral - tol
     ii_bound = n / t
     ii_pass = ts <= ii_bound + tol
     ii_equality_case = False
     if abs(ts - ii_bound) <= tol:
         if cert is None:
-            cert = has_fractional_factor(wg, t, tol, cliques, primal=primal)
+            cert = has_fractional_factor(wg, cliques, tol, primal)
         ii_equality_case = bool(cert.has_factor)
         ii_pass = ii_pass and ii_equality_case
 
@@ -533,7 +516,7 @@ def check_prop3(
     a_vert, a_pair, caps = _instance(sub_wg, sub_cliques)
     restricted_value = g_sub.sum() + h_sub @ caps
     feasible = bool(np.all(a_vert.T @ g_sub + a_pair.T @ h_sub >= 1 - tol))
-    induced_ts = t_star(sub_wg, t, tol, sub_cliques)
+    induced_ts = t_star(sub_wg, sub_cliques, tol)
     iii_pass = feasible and restricted_value >= induced_ts - tol
 
     thresholds = (tol, 10 * tol, 100 * tol, 1e-3)

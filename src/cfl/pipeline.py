@@ -116,7 +116,7 @@ def dense_extract(
     note = ""
     for i in range(ell):
         rich = int(np.count_nonzero(w >= 1 - alpha - WEIGHT_SLACK))
-        cert = has_fractional_factor(WeightedGraph(g, w), t, tol, cliques)
+        cert = has_fractional_factor(WeightedGraph(g, w), cliques, tol)
         if not cert.has_factor:
             note = f"no fractional factor at iteration {i}; t_star = {cert.t_star:.9g}"
             iterations.append(
@@ -198,7 +198,9 @@ def sparse_extract(g: Graph, t: int, ell: int, seed: int, tol: float = TOL_DEFAU
     enumerated.  The bundle's clique set merges the parts' rows into host
     (lexicographic) order, part edge ids mapped to host ids; the merge keeps
     each part's order, so ascending part ids map to ascending bundle ids.
-    Parts without a fractional factor are reported, not fatal.
+    Parts without a fractional factor are reported, not fatal.  A part with
+    a vertex in none of its cliques is refuted without a certificate: that
+    vertex has load 0 under every weighting.
     """
     if t < 3:
         raise InputError(f"t must be >= 3, got {t}")
@@ -206,7 +208,9 @@ def sparse_extract(g: Graph, t: int, ell: int, seed: int, tol: float = TOL_DEFAU
 
     def solve(i: int) -> tuple:
         cs = enumerate_cliques(parts[i], t)
-        return cs, has_fractional_factor(uniform_weights(parts[i]), t, tol, cs)
+        if not np.bincount(cs.members.ravel(), minlength=g.n).all():
+            return cs, None
+        return cs, has_fractional_factor(uniform_weights(parts[i]), cs, tol)
 
     solved = fan_out(solve, range(ell))
     members = np.concatenate([cs.members for cs, _ in solved])
@@ -222,7 +226,7 @@ def sparse_extract(g: Graph, t: int, ell: int, seed: int, tol: float = TOL_DEFAU
     failed = []
     offset = 0
     for i, (cs, cert) in enumerate(solved):
-        if cert.has_factor:
+        if cert is not None and cert.has_factor:
             ids = rank[offset + cert.ids]
             factors.append((ids, cert.weights))
             total[ids] += cert.weights
@@ -264,9 +268,7 @@ class RandomHypergraph:
     inclusion_prob: np.ndarray
 
 
-def build_Hf(
-    g: Graph, t: int, bundle: FactorBundle, seed: int, tol: float = TOL_DEFAULT
-) -> RandomHypergraph:
+def build_Hf(bundle: FactorBundle, seed: int, tol: float = TOL_DEFAULT) -> RandomHypergraph:
     """Include each clique T of bundle.cliques independently with probability min(f(T), 1).
 
     f(T) sums the bundle's factors; values beyond 1 + 10 tol indicate a
@@ -289,8 +291,8 @@ def build_Hf(
     p = np.minimum(f[candidates], 1.0)
     kept = candidates[np.random.default_rng(seed).random(candidates.size) < p]
     return RandomHypergraph(
-        t=t,
-        vertices=g.n,
+        t=cliques.t,
+        vertices=cliques.graph.n,
         hyperedges=cliques.members[kept],
         candidates=candidates,
         inclusion_prob=p,
@@ -333,9 +335,11 @@ def hf_codegrees(hf: RandomHypergraph) -> np.ndarray:
     return np.unique(rows[:, u] * hf.vertices + rows[:, v], return_counts=True)[1]
 
 
-def concentration_audit(hf: RandomHypergraph, ell: int, n: int) -> ConcentrationReport:
+def concentration_audit(hf: RandomHypergraph, ell: int) -> ConcentrationReport:
     """Audit H_f against the ell-regular-in-expectation degree band and the
-    1 + 3 ln n codegree ceiling.  Not applicable below ell = 2 (ln ell = 0)."""
+    1 + 3 ln n codegree ceiling, n = hf.vertices.  Not applicable below
+    ell = 2 (ln ell = 0)."""
+    n = hf.vertices
     bound = 1 + 3 * math.log(n) if n else 0.0
     if ell < 2:
         return ConcentrationReport(False, ell, bound, empty=len(hf.hyperedges) == 0)
@@ -484,9 +488,7 @@ def _stage(name: str):
     """Re-raise stage failures with the stage name prefixed to the message."""
     try:
         yield
-    except ResourceError as exc:
-        raise ResourceError(f"[stage:{name}] {exc}", partial=exc.partial) from exc
-    except (InputError, NumericalError, InvariantError) as exc:
+    except (InputError, NumericalError, InvariantError, ResourceError) as exc:
         raise type(exc)(f"[stage:{name}] {exc}") from exc
 
 
@@ -539,8 +541,8 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
         else:
             bundle = sparse_extract(g, t, ell, s_split, config.tol)
     with _stage("hf"):
-        hf = build_Hf(g, t, bundle, s_hf, config.tol)
-        conc = concentration_audit(hf, bundle.ell, g.n)
+        hf = build_Hf(bundle, s_hf, config.tol)
+        conc = concentration_audit(hf, bundle.ell)
     with _stage("matching"):
         pre = nibble_matching(hf, config.matcher, config.epsilon, s_match)
 

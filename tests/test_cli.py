@@ -292,7 +292,9 @@ class TestAnalysisCommands:
         # one solve for the primal-dual pair, plus t* of the induced
         # subgraph; the factor certificate solves no LP, and the integral
         # matching value solves its one relaxation (0 <= x <= 1)
-        bare = canonical_json(check_prop3(k6_unit, 3, 1e-7, 5))
+        cliques = enumerate_cliques(k6_unit.base, 3)
+        primal, dual = factor_lp_mod.solve_lp(k6_unit, cliques, 1e-7)
+        bare = canonical_json(check_prop3(k6_unit, cliques, 1e-7, 5, primal, dual))
         calls = []
 
         def counting(*args, **kwargs):

@@ -48,6 +48,16 @@ def _witness(cert) -> dict:
     return dict(zip(map(tuple, cert.members.tolist()), cert.weights.tolist()))
 
 
+def _cliques(wg, t):
+    return enumerate_cliques(wg.base, t)
+
+
+def _prop3(wg, t, seed, tol=factor_lp_mod.TOL_DEFAULT):
+    """check_prop3 on the K_t of wg, with the pair solve_lp returns for them."""
+    cliques = _cliques(wg, t)
+    return check_prop3(wg, cliques, tol, seed, *solve_lp(wg, cliques, tol))
+
+
 def _weighted_complete(n, seed, low=0.2, high=1.0):
     g = gen_complete(n)
     rng = np.random.default_rng(seed)
@@ -68,31 +78,34 @@ class TestTStar:
     )
     def test_unit_complete_graphs(self, n, expected):
         wg = uniform_weights(gen_complete(n))
-        assert t_star(wg, 3) == pytest.approx(expected, abs=1e-7)
+        assert t_star(wg, _cliques(wg, 3)) == pytest.approx(expected, abs=1e-7)
 
     def test_paley13(self, paley13):
-        assert t_star(uniform_weights(paley13), 3) == pytest.approx(13 / 3, abs=1e-7)
+        wg = uniform_weights(paley13)
+        assert t_star(wg, _cliques(wg, 3)) == pytest.approx(13 / 3, abs=1e-7)
 
     def test_triangle_free_graph_is_zero(self, petersen):
-        assert t_star(uniform_weights(petersen), 3) == 0.0
+        wg = uniform_weights(petersen)
+        assert t_star(wg, _cliques(wg, 3)) == 0.0
 
     def test_k6_half_weights_still_two(self, k6):
         wg = uniform_weights(k6, 0.5)
-        assert t_star(wg, 3) == pytest.approx(2.0, abs=1e-7)
+        assert t_star(wg, _cliques(wg, 3)) == pytest.approx(2.0, abs=1e-7)
 
     def test_k6_one_dead_edge_still_two(self, k6):
         w = {e: 1.0 for e in k6.edges}
         w[(0, 1)] = 0.0
-        assert t_star(WeightedGraph(k6, w), 3) == pytest.approx(2.0, abs=1e-7)
+        wg = WeightedGraph(k6, w)
+        assert t_star(wg, _cliques(wg, 3)) == pytest.approx(2.0, abs=1e-7)
 
     def test_k4_as_its_own_clique(self):
         wg = uniform_weights(gen_complete(4))
-        assert t_star(wg, 4) == pytest.approx(1.0, abs=1e-7)
+        assert t_star(wg, _cliques(wg, 4)) == pytest.approx(1.0, abs=1e-7)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_weights_match_simplex_oracle(self, seed):
         wg = _weighted_complete(5 + seed % 3, seed)
-        assert t_star(wg, 3) == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
+        assert t_star(wg, _cliques(wg, 3)) == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
 
     def test_primal_and_dual_objectives_agree(self, k6_unit):
         cliques = enumerate_cliques(k6_unit.base, 3)
@@ -124,7 +137,7 @@ class TestTStar:
             with pytest.raises(InputError, match="finite and positive"):
                 solve(k6_unit, cliques, tol=tol)
         with pytest.raises(InputError, match="finite and positive"):
-            has_fractional_factor(k6_unit, 3, tol, cliques)
+            has_fractional_factor(k6_unit, cliques, tol)
 
 
 def _mutated_read_off(monkeypatch, mutate):
@@ -229,7 +242,8 @@ class TestSolveLp:
         # the witness
         monkeypatch.setattr(factor_lp_mod, "NEWTON_STEPS", 0)
         shapes = _mutated_read_off(monkeypatch, lambda marginals: None)
-        cert = has_fractional_factor(uniform_weights(gen_complete(9)), 3)
+        wg = uniform_weights(gen_complete(9))
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert shapes == [(84, 45)]
         assert cert.has_factor is True and "not spread" in cert.note
         assert np.abs(cert.per_vertex_load - 1.0).max() <= 1e-9
@@ -238,7 +252,8 @@ class TestSolveLp:
 class TestFactorCertificate:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_unit_complete_graphs_have_factors(self, n):
-        cert = has_fractional_factor(uniform_weights(gen_complete(n)), 3)
+        wg = uniform_weights(gen_complete(n))
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is True
         assert cert.t_star == pytest.approx(n / 3, abs=1e-7)
         for load in cert.per_vertex_load:
@@ -247,11 +262,11 @@ class TestFactorCertificate:
     def test_k6_witness_spreads_mass(self, k6_unit):
         # K_6 is triangle-transitive, so the maximum-entropy factor is uniform:
         # 20 triangles carrying total mass 2
-        cert = has_fractional_factor(k6_unit, 3)
+        cert = has_fractional_factor(k6_unit, _cliques(k6_unit, 3))
         assert max(cert.weights) == pytest.approx(0.1, abs=1e-6)
 
     def test_witness_load_identity(self, k6_unit):
-        cert = has_fractional_factor(k6_unit, 3)
+        cert = has_fractional_factor(k6_unit, _cliques(k6_unit, 3))
         loads = {v: 0.0 for v in range(6)}
         for tup, val in _witness(cert).items():
             for v in tup:
@@ -263,34 +278,38 @@ class TestFactorCertificate:
     def test_dead_edge_excluded_from_witness(self, k6):
         w = {e: 1.0 for e in k6.edges}
         w[(0, 1)] = 0.0
-        cert = has_fractional_factor(WeightedGraph(k6, w), 3)
+        wg = WeightedGraph(k6, w)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is True
         stray = sum(val for tup, val in _witness(cert).items() if 0 in tup and 1 in tup)
         assert stray <= 1e-6
 
     def test_half_weights_factor(self, k6):
-        cert = has_fractional_factor(uniform_weights(k6, 0.5), 3)
+        wg = uniform_weights(k6, 0.5)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is True
         assert cert.t_star == pytest.approx(2.0, abs=1e-7)
 
     def test_k4_single_clique_factor(self):
-        cert = has_fractional_factor(uniform_weights(gen_complete(4)), 4)
+        wg = uniform_weights(gen_complete(4))
+        cert = has_fractional_factor(wg, _cliques(wg, 4))
         assert cert.has_factor is True
         assert _witness(cert) == {(0, 1, 2, 3): pytest.approx(1.0, abs=1e-7)}
 
     def test_triangle_free_graph_has_none(self, petersen):
-        cert = has_fractional_factor(uniform_weights(petersen), 3)
+        wg = uniform_weights(petersen)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is False
         assert cert.ids is None and cert.weights is None and cert.members is None
         assert cert.slack == pytest.approx(10 / 3, abs=1e-7)
 
     def test_thin_weights_cap_t_star_below_factor(self):
         wg = uniform_weights(gen_complete(4), 0.2)
-        ts = t_star(wg, 3)
+        ts = t_star(wg, _cliques(wg, 3))
         assert ts == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # Newton's refutation stays quiet
-            cert = has_fractional_factor(wg, 3)
+            cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(ts, abs=1e-9)
 
@@ -299,7 +318,7 @@ class TestFactorCertificate:
         wg = _weighted_complete(6 + seed % 2, 400 + seed, low=0.05, high=0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cert = has_fractional_factor(wg, 3)
+            cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
         assert cert.slack == pytest.approx(wg.n / 3 - cert.t_star, abs=1e-12)
@@ -318,7 +337,7 @@ class TestFactorCertificate:
         # on these three the uniform weighting is a factor with every pair
         # slack, so it is both the maximum-entropy and a min-max optimum
         wg = instance()
-        cert = has_fractional_factor(wg, 3)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is True
         assert max(cert.weights) == pytest.approx(min_max_factor_value(wg, 3), abs=1e-9)
         assert min(cert.weights) == pytest.approx(max(cert.weights), abs=1e-9)
@@ -348,14 +367,14 @@ class TestFactorCertificate:
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(factor_lp_mod, "linprog", recording)
-        cert = has_fractional_factor(wg, 3)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert shapes == rows
         assert cert.has_factor is (not rows)
 
     def test_binding_pair_rows_enter_the_witness(self):
         # the low weights bind: some pair loads reach w, and mu > 0 there
         wg = _weighted_complete(9, 1, low=0.05)
-        cert = has_fractional_factor(wg, 3)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         load, w = pair_loads(wg, _witness(cert)), edge_weights(wg)
         tight = [e for e in wg.base.edges if load[e] >= w[e] - 1e-9]
         assert tight
@@ -385,7 +404,7 @@ class TestFactorCertificate:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(factor_lp_mod, "linprog", counting)
-            cert = has_fractional_factor(wg, 3)
+            cert = has_fractional_factor(wg, _cliques(wg, 3))
         ref = min_max_factor_value(wg, 3)
         assert cert.has_factor is (ref is not None)
         if ref is None:
@@ -406,7 +425,8 @@ class TestFactorCertificate:
         # factor; with no Newton steps the primal optimum is the witness
         g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (2, 4)])
         monkeypatch.setattr(factor_lp_mod, "NEWTON_STEPS", steps)
-        cert = has_fractional_factor(uniform_weights(g), 3)
+        wg = uniform_weights(g)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is True
         f = _witness(cert)
         assert f.get((2, 3, 4), 0.0) <= factor_lp_mod.TOL_DEFAULT
@@ -420,17 +440,18 @@ class TestFactorCertificate:
         # all 1 is no witness either
         monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: np.full(4, 1 / 3))
         thin = uniform_weights(gen_complete(4), 0.2)
-        cert = has_fractional_factor(thin, 3)
+        cert = has_fractional_factor(thin, _cliques(thin, 3))
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(oracle_t_star(thin, 3), abs=1e-6)
         monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: None)
         lopsided = PrimalSolution(f=np.array([1.0, 0.0, 0.0, 0.0]), objective=4 / 3)
-        cert = has_fractional_factor(uniform_weights(gen_complete(4)), 3, primal=lopsided)
+        wg = uniform_weights(gen_complete(4))
+        cert = has_fractional_factor(wg, _cliques(wg, 3), primal=lopsided)
         assert cert.has_factor is False
         assert "infeasible" in cert.note
 
     def test_to_dict_keys_and_filtering(self, k6_unit):
-        d = has_fractional_factor(k6_unit, 3).to_dict()
+        d = has_fractional_factor(k6_unit, _cliques(k6_unit, 3)).to_dict()
         assert set(d) == {"has_factor", "t_star", "slack", "per_vertex_load", "f", "note"}
         assert all(isinstance(k, str) for k in d["per_vertex_load"])
         for key, val in d["f"].items():
@@ -444,31 +465,31 @@ class TestIntegralMatching:
     )
     def test_unit_complete_graphs(self, n, expected):
         wg = uniform_weights(gen_complete(n))
-        assert integral_matching_value(wg, 3) == pytest.approx(expected, abs=1e-9)
+        assert integral_matching_value(wg, _cliques(wg, 3)) == pytest.approx(expected, abs=1e-9)
 
     def test_triangle_free_graph_is_zero(self, petersen):
-        assert integral_matching_value(uniform_weights(petersen), 3) == 0.0
+        wg = uniform_weights(petersen)
+        assert integral_matching_value(wg, _cliques(wg, 3)) == 0.0
 
     def test_k6_half_weights(self, k6):
-        assert integral_matching_value(uniform_weights(k6, 0.5), 3) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        wg = uniform_weights(k6, 0.5)
+        assert integral_matching_value(wg, _cliques(wg, 3)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_weights_match_exhaustive_oracle(self, seed):
         wg = _weighted_complete(5 + seed % 3, 100 + seed)
-        got = integral_matching_value(wg, 3)
+        got = integral_matching_value(wg, _cliques(wg, 3))
         assert got == pytest.approx(exhaustive_integral_matching(wg, 3), abs=1e-9)
 
     def test_budget_overflow_raises(self, k6_unit, monkeypatch):
         monkeypatch.setattr(factor_lp_mod, "MATCHING_BUDGET", 10)
         with pytest.raises(ResourceError, match="budget"):
-            integral_matching_value(k6_unit, 3)
+            integral_matching_value(k6_unit, _cliques(k6_unit, 3))
 
     def test_never_exceeds_fractional_optimum(self):
         for seed in range(4):
             wg = _weighted_complete(7, 200 + seed)
-            assert integral_matching_value(wg, 3) <= t_star(wg, 3) + 1e-7
+            assert integral_matching_value(wg, _cliques(wg, 3)) <= t_star(wg, _cliques(wg, 3)) + 1e-7
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -486,7 +507,7 @@ class TestIntegralMatching:
         g = from_edge_list(n, pairs)
         draw = (lambda: rng.choice([0.25, 0.5, 1.0])) if ties else rng.random
         wg = WeightedGraph(g, {e: float(draw()) for e in g.edges})
-        got = integral_matching_value(wg, t)
+        got = integral_matching_value(wg, _cliques(wg, t))
         assert got == pytest.approx(exhaustive_integral_matching(wg, t), abs=1e-9)
 
     @pytest.mark.parametrize("n,t,rows", [(6, 3, 6), (7, 3, 8), (8, 4, 8), (7, 4, 8)])
@@ -499,7 +520,8 @@ class TestIntegralMatching:
             return milp(*args, **kwargs)
 
         monkeypatch.setattr(factor_lp_mod, "milp", recording)
-        integral_matching_value(uniform_weights(gen_complete(n)), t)
+        wg = uniform_weights(gen_complete(n))
+        integral_matching_value(wg, _cliques(wg, t))
         assert shapes == [(rows, 1.0 if n % t == 0 else n // t)]
 
     @pytest.mark.parametrize("n", [20, 22])  # n = 2 and 1 mod 3
@@ -507,7 +529,7 @@ class TestIntegralMatching:
         g = gen_random_regular(n, 10, 7)
         rng = np.random.default_rng(n)
         wg = WeightedGraph(g, {e: float(rng.random()) for e in g.edges})
-        got = integral_matching_value(wg, 3)
+        got = integral_matching_value(wg, _cliques(wg, 3))
         assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
 
     def test_pruned_solves_match_the_vertex_only_milp(self, monkeypatch):
@@ -524,7 +546,7 @@ class TestIntegralMatching:
         for seed in range(6):
             wg = _weighted_rr(seed)
             cols.clear()
-            got = integral_matching_value(wg, 3)
+            got = integral_matching_value(wg, _cliques(wg, 3))
             assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
             pruned += cols[-1] < len(enumerate_cliques(wg.base, 3))
         assert pruned >= 1
@@ -548,7 +570,7 @@ class TestIntegralMatching:
         monkeypatch.setattr(factor_lp_mod, "linprog", recording_lp)
         monkeypatch.setattr(factor_lp_mod, "milp", recording_milp)
         wg = _weighted_rr(seed)
-        got = integral_matching_value(wg, 3)
+        got = integral_matching_value(wg, _cliques(wg, 3))
         assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
         assert len(probe_cols) == probes and milp_cols == milps
         assert milp_cols[1] < probe_cols[0]
@@ -633,7 +655,7 @@ class TestIntegralMatching:
 
         monkeypatch.setattr(factor_lp_mod, "linprog", inaccurate)
         for wg in [*(_weighted_rr(seed, n=22) for seed in range(4)), *map(_weighted_rr, (3, 5))]:
-            got = integral_matching_value(wg, 3)
+            got = integral_matching_value(wg, _cliques(wg, 3))
             assert got == pytest.approx(vertex_only_matching_value(wg, 3), abs=1e-9)
         assert sum(probes) > 0
 
@@ -647,8 +669,9 @@ class TestIntegralMatching:
             return res
 
         monkeypatch.setattr(factor_lp_mod, "linprog", failing_probes)
+        wg = _weighted_rr(5)
         with pytest.raises(NumericalError, match="matching probe failed: numerical difficulties"):
-            integral_matching_value(_weighted_rr(5), 3)
+            integral_matching_value(wg, _cliques(wg, 3))
 
     def test_overlapping_solution_is_refused(self, k6_unit, monkeypatch):
         # an overlapping family must raise before its value bounds anything:
@@ -664,35 +687,53 @@ class TestIntegralMatching:
         monkeypatch.setattr(factor_lp_mod, "milp", overlapping)
         for wg in (k6_unit, _weighted_rr(0)):
             with pytest.raises(NumericalError, match="overlapping"):
-                integral_matching_value(wg, 3)
+                integral_matching_value(wg, _cliques(wg, 3))
         assert calls[0] == 20
         assert len(calls) == 2 and calls[1] < len(enumerate_cliques(_weighted_rr(0).base, 3))
 
 
+class TestInstanceFixesT:
+    # the clique set is the instance: t is its t, and K_12's K_4 set has
+    # t* = 12/4 = 3 with a factor, whatever t a caller might have in mind
+    def test_k12_k4_set_certifies_a_factor_at_slack_zero(self):
+        wg = uniform_weights(gen_complete(12))
+        cert = has_fractional_factor(wg, _cliques(wg, 4))
+        assert cert.has_factor is True
+        assert cert.t_star == pytest.approx(3.0, abs=1e-7)
+        assert abs(cert.slack) <= 1e-7
+
+    def test_k12_k4_set_t_star_and_duality_checks(self):
+        wg = uniform_weights(gen_complete(12))
+        assert t_star(wg, _cliques(wg, 4)) == pytest.approx(3.0, abs=1e-7)
+        rep = _prop3(wg, 4, 0)
+        assert rep.all_pass is True
+        assert rep.ii_bound == 3.0
+
+
 class TestDualityChecks:
     def test_k6_passes_all_four(self, k6_unit):
-        rep = check_prop3(k6_unit, 3, seed=5)
+        rep = _prop3(k6_unit, 3, 5)
         assert rep.all_pass is True
         assert rep.ii_equality_case is True  # t_star == 6/3 and factor confirmed
         assert rep.integral_value == pytest.approx(2.0, abs=1e-9)
 
     def test_paley13_passes(self, paley13):
-        rep = check_prop3(uniform_weights(paley13), 3, seed=2)
+        rep = _prop3(uniform_weights(paley13), 3, 2)
         assert rep.all_pass is True
         assert rep.t_star == pytest.approx(13 / 3, abs=1e-7)
 
     def test_no_factor_instance_passes(self):
         # hypotheses (i)-(iv) hold whether or not a factor exists
-        rep = check_prop3(uniform_weights(gen_complete(4), 0.2), 3, seed=9)
+        rep = _prop3(uniform_weights(gen_complete(4), 0.2), 3, 9)
         assert rep.all_pass is True
         assert rep.ii_equality_case is False
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_weighted_instances_pass(self, seed):
-        assert check_prop3(_weighted_complete(7, 300 + seed), 3, seed=seed).all_pass
+        assert _prop3(_weighted_complete(7, 300 + seed), 3, seed).all_pass
 
     def test_positivity_cliff_is_monotone(self, paley13):
-        rep = check_prop3(uniform_weights(paley13), 3, seed=4)
+        rep = _prop3(uniform_weights(paley13), 3, 4)
         sizes = [rep.v1_sizes[thr] for thr in sorted(rep.v1_sizes)]
         assert sizes == sorted(sizes, reverse=True)
         assert all(0 <= s <= 13 for s in sizes)
@@ -700,14 +741,14 @@ class TestDualityChecks:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_restricted_dual_value_matches_a_loop(self, seed):
         wg = _weighted_complete(7, 300 + seed)
-        rep = check_prop3(wg, 3, seed=seed)
+        rep = _prop3(wg, 3, seed)
         assert len(rep.iii_subset) >= 3
         assert rep.iii_restricted_value == pytest.approx(_restricted_by_loop(wg, rep), abs=1e-12)
 
     def test_restricted_dual_carries_the_subsets_pair_duals(self):
         # low weights make pair rows bind, so h > 0 on edges inside the subset
         wg = _weighted_complete(8, 5, low=0.05, high=0.4)
-        rep = check_prop3(wg, 3, seed=1)
+        rep = _prop3(wg, 3, 1)
         _, d = solve_lp(wg, enumerate_cliques(wg.base, 3))
         h = dict(zip(wg.base.edges, d.h.tolist()))
         assert any(h[e] > 1e-9 for e in itertools.combinations(rep.iii_subset, 2))
@@ -720,10 +761,11 @@ class TestDualityChecks:
         ids=["primal_t_star_equality_case", "dual_t_star"],
     )
     def test_callers_solves_give_the_bare_report(self, wg, monkeypatch):
-        bare = check_prop3(wg, 3, seed=1)
+        tol = factor_lp_mod.TOL_DEFAULT
         cliques = enumerate_cliques(wg.base, 3)
-        primal, dual = solve_lp(wg, cliques)
-        cert = has_fractional_factor(wg, 3, cliques=cliques)
+        primal, dual = solve_lp(wg, cliques, tol)
+        bare = check_prop3(wg, cliques, tol, 1, primal, dual)
+        cert = has_fractional_factor(wg, cliques, tol)
         calls = []
 
         def counting(*args, **kwargs):
@@ -731,18 +773,18 @@ class TestDualityChecks:
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
-        rep = check_prop3(wg, 3, seed=1, cliques=cliques, primal=primal, dual=dual, cert=cert)
+        rep = check_prop3(wg, cliques, tol, 1, primal, dual, cert)
         assert rep == bare
         # t* of the induced subgraph, and the integral matching's relaxation
         assert calls == [(0, 1), (0, None)]
 
     def test_subset_is_sorted_and_in_range(self, k6_unit):
-        rep = check_prop3(k6_unit, 3, seed=7)
+        rep = _prop3(k6_unit, 3, 7)
         assert list(rep.iii_subset) == sorted(set(rep.iii_subset))
         assert all(0 <= v < 6 for v in rep.iii_subset)
 
     def test_to_dict_round_trips_thresholds(self, k6_unit):
-        d = check_prop3(k6_unit, 3, seed=5).to_dict()
+        d = _prop3(k6_unit, 3, 5).to_dict()
         assert d["all_pass"] is True
         assert len(d["v1_sizes"]) == 4
 

@@ -202,6 +202,34 @@ class TestSparseExtraction:
         assert len(bundle.audits["failed_parts"]) == 15
         assert bundle.factors == ()
 
+    @pytest.mark.parametrize("seed", [2, 3, 17])
+    def test_part_with_a_cliqueless_vertex_is_refuted_unsolved(self, seed, monkeypatch):
+        # rr(100,50) at ell = 5: every part of these splits has 2-7 vertices
+        # in none of its triangles, so no part reaches the certifier
+        def refusing(*args, **kwargs):
+            raise AssertionError("a refuted part was certified")
+
+        monkeypatch.setattr(pipeline_mod, "has_fractional_factor", refusing)
+        bundle = sparse_extract(gen_random_regular(100, 50, 2025), 3, 5, seed)
+        assert bundle.audits["failed_parts"] == [0, 1, 2, 3, 4]
+        assert bundle.factors == ()
+
+    def test_part_with_every_vertex_in_a_clique_is_certified(self, monkeypatch):
+        # split 5 of the same host: part 0 has every vertex in a triangle and
+        # still fails, but only by its certificate; parts 1-4 are refuted
+        # structurally
+        certified = []
+        real = pipeline_mod.has_fractional_factor
+
+        def recording(wg, cliques, tol):
+            certified.append(wg.base.m)
+            return real(wg, cliques, tol)
+
+        monkeypatch.setattr(pipeline_mod, "has_fractional_factor", recording)
+        bundle = sparse_extract(gen_random_regular(100, 50, 2025), 3, 5, 5)
+        assert bundle.audits["failed_parts"] == [0, 1, 2, 3, 4]
+        assert certified == bundle.audits["split_sizes"][:1]
+
     def test_k30_two_parts_both_extract(self):
         bundle = sparse_extract(gen_complete(30), 3, 2, seed=0)
         assert bundle.ell == 2
@@ -265,44 +293,44 @@ class TestRandomHypergraph:
 
     def test_unit_probabilities_are_kept_surely(self, k6):
         cliques = enumerate_cliques(k6, 3)
-        hf = build_Hf(k6, 3, self._bundle({0: 1.0, 19: 1.0}), seed=123)
+        hf = build_Hf(self._bundle({0: 1.0, 19: 1.0}), seed=123)
         assert hf.hyperedges.dtype == np.int32
         assert hf.hyperedges.tolist() == cliques.members[[0, 19]].tolist()
         assert hf.candidates.tolist() == [0, 19]
         assert hf.inclusion_prob.tolist() == [1.0, 1.0]
 
-    def test_zero_mass_bundle_gives_empty_hypergraph(self, k6):
-        hf = build_Hf(k6, 3, self._bundle(), seed=0)
+    def test_zero_mass_bundle_gives_empty_hypergraph(self):
+        hf = build_Hf(self._bundle(), seed=0)
         assert hf.hyperedges.shape == (0, 3)
         assert hf.candidates.size == hf.inclusion_prob.size == 0
 
-    def test_aggregate_mass_above_tolerance_raises(self, k6):
+    def test_aggregate_mass_above_tolerance_raises(self):
         bundle = self._bundle({0: 0.5}, {0: 0.5 + 1e-5})
         with pytest.raises(InvariantError, match="exceeds"):
-            build_Hf(k6, 3, bundle, seed=0)
+            build_Hf(bundle, seed=0)
 
-    def test_solver_noise_above_one_clamps(self, k6):
+    def test_solver_noise_above_one_clamps(self):
         bundle = self._bundle({0: 0.5}, {0: 0.5 + 5e-7})
-        hf = build_Hf(k6, 3, bundle, seed=0)
+        hf = build_Hf(bundle, seed=0)
         assert hf.candidates[0] == 0 and hf.inclusion_prob[0] == 1.0
 
     def test_same_seed_reproduces_sample(self, k6):
         bundle = dense_extract(k6, 3, 2)
-        a = build_Hf(k6, 3, bundle, seed=0)
-        b = build_Hf(k6, 3, bundle, seed=0)
+        a = build_Hf(bundle, seed=0)
+        b = build_Hf(bundle, seed=0)
         assert np.array_equal(a.hyperedges, b.hyperedges)
         assert np.array_equal(a.candidates, b.candidates)
         assert np.array_equal(a.inclusion_prob, b.inclusion_prob)
 
     def test_different_seed_changes_sample(self, k6):
         bundle = dense_extract(k6, 3, 2)
-        a = build_Hf(k6, 3, bundle, seed=0)
-        b = build_Hf(k6, 3, bundle, seed=1)
+        a = build_Hf(bundle, seed=0)
+        b = build_Hf(bundle, seed=1)
         assert not np.array_equal(a.hyperedges, b.hyperedges)
 
     def test_candidates_recorded_in_id_order(self, k6):
         bundle = dense_extract(k6, 3, 2)
-        hf = build_Hf(k6, 3, bundle, seed=0)
+        hf = build_Hf(bundle, seed=0)
         assert hf.candidates.shape == hf.inclusion_prob.shape
         assert hf.candidates.tolist() == sorted(set(hf.candidates.tolist()))
         assert all(0 < p <= 1 for p in hf.inclusion_prob.tolist())
@@ -310,21 +338,21 @@ class TestRandomHypergraph:
 
 class TestConcentrationAudit:
     def test_single_factor_band_not_applicable(self):
-        rep = concentration_audit(_hypergraph(6), 1, 6)
+        rep = concentration_audit(_hypergraph(6), 1)
         assert rep.applicable is False
         assert rep.empty is True
 
     def test_empty_hypergraph_sits_inside_the_wide_band(self):
         # at ell=2 the half-width (k/2)sqrt(2 ln 2) with k = 8/sqrt(beta)
         # exceeds 2, so degree 0 is inside the band; emptiness is its own flag
-        rep = concentration_audit(_hypergraph(10), 2, 10)
+        rep = concentration_audit(_hypergraph(10), 2)
         assert rep.applicable is True
         assert rep.empty is True
         assert rep.band_low < 0
         assert rep.degrees_outside == 0
 
     def test_disjoint_hyperedges_keep_codegree_at_one(self):
-        rep = concentration_audit(_hypergraph(6, ((0, 1, 2), (3, 4, 5))), 2, 6)
+        rep = concentration_audit(_hypergraph(6, ((0, 1, 2), (3, 4, 5))), 2)
         assert rep.max_codegree == 1
         assert rep.codegrees_outside == 0
         assert rep.empty is False
@@ -335,14 +363,14 @@ class TestConcentrationAudit:
         assert list(deg) == [2, 2, 1, 1, 0, 0]
         # pair keys 0*6+1, 0*6+2, 0*6+3, 1*6+2, 1*6+3: the shared pair (0, 1) first
         assert hf_codegrees(hf).tolist() == [2, 1, 1, 1, 1]
-        rep = concentration_audit(hf, 2, 6)
+        rep = concentration_audit(hf, 2)
         assert rep.mean_degree == pytest.approx(1.0)
         assert rep.max_degree == 2 and rep.min_degree == 0
         assert rep.max_codegree == 2
         assert rep.codegree_bound == pytest.approx(1 + 3 * math.log(6))
 
     def test_renders_as_json(self):
-        d = json.loads(canonical_json(concentration_audit(_hypergraph(6), 2, 6)))
+        d = json.loads(canonical_json(concentration_audit(_hypergraph(6), 2)))
         assert d["applicable"] is True and d["empty"] is True
 
 
@@ -371,7 +399,7 @@ class TestMatching:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cover_identity_and_disjointness(self, k6, mode, seed):
         bundle = dense_extract(k6, 3, 2)
-        hf = build_Hf(k6, 3, bundle, seed=seed)
+        hf = build_Hf(bundle, seed=seed)
         res = nibble_matching(hf, mode, 0.1, seed=seed)
         assert 3 * len(res.matched) + res.uncovered_count == 6
         used = [v for e in res.matched for v in e]
@@ -402,7 +430,7 @@ class TestMatching:
         g = gen_random_regular(30, 14, 5)
         bundle = dense_extract(g, 3, 2)
         for seed in range(4):
-            hf = build_Hf(g, 3, bundle, seed)
+            hf = build_Hf(bundle, seed)
             res = nibble_matching(hf, mode, epsilon, seed)
             tuples = list(map(tuple, hf.hyperedges.tolist()))
             assert res.matched == nibble_by_loops(tuples, g.n, mode, epsilon, seed)

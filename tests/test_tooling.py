@@ -10,6 +10,7 @@ next to them.
 
 import hashlib
 import importlib
+import inspect
 import os
 import re
 import types
@@ -39,6 +40,21 @@ def test_every_wrapped_attribute_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", ["cfl.factor_lp", "cfl.pipeline"])
+def test_instance_objects_fix_t(module):
+    # a clique set or bundle already fixes t (and the host), so no public
+    # function takes t beside one, and a clique set is never optional
+    mod = importlib.import_module(module)
+    for name, fn in vars(mod).items():
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module:
+            continue
+        params = inspect.signature(fn).parameters
+        if "cliques" in params or "bundle" in params:
+            assert "t" not in params, name
+        if "cliques" in params:
+            assert params["cliques"].default is inspect.Parameter.empty, name
 
 
 def test_audit_inputs_parse_back(tmp_path):
