@@ -266,7 +266,7 @@ def _cmd_lp(args) -> int:
         "primal_objective": primal.objective,
         "dual_objective": dual.objective,
         "gap": abs(primal.objective - dual.objective),
-        "cert": cert.to_dict(args.tol),
+        "cert": cert.to_dict(cliques, args.tol),
     }
     failed = False
     if args.prop3:

@@ -54,7 +54,9 @@ class CliqueSet:
     A_vert (n x N) and A_pair (m x N) are built from these on first use and
     kept, so every LP and load computation over the same clique set shares
     one copy: vertex loads of a clique weighting f are A_vert @ f, pair
-    loads A_pair @ f.
+    loads A_pair @ f.  Their index arrays are views of members and
+    pair_ids, and their data is one read-only all-ones float64 buffer of
+    N max(t, C(t,2)) entries that both share.
     """
 
     t: int
@@ -66,27 +68,36 @@ class CliqueSet:
         return len(self.members)
 
     @cached_property
+    def _ones(self) -> np.ndarray:
+        """The read-only ones that both operators take as data."""
+        ones = np.ones(len(self) * max(self.t, self.pair_ids.shape[1]))
+        ones.flags.writeable = False
+        return ones
+
+    @cached_property
     def A_vert(self) -> sparse.csc_matrix:
         """Entry (v, j) is 1 iff vertex v lies in clique j."""
-        return _incidence(self.members.ravel(), self.t, (self.graph.n, len(self)))
+        return _incidence(self.members.ravel(), self.t, (self.graph.n, len(self)), self._ones)
 
     @cached_property
     def A_pair(self) -> sparse.csc_matrix:
         """Entry (e, j) is 1 iff both ends of edge e lie in clique j."""
-        return _incidence(self.pair_ids.ravel(), self.pair_ids.shape[1], (self.graph.m, len(self)))
+        per = self.pair_ids.shape[1]
+        return _incidence(self.pair_ids.ravel(), per, (self.graph.m, len(self)), self._ones)
 
     def least_weight(self, w: np.ndarray) -> np.ndarray:
         """Each clique's least pair weight under edge weights w (in edge order)."""
         return w[self.pair_ids].min(axis=1)
 
 
-def _incidence(rows: np.ndarray, per: int, shape: tuple) -> sparse.csc_matrix:
+def _incidence(rows: np.ndarray, per: int, shape: tuple, ones: np.ndarray) -> sparse.csc_matrix:
     """0/1 matrix whose column j has its ones at rows[j*per : (j+1)*per].
 
-    Clique rows are increasing, so each column's rows come out sorted.
+    Its data is a view of ones.  Clique rows are increasing, so each
+    column's rows come out sorted.
     """
     indptr = np.arange(shape[1] + 1) * per
-    return sparse.csc_matrix((np.ones(rows.size), rows, indptr), shape=shape)
+    return sparse.csc_matrix((ones[: rows.size], rows, indptr), shape=shape)
 
 
 def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
@@ -97,10 +108,11 @@ def enumerate_cliques(g: Graph, t: int) -> CliqueSet:
     t = 3, the wedge count).  ResourceError is raised when those candidates
     would take more than ENUMERATION_BUDGET bytes, or when a level k >= 3
     keeps more than ENUMERATION_CAP cliques.  A K_3 costs 24 bytes as its
-    rows of members and pair ids, 80 once both incidence operators are built
-    (their index arrays are those rows) and 88 at the peak of building them
-    (measured on rr(160,80) and rr(300,150)), so the cap of 10**7 cliques
-    stays within ~0.9 GB.
+    rows of members and pair ids, 56 once both incidence operators are built
+    (their index arrays are those rows, their data one shared ones buffer)
+    and 64 at the peak of building them (measured with tracemalloc on
+    rr(160,80) and rr(300,150)), so the cap of 10**7 cliques stays within
+    ~0.64 GB.
     """
     if t < 2:
         raise InputError(f"t must be >= 2, got {t}")

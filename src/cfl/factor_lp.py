@@ -114,10 +114,11 @@ class FactorCert:
     per_vertex_load within tol of 1, every pair load at most w + tol.  It is
     the maximum-entropy factor, unless the note says it is the primal
     optimum, a basic solution that is not spread.  Its support is carried
-    as arrays: ids are the ascending clique ids (rows of the certified
-    clique set) with f > 0, weights their f and members their vertex rows.
-    per_vertex_load[v] is the load on vertex v (length n), of the witness or,
-    without a factor, of the primal optimum.  slack = |V|/t - t_star.
+    as two arrays: ids are the ascending int32 clique ids (rows of the
+    certified clique set) with f > 0, and weights their f.  The cliques'
+    vertex rows stay in the clique set, where to_dict reads them.
+    per_vertex_load[v] is the load on vertex v (length n), of the witness
+    or, without a factor, of the primal optimum.  slack = |V|/t - t_star.
     """
 
     has_factor: bool
@@ -126,15 +127,17 @@ class FactorCert:
     per_vertex_load: np.ndarray
     ids: np.ndarray | None = None
     weights: np.ndarray | None = None
-    members: np.ndarray | None = None
     note: str = ""
 
-    def to_dict(self, tol: float = TOL_DEFAULT) -> dict:
-        """Vertex loads keyed by str(v); the witness's cliques above tol as "a b c" -> f."""
+    def to_dict(self, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> dict:
+        """Vertex loads keyed by str(v); the witness's cliques above tol as "a b c" -> f.
+
+        cliques is the clique set this certificate was solved on.
+        """
         f = None
         if self.ids is not None:
             keep = self.weights > tol
-            rows = (" ".join(map(str, row)) for row in self.members[keep].tolist())
+            rows = (" ".join(map(str, row)) for row in cliques.members[self.ids[keep]].tolist())
             f = dict(zip(rows, self.weights[keep].tolist()))
         loads = self.per_vertex_load.tolist()
         return {
@@ -337,7 +340,7 @@ def has_fractional_factor(
         raise InputError(f"tol must be finite and positive, got {tol}")
     n, t = wg.n, cliques.t
     if n == 0:
-        return FactorCert(True, 0.0, 0.0, np.zeros(0), **_support(cliques, np.zeros(0)))
+        return FactorCert(True, 0.0, 0.0, np.zeros(0), **_support(np.zeros(0)))
     caps = _instance(wg, cliques)[2]
     fvec, note = _max_entropy_factor(cliques, caps, tol), ""
     if fvec is None or not _is_factor(cliques, caps, fvec, tol):
@@ -352,12 +355,12 @@ def has_fractional_factor(
         note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
     ts = _within_bound(float(fvec.sum()), n, t, tol)
     loads = cliques.A_vert @ fvec
-    return FactorCert(True, ts, n / t - ts, loads, **_support(cliques, fvec), note=note)
+    return FactorCert(True, ts, n / t - ts, loads, **_support(fvec), note=note)
 
 
-def _support(cliques: CliqueSet, fvec: np.ndarray) -> dict:
-    ids = np.flatnonzero(fvec > 0)
-    return {"ids": ids, "weights": fvec[ids], "members": cliques.members[ids]}
+def _support(fvec: np.ndarray) -> dict:
+    ids = np.flatnonzero(fvec > 0).astype(np.int32)
+    return {"ids": ids, "weights": fvec[ids]}
 
 
 def _is_factor(cliques: CliqueSet, caps: np.ndarray, fvec: np.ndarray, tol: float) -> bool:

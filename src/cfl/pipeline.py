@@ -123,7 +123,9 @@ def dense_extract(
                 {"iteration": i, "t_star": cert.t_star, "rich_edges": rich, "extracted": False}
             )
             break
-        dec = cliques.A_pair[:, cert.ids] @ cert.weights
+        f = np.zeros(len(cliques))
+        f[cert.ids] = cert.weights
+        dec = cliques.A_pair @ f
         # an edge's decrement lowers the weighted degree of both of its ends
         drop = np.bincount(ends.ravel(), weights=np.repeat(dec, 2), minlength=g.n)
         residual = float(np.max(np.abs(drop - (t - 1)))) if g.n else 0.0

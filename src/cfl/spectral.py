@@ -8,10 +8,10 @@ divide-and-conquer driver, with the witness residual taken against the CSR
 matrix.  Above it, implicitly restarted Lanczos (ARPACK, via eigsh) finds
 both ends of the spectrum of A - (d/n) J, and each end is certified by its
 residual against A.  The mixing audit draws its subsets in batches, as the
-0/1 columns of an n x k array: column j holds the vertices whose uniform key
+bool columns of an n x k array: column j holds the vertices whose uniform key
 falls below a uniform threshold q_j, with empty columns drawn again.  Edges
-between the subsets of a pair are counted by one sparse product with the same
-matrix.
+between the subsets of a pair are counted by sparse products with the same
+matrix, one per column chunk.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
 never numpy's, on one OpenBLAS thread per solve (blas.one_thread), so lambda's
@@ -37,9 +37,15 @@ DENSE_LIMIT = 2000
 # Strict EML inequality is relaxed by this much; covers the degenerate
 # |A| = 0 bound 0 < 0 and float noise in the counted side.
 EML_SLACK = 1e-9
-# Entries per n x k float64 array in a mixing-audit batch: three such arrays
-# are live at once, so a batch holds about 3 * 8 * MIXING_BATCH_ENTRIES bytes.
+# Entries per n x k indicator array in a mixing-audit batch.  The two arrays
+# of a batch are bool, one byte an entry.  The float64 arrays beside them (the
+# keys of one row block; A times one column chunk of B's indicators, and that
+# chunk as float64) hold at most MIXING_BLOCK_ENTRIES entries each, 1 MiB, so
+# a full batch holds about 3 * MIXING_BATCH_ENTRIES bytes (13.5 MiB traced at
+# n = 8192).  Blocks of 1 MiB made the audit on rr(2100,20) faster than
+# blocks of 0.5 or 2 MiB.
 MIXING_BATCH_ENTRIES = 2**22
+MIXING_BLOCK_ENTRIES = MIXING_BATCH_ENTRIES // 32
 
 
 @dataclass(frozen=True)
@@ -187,7 +193,7 @@ def _mixing_batch_width(n: int) -> int:
 
 
 def _draw_subsets(rng: np.random.Generator, n: int, k: int):
-    """k random non-empty subsets of range(n), n >= 1, as 0/1 float64 columns.
+    """k random non-empty subsets of range(n), n >= 1, as bool columns.
 
     Column j is {i : key_ij < q_j} for one threshold q_j ~ U(0,1) and uniform
     keys.  Given q_j its size is Binomial(n, q_j), so
@@ -197,7 +203,7 @@ def _draw_subsets(rng: np.random.Generator, n: int, k: int):
     makes the size uniform on [1, n].  The generator's grid is the only
     approximation: its uniforms are multiples of 2^-53, so P(key < q) is q
     exactly and the integral becomes a 2^53-point sum within 2^-52 of it.
-    Returns the (n, k) array and its column sums, the subset sizes.
+    Returns the (n, k) array and its column sums, the subset sizes (int64).
     """
     ind = _threshold_columns(rng, n, k)
     sizes = ind.sum(axis=0)
@@ -211,17 +217,32 @@ def _draw_subsets(rng: np.random.Generator, n: int, k: int):
 
 
 def _threshold_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """The (n, k) bool array key_ij < q_j, its keys drawn in row blocks.
+
+    The generator fills an array in row order, so the blocks read the same
+    stream as one rng.random((n, k)) and give the same bits.
+    """
     q = rng.random(k)
-    keys = rng.random((n, k))
-    return np.less(keys, q, out=keys)  # 0/1 in place: no second n x k array
+    ind = np.empty((n, k), dtype=bool)
+    rows = max(1, MIXING_BLOCK_ENTRIES // k)
+    for start in range(0, n, rows):
+        block = ind[start : start + rows]
+        np.less(rng.random(block.shape), q, out=block)
+    return ind
 
 
 def _pair_counts(a: sparse.csr_matrix, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """e(A_j, B_j) = 1_{A_j}^T A 1_{B_j} for every column j of the indicator arrays.
 
-    The counts are float64 integers below n*d < 2^53, so exact.
+    A multiplies B's indicators a column chunk at a time, so the float64
+    product never exceeds MIXING_BLOCK_ENTRIES entries.  The counts are
+    float64 integers below n*d < 2^53, so exact in any order.
     """
-    return np.einsum("ij,ij->j", ia, a @ ib)
+    cols = max(1, MIXING_BLOCK_ENTRIES // a.shape[0])
+    return np.concatenate([
+        np.einsum("ij,ij->j", ia[:, j : j + cols], a @ ib[:, j : j + cols])
+        for j in range(0, ib.shape[1], cols)
+    ])
 
 
 def mixing_audit(g: Graph, cert: SpectralCert, num_samples: int, seed: int) -> MixingAuditReport:

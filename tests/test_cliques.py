@@ -90,6 +90,18 @@ class TestEnumeration:
             }
         assert set(np.unique(A)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_operators_share_one_read_only_ones_buffer(self, rr_20_6, t):
+        cs = enumerate_cliques(rr_20_6, t)
+        v, p = cs.A_vert.data, cs.A_pair.data
+        assert np.shares_memory(v, p)
+        assert (v.size, p.size) == (t * len(cs), math.comb(t, 2) * len(cs))
+        for data in (v, p):
+            assert not data.flags.writeable and data.dtype == np.float64
+            assert np.all(data == 1.0)
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 2.0
+
     def test_operators_of_an_empty_clique_set(self, petersen):
         cs = enumerate_cliques(petersen, 3)
         assert cs.A_vert.shape == (10, 0)

@@ -43,9 +43,9 @@ from oracles import (
 )
 
 
-def _witness(cert) -> dict:
-    """A certificate's support as clique tuple -> weight."""
-    return dict(zip(map(tuple, cert.members.tolist()), cert.weights.tolist()))
+def _witness(cert, cliques) -> dict:
+    """A certificate's support as clique tuple -> weight, rows read from its clique set."""
+    return dict(zip(map(tuple, cliques.members[cert.ids].tolist()), cert.weights.tolist()))
 
 
 def _cliques(wg, t):
@@ -266,9 +266,10 @@ class TestFactorCertificate:
         assert max(cert.weights) == pytest.approx(0.1, abs=1e-6)
 
     def test_witness_load_identity(self, k6_unit):
-        cert = has_fractional_factor(k6_unit, _cliques(k6_unit, 3))
+        cliques = _cliques(k6_unit, 3)
+        cert = has_fractional_factor(k6_unit, cliques)
         loads = {v: 0.0 for v in range(6)}
-        for tup, val in _witness(cert).items():
+        for tup, val in _witness(cert, cliques).items():
             for v in tup:
                 loads[v] += val
         for v in range(6):
@@ -279,9 +280,10 @@ class TestFactorCertificate:
         w = {e: 1.0 for e in k6.edges}
         w[(0, 1)] = 0.0
         wg = WeightedGraph(k6, w)
-        cert = has_fractional_factor(wg, _cliques(wg, 3))
+        cliques = _cliques(wg, 3)
+        cert = has_fractional_factor(wg, cliques)
         assert cert.has_factor is True
-        stray = sum(val for tup, val in _witness(cert).items() if 0 in tup and 1 in tup)
+        stray = sum(val for tup, val in _witness(cert, cliques).items() if 0 in tup and 1 in tup)
         assert stray <= 1e-6
 
     def test_half_weights_factor(self, k6):
@@ -292,15 +294,17 @@ class TestFactorCertificate:
 
     def test_k4_single_clique_factor(self):
         wg = uniform_weights(gen_complete(4))
-        cert = has_fractional_factor(wg, _cliques(wg, 4))
+        cliques = _cliques(wg, 4)
+        cert = has_fractional_factor(wg, cliques)
         assert cert.has_factor is True
-        assert _witness(cert) == {(0, 1, 2, 3): pytest.approx(1.0, abs=1e-7)}
+        assert _witness(cert, cliques) == {(0, 1, 2, 3): pytest.approx(1.0, abs=1e-7)}
 
     def test_triangle_free_graph_has_none(self, petersen):
         wg = uniform_weights(petersen)
-        cert = has_fractional_factor(wg, _cliques(wg, 3))
+        cliques = _cliques(wg, 3)
+        cert = has_fractional_factor(wg, cliques)
         assert cert.has_factor is False
-        assert cert.ids is None and cert.weights is None and cert.members is None
+        assert cert.ids is None and cert.weights is None and cert.to_dict(cliques)["f"] is None
         assert cert.slack == pytest.approx(10 / 3, abs=1e-7)
 
     def test_thin_weights_cap_t_star_below_factor(self):
@@ -337,14 +341,15 @@ class TestFactorCertificate:
         # on these three the uniform weighting is a factor with every pair
         # slack, so it is both the maximum-entropy and a min-max optimum
         wg = instance()
-        cert = has_fractional_factor(wg, _cliques(wg, 3))
+        cliques = _cliques(wg, 3)
+        cert = has_fractional_factor(wg, cliques)
         assert cert.has_factor is True
         assert max(cert.weights) == pytest.approx(min_max_factor_value(wg, 3), abs=1e-9)
         assert min(cert.weights) == pytest.approx(max(cert.weights), abs=1e-9)
         assert sum(cert.weights.tolist()) == pytest.approx(cert.t_star, abs=1e-12)
         for load in cert.per_vertex_load:
             assert load == pytest.approx(1.0, abs=1e-9)
-        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
+        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert, cliques))
         assert residual <= 1e-8 and least_mu >= -1e-9
 
     @pytest.mark.parametrize(
@@ -374,15 +379,16 @@ class TestFactorCertificate:
     def test_binding_pair_rows_enter_the_witness(self):
         # the low weights bind: some pair loads reach w, and mu > 0 there
         wg = _weighted_complete(9, 1, low=0.05)
-        cert = has_fractional_factor(wg, _cliques(wg, 3))
-        load, w = pair_loads(wg, _witness(cert)), edge_weights(wg)
+        cliques = _cliques(wg, 3)
+        cert = has_fractional_factor(wg, cliques)
+        load, w = pair_loads(wg, _witness(cert, cliques)), edge_weights(wg)
         tight = [e for e in wg.base.edges if load[e] >= w[e] - 1e-9]
         assert tight
         assert all(load[e] <= w[e] + 1e-9 for e in wg.base.edges)
-        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
+        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert, cliques))
         assert residual <= 1e-8 and least_mu >= -1e-9
         # the fit fails once the tight pairs are left out of it
-        assert max_entropy_fit(wg, 3, _witness(cert), tight_tol=-1.0)[0] > 1e-3
+        assert max_entropy_fit(wg, 3, _witness(cert, cliques), tight_tol=-1.0)[0] > 1e-3
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -404,7 +410,8 @@ class TestFactorCertificate:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(factor_lp_mod, "linprog", counting)
-            cert = has_fractional_factor(wg, _cliques(wg, 3))
+            cliques = _cliques(wg, 3)
+            cert = has_fractional_factor(wg, cliques)
         ref = min_max_factor_value(wg, 3)
         assert cert.has_factor is (ref is not None)
         if ref is None:
@@ -413,9 +420,9 @@ class TestFactorCertificate:
         assert len(calls) == 0
         for load in cert.per_vertex_load:
             assert load == pytest.approx(1.0, abs=1e-9)
-        load, w = pair_loads(wg, _witness(cert)), edge_weights(wg)
+        load, w = pair_loads(wg, _witness(cert, cliques)), edge_weights(wg)
         assert all(load[e] <= w[e] + 1e-9 for e in g.edges)
-        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert))
+        residual, least_mu = max_entropy_fit(wg, 3, _witness(cert, cliques))
         assert residual <= 1e-8 and least_mu >= -1e-9
 
     @pytest.mark.parametrize("steps", [factor_lp_mod.NEWTON_STEPS, 0], ids=["newton", "fallback"])
@@ -426,9 +433,10 @@ class TestFactorCertificate:
         g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (2, 4)])
         monkeypatch.setattr(factor_lp_mod, "NEWTON_STEPS", steps)
         wg = uniform_weights(g)
-        cert = has_fractional_factor(wg, _cliques(wg, 3))
+        cliques = _cliques(wg, 3)
+        cert = has_fractional_factor(wg, cliques)
         assert cert.has_factor is True
-        f = _witness(cert)
+        f = _witness(cert, cliques)
         assert f.get((2, 3, 4), 0.0) <= factor_lp_mod.TOL_DEFAULT
         assert f[(0, 1, 2)] == pytest.approx(1.0, abs=1e-7)
         assert f[(3, 4, 5)] == pytest.approx(1.0, abs=1e-7)
@@ -451,12 +459,38 @@ class TestFactorCertificate:
         assert "infeasible" in cert.note
 
     def test_to_dict_keys_and_filtering(self, k6_unit):
-        d = has_fractional_factor(k6_unit, _cliques(k6_unit, 3)).to_dict()
+        cliques = _cliques(k6_unit, 3)
+        d = has_fractional_factor(k6_unit, cliques).to_dict(cliques)
         assert set(d) == {"has_factor", "t_star", "slack", "per_vertex_load", "f", "note"}
         assert all(isinstance(k, str) for k in d["per_vertex_load"])
         for key, val in d["f"].items():
             assert len(key.split()) == 3
             assert val > factor_lp_mod.TOL_DEFAULT
+
+    def test_certificate_holds_ids_and_weights_only(self):
+        wg = _weighted_complete(7, 1, low=0.05)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
+        assert cert.has_factor is True
+        arrays = [k for k, v in vars(cert).items() if isinstance(v, np.ndarray)]
+        assert sorted(arrays) == ["ids", "per_vertex_load", "weights"]
+        assert cert.ids.dtype == np.int32 and cert.weights.shape == cert.ids.shape
+
+    @pytest.mark.parametrize("tol,kept", [(factor_lp_mod.TOL_DEFAULT, 35), (0.01, 29)])
+    def test_to_dict_names_the_cliques_by_their_rows(self, tol, kept):
+        # K_7's triangles in id order are the 3-combinations of range(7); the
+        # kept counts are those the certificate gave when it carried its rows
+        wg = _weighted_complete(7, 1, low=0.05)
+        cliques = _cliques(wg, 3)
+        cert = has_fractional_factor(wg, cliques)
+        f = np.zeros(len(cliques))
+        f[cert.ids] = cert.weights
+        expected = {
+            " ".join(map(str, c)): float(f[j])
+            for j, c in enumerate(itertools.combinations(range(7), 3))
+            if f[j] > tol
+        }
+        assert cert.to_dict(cliques, tol)["f"] == expected
+        assert len(expected) == kept
 
 
 class TestIntegralMatching:

@@ -277,7 +277,7 @@ class TestMixing:
         ]
         assert counts.tolist() == expected
         for ind, sizes in ((ia, sa), (ib, sb)):
-            assert ind.shape == (g.n, 300) and ind.dtype == np.float64
+            assert ind.shape == (g.n, 300) and ind.dtype == np.bool_
             assert set(np.unique(ind).tolist()) <= {0.0, 1.0}
             assert sizes.tolist() == np.count_nonzero(ind, axis=0).tolist()
 
@@ -324,7 +324,7 @@ class TestMixing:
 
     def test_memory_is_bounded_per_batch(self):
         # n = 40,000 gives 104 pairs a batch, where 512 would put 164 MB in
-        # each n x k array; each array is within the entry budget, three are live
+        # each n x k float64 array; each array is within the entry budget
         n = 40000
         g = gen_circulant(n, [1, 2])
         cert = SpectralCert(
@@ -342,6 +342,29 @@ class TestMixing:
             tracemalloc.stop()
         assert not report.violated
         assert peak <= 4 * budget, peak / budget
+
+    def test_audit_holds_no_float64_batch(self):
+        # the benchmark's rr(2100,20): a batch of 512 pairs is two n x k bool
+        # arrays (1.1 MB each); one n x k float64 array alone is 8.6 MB
+        g = gen_random_regular(2100, 20, 1)
+        cert = second_eigenvalue(g)
+        tracemalloc.start()
+        try:
+            report = mixing_audit(g, cert, 2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.violated
+        assert peak < 8 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("n,k,blocks", [(1000, 512, 4), (7, 3, 1), (300000, 1, 3)])
+    def test_row_blocks_give_the_bits_of_one_draw(self, n, k, blocks):
+        assert math.ceil(n / (spectral_mod.MIXING_BLOCK_ENTRIES // k)) == blocks
+        rng = np.random.default_rng(11)
+        q = rng.random(k)
+        expected = rng.random((n, k)) < q
+        ind = spectral_mod._threshold_columns(np.random.default_rng(11), n, k)
+        assert ind.dtype == np.bool_ and np.array_equal(ind, expected)
 
 
 def _audit_by_oracle(g, cert, samples, seed):
