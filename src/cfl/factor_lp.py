@@ -186,7 +186,7 @@ def solve_lp(
             f"LP pair infeasible: load excess {excess:.3e}, cover shortfall {shortfall:.3e}"
         )
     g, h = y[:n], y[n:]
-    p, d = PrimalSolution(f, float(f.sum())), DualSolution(g, h, float(g.sum() + h @ caps))
+    p, d = PrimalSolution(f, float(f.sum())), DualSolution(g, h, float(g.sum() + (h * caps).sum()))
     if not abs(p.objective - d.objective) <= 2 * tol:
         raise NumericalError(f"LP pair not optimal: objective gap {abs(p.objective - d.objective):.3e}")
     return p, d
@@ -433,7 +433,7 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
             if not z.max() <= LOG_CAP:  # also catches nan
                 continue
             new_f = np.exp(z)
-            new_dual = new_f.sum() - new_phi.sum() + caps @ new_mu
+            new_dual = new_f.sum() - new_phi.sum() + (caps * new_mu).sum()
             moved = grad @ np.concatenate([new_phi - phi, new_mu[S] - mu[S]])
             if new_dual <= dual + ARMIJO * moved or -(grad @ step) <= ROUNDING * (1 + abs(dual)):
                 break
@@ -517,7 +517,7 @@ def check_prop3(
     host = np.asarray(verts, dtype=np.int64)
     g_sub, h_sub = dual.g[host], dual.h[edge_ids(wg.base, host[sub_wg.base.edge_array])]
     a_vert, a_pair, caps = _instance(sub_wg, sub_cliques)
-    restricted_value = g_sub.sum() + h_sub @ caps
+    restricted_value = g_sub.sum() + (h_sub * caps).sum()
     feasible = bool(np.all(a_vert.T @ g_sub + a_pair.T @ h_sub >= 1 - tol))
     induced_ts = t_star(sub_wg, sub_cliques, tol)
     iii_pass = feasible and restricted_value >= induced_ts - tol

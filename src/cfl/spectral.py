@@ -14,10 +14,11 @@ between the subsets of a pair are counted by sparse products with the same
 matrix, one per column chunk.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
-never numpy's, on one OpenBLAS thread per solve (blas.one_thread), so lambda's
-bits do not follow the core count (on the Lanczos path up to n = 10,000: numpy
-splits longer dot products); the dense eigh then takes 0.051 s at n = 600 and
-1.41 s at n = 2000 on a 2-core box, against 0.042 and 0.87 s on two threads.
+never numpy's, on one OpenBLAS thread per solve (blas.one_thread), and the
+Lanczos path sums where it would take a dot product, which numpy's OpenBLAS
+splits over its threads above 10,000 entries.  So lambda's bits do not follow
+the core count.  The dense eigh takes 0.051 s at n = 600 and 1.41 s at
+n = 2000 on a 2-core box, against 0.042 and 0.87 s on two threads.
 """
 
 from __future__ import annotations
@@ -166,11 +167,14 @@ def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
     n = a.shape[0]
     if n < 3:
         raise InputError(f"the lanczos method needs at least 3 vertices, got {n}")
-    ones = np.ones(n) / math.sqrt(n)
-    b = LinearOperator((n, n), matvec=lambda x: a @ x - d * (ones @ x) * ones, dtype=float)
+    root = math.sqrt(n)
+    ones = np.ones(n) / root
+    # x.sum() / root is ones @ x without numpy's BLAS, whose dot product
+    # splits long vectors over its threads and so sums them in another order
+    b = LinearOperator((n, n), matvec=lambda x: a @ x - d * (x.sum() / root) * ones, dtype=float)
     rng = np.random.default_rng(0xC0FFEE)  # fixed internal seed: deterministic path
     v0 = rng.standard_normal(n)
-    v0 -= (ones @ v0) * ones
+    v0 -= (v0.sum() / root) * ones
     try:
         vals, vecs = eigsh(b, k=2, which="BE", tol=0, v0=v0)  # ascending: low end, high end
     except ArpackNoConvergence as exc:

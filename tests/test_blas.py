@@ -154,15 +154,21 @@ class TestOneThread:
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the core count")
-@pytest.mark.parametrize("command", ["lp", "pipeline"])
+@pytest.mark.parametrize("command", ["lp", "pipeline", "spectrum"])
 def test_reports_do_not_depend_on_the_blas_thread_count(command, tmp_path):
     weighted, host = _write_inputs(tmp_path)
+    # rr(12000,6) runs the Lanczos path on vectors of more than 10,000 entries
+    lanczos = tmp_path / "rr12000.txt"
+    lanczos.write_text(write_graph(_rr(12000, 6, 0)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         out.mkdir()
-        argv = _commands(weighted, host, out)[command]
+        argv = {
+            **_commands(weighted, host, out),
+            "spectrum": ["spectrum", "--in", str(lanczos), "--out", str(out / "spectrum.json")],
+        }[command]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         env.pop("CFL_THREADS", None)
