@@ -8,7 +8,9 @@ form (deterministic for a fixed instance; 2-15x faster than the packing form
 on LPs above 10 ms, on both sides of N = n + m) yields both sides, f read
 off its row marginals.  The pair is a checked certificate: both sides
 feasible within tol, and both objectives, summed from the vectors, within
-2 tol of each other.
+2 tol of each other.  Edge-length terms such as h.w are sums, not numpy dot
+products: numpy's OpenBLAS splits a dot product of more than 10,000 entries
+over its threads, so its bits would follow the thread count.
 
 A fractional factor is a weighting whose vertex loads are all exactly 1.
 The certificate's witness is the factor of maximum entropy -sum f log f,
@@ -186,7 +188,8 @@ def solve_lp(
             f"LP pair infeasible: load excess {excess:.3e}, cover shortfall {shortfall:.3e}"
         )
     g, h = y[:n], y[n:]
-    p, d = PrimalSolution(f, float(f.sum())), DualSolution(g, h, float(g.sum() + (h * caps).sum()))
+    p = PrimalSolution(f, float(f.sum()))
+    d = DualSolution(g, h, float(g.sum() + (h * caps).sum()))
     if not abs(p.objective - d.objective) <= 2 * tol:
         raise NumericalError(f"LP pair not optimal: objective gap {abs(p.objective - d.objective):.3e}")
     return p, d
