@@ -178,9 +178,9 @@ class WeightedGraph:
         return self.base.n
 
 
-def uniform_weights(g: Graph, value: float = 1.0) -> WeightedGraph:
-    """Give every edge the same weight (w == 1 starts both extraction engines)."""
-    return WeightedGraph(g, np.full(g.m, float(value)))
+def uniform_weights(g: Graph) -> WeightedGraph:
+    """Give every edge weight 1, the weighting both extraction engines start from."""
+    return WeightedGraph(g, np.ones(g.m))
 
 
 def induced_subgraph(g: Graph, U: Iterable[int]) -> tuple:

@@ -523,13 +523,9 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
             "pass force to run anyway",
             report=hyp,
         )
+    # "both" and "dense_branch" imply dense_degree_ok, "sparse_branch" its negation
     if config.mode == "auto":
-        if hyp.branch in ("dense_branch", "both"):
-            mode = "dense"
-        elif hyp.branch == "sparse_branch":
-            mode = "sparse"
-        else:
-            mode = "dense" if hyp.dense_degree_ok else "sparse"
+        mode = "dense" if hyp.dense_degree_ok else "sparse"
     else:
         mode = config.mode
     ell = config.ell if config.ell is not None else default_ell(g.n, t)

@@ -175,10 +175,16 @@ def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
     rng = np.random.default_rng(0xC0FFEE)  # fixed internal seed: deterministic path
     v0 = rng.standard_normal(n)
     v0 -= (v0.sum() / root) * ones
-    try:
-        vals, vecs = eigsh(b, k=2, which="BE", tol=0, v0=v0)  # ascending: low end, high end
-    except ArpackNoConvergence as exc:
-        raise NumericalError(f"Lanczos did not converge: {exc}") from exc
+    # a spectrum with many repeated values (rr(n,2): a union of cycles) can
+    # stall ARPACK's default Krylov space; one retry takes a larger one
+    for ncv in (None, min(n, 40)):
+        try:
+            vals, vecs = eigsh(b, k=2, which="BE", tol=0, v0=v0, ncv=ncv)  # ascending: low, high
+            break
+        except ArpackNoConvergence as exc:
+            stalled = exc
+    else:
+        raise NumericalError(f"Lanczos did not converge: {stalled}") from stalled
     ends = []
     for theta, u in zip(vals.tolist(), vecs.T):
         residual = float(linalg.norm(a @ u - theta * u))

@@ -1,17 +1,13 @@
 import pytest
 
+from cfl import acceptance
 from cfl.generators import gen_complete, gen_paley, gen_random_regular
-from cfl.graphs import from_edge_list, uniform_weights
+from cfl.graphs import uniform_weights
 
 
 @pytest.fixture(scope="session")
 def petersen():
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))
-        edges.append((5 + i, 5 + (i + 2) % 5))
-        edges.append((i, 5 + i))
-    return from_edge_list(10, edges)
+    return acceptance.petersen()
 
 
 @pytest.fixture(scope="session")

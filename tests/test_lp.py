@@ -89,7 +89,7 @@ class TestTStar:
         assert t_star(wg, _cliques(wg, 3)) == 0.0
 
     def test_k6_half_weights_still_two(self, k6):
-        wg = uniform_weights(k6, 0.5)
+        wg = WeightedGraph(k6, np.full(k6.m, 0.5))
         assert t_star(wg, _cliques(wg, 3)) == pytest.approx(2.0, abs=1e-7)
 
     def test_k6_one_dead_edge_still_two(self, k6):
@@ -214,7 +214,7 @@ class TestSolveLp:
             res.x[4:] = 0.0
             return res
 
-        wg = uniform_weights(gen_complete(4), 0.2)
+        wg = WeightedGraph(gen_complete(4), np.full(6, 0.2))
         monkeypatch.setattr(factor_lp_mod, "linprog", zero_pairs)
         with pytest.raises(NumericalError, match="cover shortfall"):
             solve_lp(wg, enumerate_cliques(wg.base, 3))
@@ -287,7 +287,7 @@ class TestFactorCertificate:
         assert stray <= 1e-6
 
     def test_half_weights_factor(self, k6):
-        wg = uniform_weights(k6, 0.5)
+        wg = WeightedGraph(k6, np.full(k6.m, 0.5))
         cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is True
         assert cert.t_star == pytest.approx(2.0, abs=1e-7)
@@ -308,7 +308,7 @@ class TestFactorCertificate:
         assert cert.slack == pytest.approx(10 / 3, abs=1e-7)
 
     def test_thin_weights_cap_t_star_below_factor(self):
-        wg = uniform_weights(gen_complete(4), 0.2)
+        wg = WeightedGraph(gen_complete(4), np.full(6, 0.2))
         ts = t_star(wg, _cliques(wg, 3))
         assert ts == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
         with warnings.catch_warnings():
@@ -357,7 +357,7 @@ class TestFactorCertificate:
         [
             (uniform_weights(gen_complete(6)), []),
             # Newton refutes the factor, and one LP (a row per clique) gives t*
-            (uniform_weights(gen_complete(4), 0.2), [4]),
+            (WeightedGraph(gen_complete(4), np.full(6, 0.2)), [4]),
             (_weighted_complete(9, 1, low=0.05), []),
         ],
         ids=["factor", "no_factor", "binding_pair_rows"],
@@ -447,7 +447,7 @@ class TestFactorCertificate:
         # so the primal decides; a primal at t* = |V|/t whose loads are not
         # all 1 is no witness either
         monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: np.full(4, 1 / 3))
-        thin = uniform_weights(gen_complete(4), 0.2)
+        thin = WeightedGraph(gen_complete(4), np.full(6, 0.2))
         cert = has_fractional_factor(thin, _cliques(thin, 3))
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(oracle_t_star(thin, 3), abs=1e-6)
@@ -506,7 +506,7 @@ class TestIntegralMatching:
         assert integral_matching_value(wg, _cliques(wg, 3)) == 0.0
 
     def test_k6_half_weights(self, k6):
-        wg = uniform_weights(k6, 0.5)
+        wg = WeightedGraph(k6, np.full(k6.m, 0.5))
         assert integral_matching_value(wg, _cliques(wg, 3)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -758,7 +758,7 @@ class TestDualityChecks:
 
     def test_no_factor_instance_passes(self):
         # hypotheses (i)-(iv) hold whether or not a factor exists
-        rep = _prop3(uniform_weights(gen_complete(4), 0.2), 3, 9)
+        rep = _prop3(WeightedGraph(gen_complete(4), np.full(6, 0.2)), 3, 9)
         assert rep.all_pass is True
         assert rep.ii_equality_case is False
 

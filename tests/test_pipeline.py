@@ -1,5 +1,6 @@
 """Extraction engines, random hypergraph, matching, and the end-to-end runner."""
 
+import dataclasses
 import json
 import math
 
@@ -534,6 +535,23 @@ class TestEndToEnd:
         )
         assert rep.parameters["mode_requested"] == "auto"
         assert rep.parameters["mode_effective"] == "dense"
+
+    @pytest.mark.parametrize(
+        "branch,dense_ok,mode",
+        [("both", True, "dense"), ("dense_branch", True, "dense"),
+         ("sparse_branch", False, "sparse"), ("fails", True, "dense"),
+         ("fails", False, "sparse")],
+    )
+    def test_auto_mode_follows_each_branch(self, branch, dense_ok, mode, monkeypatch):
+        # desk-scale graphs reach only "fails"; the other branches are patched in
+        check = pipeline_mod.hypothesis_check
+
+        def patched(cert, t):
+            return dataclasses.replace(check(cert, t), branch=branch, dense_degree_ok=dense_ok)
+
+        monkeypatch.setattr(pipeline_mod, "hypothesis_check", patched)
+        rep = run_end_to_end(gen_complete(12), 3, PipelineConfig(seed=1, ell=2, force=True))
+        assert rep.parameters["mode_effective"] == mode
 
     def test_default_ell_is_two_at_desk_scale(self):
         assert default_ell(12, 3) == 2
