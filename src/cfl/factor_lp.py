@@ -10,7 +10,8 @@ off its row marginals.  The pair is a checked certificate: both sides
 feasible within tol, and both objectives, summed from the vectors, within
 2 tol of each other.  Edge-length terms such as h.w are sums, not numpy dot
 products: numpy's OpenBLAS splits a dot product of more than 10,000 entries
-over its threads, so its bits would follow the thread count.
+over its threads, so its bits would follow the thread count.  HiGHS
+(scipy.optimize) is imported on the first LP or MILP solve, not with cfl.
 
 A fractional factor is a weighting whose vertex loads are all exactly 1.
 The certificate's witness is the factor of maximum entropy -sum f log f,
@@ -68,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from . import blas
 from .cliques import CliqueSet, enumerate_cliques
@@ -87,6 +87,22 @@ HALVINGS = 40
 LOG_CAP = 50.0
 RIDGE_FLOOR = 1e-12
 ROUNDING = 1e-12
+
+
+# linprog and milp stay attributes of this module, looked up at each call,
+# so that a caller can wrap or replace them.
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
+
+
+def milp(*args, **kwargs):
+    """scipy.optimize.milp, imported on the first call."""
+    from scipy.optimize import milp as highs_milp
+
+    return highs_milp(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +296,8 @@ def integral_matching_value(wg: WeightedGraph, cliques: CliqueSet) -> float:
             f"{N} cliques exceed the exact-matching budget {MATCHING_BUDGET}; "
             "use a greedy lower bound instead"
         )
+    from scipy.optimize import Bounds, LinearConstraint
+
     values, rows, upper = _matching_rows(wg, cliques)
 
     def family(cols: np.ndarray) -> np.ndarray:
@@ -387,7 +405,8 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
     """
     n, N = cliques.A_vert.shape
     V, P = cliques.A_vert, cliques.A_pair
-    live = cliques.least_weight(caps) > 0
+    # a clique is dead only through a pair of capacity <= 0
+    live = cliques.least_weight(caps) > 0 if (caps <= 0).any() else np.ones(N, dtype=bool)
     V, P = (V, P) if live.all() else (V[:, live], P[:, live])
     if not live.any() or np.bincount(V.indices, minlength=n).min() == 0:
         return None  # a vertex in no live clique has load 0

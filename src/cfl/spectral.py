@@ -7,11 +7,12 @@ full symmetric eigendecomposition, the reference path: scipy.linalg.eigh's
 divide-and-conquer driver, with the witness residual taken against the CSR
 matrix.  Above it, implicitly restarted Lanczos (ARPACK, via eigsh) finds
 both ends of the spectrum of A - (d/n) J, and each end is certified by its
-residual against A.  The mixing audit draws its subsets in batches, as the
-bool columns of an n x k array: column j holds the vertices whose uniform key
-falls below a uniform threshold q_j, with empty columns drawn again.  Edges
-between the subsets of a pair are counted by sparse products with the same
-matrix, one per column chunk.
+residual against A.  ARPACK (scipy.sparse.linalg) is imported on the first
+Lanczos solve, not with cfl.  The mixing audit draws its subsets in batches,
+as the bool columns of an n x k array: column j holds the vertices whose
+uniform key falls below a uniform threshold q_j, with empty columns drawn
+again.  Edges between the subsets of a pair are counted by sparse products
+with the same matrix, one per column chunk.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
 never numpy's, on one OpenBLAS thread per solve (blas.one_thread), and the
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import blas
 from .errors import InputError, NumericalError
@@ -47,6 +47,15 @@ EML_SLACK = 1e-9
 # blocks of 0.5 or 2 MiB.
 MIXING_BATCH_ENTRIES = 2**22
 MIXING_BLOCK_ENTRIES = MIXING_BATCH_ENTRIES // 32
+
+
+# eigsh stays an attribute of this module, looked up at each call, so that a
+# caller can wrap or replace it.
+def eigsh(*args, **kwargs):
+    """scipy.sparse.linalg.eigsh, imported on the first call."""
+    from scipy.sparse.linalg import eigsh as arpack_eigsh
+
+    return arpack_eigsh(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -164,6 +173,8 @@ def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
     Perron vector (theta ~ 0, as on K_n where every mu_i < 0 for i >= 2) has
     residual ~d, is reported as None and takes no part in lambda.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+
     n = a.shape[0]
     if n < 3:
         raise InputError(f"the lanczos method needs at least 3 vertices, got {n}")

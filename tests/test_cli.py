@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -678,3 +680,43 @@ class TestSuiteCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+# Runs each command line of argv[1] (a JSON list) through main in one
+# interpreter and prints, after the import and after each command, its exit
+# code and which of the two scipy solver packages are then loaded.
+SOLVER_PROBE = """
+import json, sys
+from cfl.cli import main
+SOLVERS = ("scipy.optimize", "scipy.sparse.linalg")
+def loaded():
+    return [name for name in SOLVERS if name in sys.modules]
+seen = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_solvers_load_on_first_use(tmp_path):
+    # a fresh interpreter: this one imported scipy.optimize with the tests
+    paley, out = str(tmp_path / "paley.txt"), str(tmp_path / "out.json")
+    commands = [
+        ["gen", "--kind", "paley", "--q", "13", "--out", paley],
+        ["spectrum", "--in", paley, "--out", out],
+        ["cliques", "--in", paley, "--t", "3", "--out", out],
+        ["pipeline", "--in", paley, "--t", "3", "--mode", "dense", "--force", "--seed", "0",
+         "--out", out],
+        ["spectrum", "--in", paley, "--method", "lanczos", "--out", out],
+        ["lp", "--in", paley, "--t", "3", "--out", out],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SOLVER_PROBE, json.dumps(commands)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = zip(*json.loads(proc.stdout))
+    assert codes == (None, 0, 0, 0, 1, 0, 0)  # 1: a forced run that fails the hypothesis
+    assert loaded[:5] == ([],) * 5  # the import, gen, spectrum, cliques, dense pipeline
+    assert loaded[5] == ["scipy.sparse.linalg"]  # Lanczos
+    assert loaded[6] == ["scipy.optimize", "scipy.sparse.linalg"]  # the LP

@@ -8,6 +8,7 @@ files are read and executed here, not imported, so no bytecode is written
 next to them.
 """
 
+import ast
 import hashlib
 import importlib
 import inspect
@@ -111,4 +112,38 @@ def test_library_never_calls_numpy_lapack():
         if name.endswith(".py"):
             with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
                 hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if pattern.search(line)]
+    assert hits == []
+
+
+def _imported_at_load(tree: ast.Module) -> list:
+    """Modules a module imports when it loads: every import outside a function body."""
+    names, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+def test_solvers_are_not_imported_at_load():
+    # HiGHS (scipy.optimize) and ARPACK (scipy.sparse.linalg) take about a
+    # third of a cfl command's import time; only the calls that solve with
+    # them load them (factor_lp.linprog and milp, spectral.eigsh), so a
+    # command that solves no LP and runs no Lanczos never pays for them
+    solvers = ("scipy.optimize", "scipy.sparse.linalg")
+    hits = []
+    for name in sorted(os.listdir(SRC_CFL)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            hits += [
+                f"{name}: {module}"
+                for module in _imported_at_load(tree)
+                if any(module == s or module.startswith(s + ".") for s in solvers)
+            ]
     assert hits == []
