@@ -8,9 +8,10 @@ form (deterministic for a fixed instance; 2-15x faster than the packing form
 on LPs above 10 ms, on both sides of N = n + m) yields both sides, f read
 off its row marginals.  The pair is a checked certificate: both sides
 feasible within tol, and both objectives, summed from the vectors, within
-2 tol of each other.  Edge-length terms such as h.w are sums, not numpy dot
-products: numpy's OpenBLAS splits a dot product of more than 10,000 entries
-over its threads, so its bits would follow the thread count.  HiGHS
+2 tol of each other.  Edge-length terms such as h.w, the Newton line search's
+slopes and the matching bound's y.upper are sums, not numpy dot products:
+numpy's OpenBLAS splits a dot product of more than 10,000 entries over its
+threads, so its bits would follow the thread count.  HiGHS
 (scipy.optimize) is imported on the first LP or MILP solve, not with cfl.
 
 A fractional factor is a weighting whose vertex loads are all exactly 1.
@@ -261,7 +262,7 @@ def _clique_bounds(values, rows, upper, marginals) -> tuple:
     """
     y = np.maximum(-marginals, 0.0)
     d = values - rows.T @ y
-    top = y @ upper + np.maximum(d, 0.0).sum()
+    top = (y * upper).sum() + np.maximum(d, 0.0).sum()
     return top, top + np.minimum(d, 0.0)
 
 
@@ -456,8 +457,9 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
                 continue
             new_f = np.exp(z)
             new_dual = new_f.sum() - new_phi.sum() + (caps * new_mu).sum()
-            moved = grad @ np.concatenate([new_phi - phi, new_mu[S] - mu[S]])
-            if new_dual <= dual + ARMIJO * moved or -(grad @ step) <= ROUNDING * (1 + abs(dual)):
+            moved = (grad * np.concatenate([new_phi - phi, new_mu[S] - mu[S]])).sum()
+            if (new_dual <= dual + ARMIJO * moved
+                    or -(grad * step).sum() <= ROUNDING * (1 + abs(dual))):
                 break
         else:
             return None

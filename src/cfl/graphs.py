@@ -60,7 +60,7 @@ class Graph:
 
     @cached_property
     def edges(self) -> tuple:
-        """The rows of edge_array as (u, v) tuples of ints, for writers, messages and dict keys."""
+        """The rows of edge_array as (u, v) tuples of ints, for messages and dict keys."""
         return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
@@ -307,9 +307,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def write_graph(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist())
 
 
 def parse_weighted_graph(text: str) -> WeightedGraph:
@@ -318,6 +316,7 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
 
 
 def write_weighted_graph(wg: WeightedGraph) -> str:
-    out = [f"{wg.n} {wg.base.m}"]
-    out.extend(f"{u} {v} {x!r}" for (u, v), x in zip(wg.base.edges, wg.w.tolist()))
-    return "\n".join(out) + "\n"
+    """The weighted text format; each weight is its repr, which reads back to the same float."""
+    ends = wg.base.edge_array.ravel().tolist()
+    cells = itertools.chain.from_iterable(zip(ends[0::2], ends[1::2], wg.w.tolist()))
+    return f"{wg.n} {wg.base.m}\n" + ("%d %d %r\n" * wg.base.m) % tuple(cells)

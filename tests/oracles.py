@@ -18,7 +18,8 @@ take, one edge at a time.  edge_count_by_loops counts e(A,B) for the mixing
 audit by walking the edge list, with no adjacency matrix.  part_cliques_by_host
 is the route the sparse engine used to take to each part's cliques: enumerate
 the host, then cut its rows by the split.  parse_by_lines is the edge-list
-reader as a loop over lines, one check after another.
+reader as a loop over lines, one check after another, and write_by_lines the
+writers as one f-string per edge tuple.
 """
 
 from __future__ import annotations
@@ -268,6 +269,15 @@ def parse_by_lines(text: str, weighted: bool) -> tuple:
     order = sorted(range(m), key=pairs.__getitem__)
     ends = np.array([pairs[i] for i in order], dtype=np.int64).reshape(-1, 2)
     return Graph(n, ends), [weights[i] for i in order]
+
+
+def write_by_lines(g, weights=None) -> str:
+    """The text format of g, one line per edge; with weights, each weight's repr appended."""
+    if weights is None:
+        lines = [f"{u} {v}" for u, v in g.edges]
+    else:
+        lines = [f"{u} {v} {x!r}" for (u, v), x in zip(g.edges, weights)]
+    return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
 
 
 def completion_cliques(g, t: int, U) -> np.ndarray:

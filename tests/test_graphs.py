@@ -36,6 +36,7 @@ from oracles import (
     induced_by_dict,
     parse_by_lines,
     split_by_buckets,
+    write_by_lines,
 )
 
 
@@ -264,15 +265,34 @@ class TestTextFormat:
             assert back.w.tolist() == [float(w[e]) for e in k6.edges]
             assert write_weighted_graph(back) == text
 
+    def test_round_trip_without_edges(self):
+        for n in (0, 5):
+            g = Graph(n, np.empty((0, 2), dtype=np.int32))
+            assert write_graph(g) == write_weighted_graph(uniform_weights(g)) == f"{n} 0\n"
+            assert parse_graph(write_graph(g)) == g
+            back = parse_weighted_graph(write_weighted_graph(uniform_weights(g)))
+            assert back.base == g and back.w.shape == (0,)
+
+    def test_weights_are_written_as_their_repr(self):
+        # 0.1 has no short binary form; its repr is still the shortest decimal that reads back
+        wg = WeightedGraph(gen_complete(3), [0.0, 1.0, 0.1])
+        text = write_weighted_graph(wg)
+        assert text == "3 3\n0 1 0.0\n0 2 1.0\n1 2 0.1\n"
+        back = parse_weighted_graph(text)
+        assert back.base == wg.base and back.w.tolist() == [0.0, 1.0, 0.1]
+        assert write_weighted_graph(back) == text
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(0, 20), p=st.floats(0.0, 1.0))
     def test_round_trips_of_random_graphs(self, data, n, p):
         # G(n, p) with weights drawn from [0, 1]: both formats give the same
         # graph back, the weights bit for bit, and the CLI reader tells them apart
         g = _gnp(n, p, data.draw(st.integers(0, 2**32 - 1)))
+        assert write_graph(g) == write_by_lines(g)
         assert parse_graph(write_graph(g)) == g
         weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=g.m, max_size=g.m))
         wg = WeightedGraph(g, dict(zip(g.edges, weights)))
+        assert write_weighted_graph(wg) == write_by_lines(g, weights)
         back = parse_weighted_graph(write_weighted_graph(wg))
         assert back.base == g
         assert [x.hex() for x in back.w.tolist()] == [x.hex() for x in weights]

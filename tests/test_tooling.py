@@ -12,13 +12,17 @@ import ast
 import hashlib
 import importlib
 import inspect
+import json
 import os
 import re
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
+import cfl
 from cfl.graphs import parse_graph, parse_weighted_graph, write_weighted_graph
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
@@ -116,7 +120,8 @@ def test_library_never_calls_numpy_lapack():
 
 
 def _imported_at_load(tree: ast.Module) -> list:
-    """Modules a module imports when it loads: every import outside a function body."""
+    """Modules a module of cfl imports when it loads: every import outside a
+    function body, a relative one named from the package ("cfl.graphs")."""
     names, todo = [], list(tree.body)
     while todo:
         node = todo.pop()
@@ -124,10 +129,25 @@ def _imported_at_load(tree: ast.Module) -> list:
             continue
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cfl" if node.level else "", node.module]))
+            names += [module] + [f"{module}.{alias.name}" for alias in node.names]
         todo += ast.iter_child_nodes(node)
     return names
+
+
+def _load_time_hits(files, banned) -> list:
+    """"file: module" for each banned module (or a submodule of one) a file imports at load."""
+    hits = []
+    for name in files:
+        with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        hits += [
+            f"{name}: {module}"
+            for module in _imported_at_load(tree)
+            if any(module == b or module.startswith(b + ".") for b in banned)
+        ]
+    return hits
 
 
 def test_solvers_are_not_imported_at_load():
@@ -135,15 +155,89 @@ def test_solvers_are_not_imported_at_load():
     # third of a cfl command's import time; only the calls that solve with
     # them load them (factor_lp.linprog and milp, spectral.eigsh), so a
     # command that solves no LP and runs no Lanczos never pays for them
-    solvers = ("scipy.optimize", "scipy.sparse.linalg")
-    hits = []
-    for name in sorted(os.listdir(SRC_CFL)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), name)
-            hits += [
-                f"{name}: {module}"
-                for module in _imported_at_load(tree)
-                if any(module == s or module.startswith(s + ".") for s in solvers)
-            ]
-    assert hits == []
+    files = sorted(name for name in os.listdir(SRC_CFL) if name.endswith(".py"))
+    assert _load_time_hits(files, ("scipy.optimize", "scipy.sparse.linalg")) == []
+
+
+def test_graph_layer_imports_no_scipy_at_load():
+    # `import cfl` loads the package and these three modules only, with numpy;
+    # the solver layers, and scipy with them, load on the first name used
+    files = ("__init__.py", "errors.py", "graphs.py", "generators.py")
+    solver_layers = ("spectral", "cliques", "factor_lp", "pipeline", "blas", "acceptance")
+    banned = ("scipy", *(f"cfl.{name}" for name in solver_layers))
+    assert _load_time_hits(files, banned) == []
+
+
+# Imports cfl in a fresh interpreter, generates, writes and parses a plain and
+# a weighted graph, then reads a lazy submodule and a first lazy name of three
+# solver layers.
+# Prints the scipy modules loaded after the graph work, whether each lazy
+# name is its submodule's own object, and the scipy modules loaded at the end.
+PACKAGE_PROBE = """
+import json, sys
+import cfl
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+g = cfl.build(cfl.GenSpec(kind="random_regular", n=40, d=6, seed=0))
+assert cfl.parse_graph(cfl.write_graph(g)) == g
+wg = cfl.WeightedGraph(g, [x / g.m for x in range(g.m)])
+back = cfl.parse_weighted_graph(cfl.write_weighted_graph(wg))
+assert back.base == g and back.w.tolist() == wg.w.tolist()
+seen = [scipy_loaded()]
+spectral = cfl.spectral  # a lazy submodule, read by its own name
+first = [cfl.CliqueSet, cfl.run_end_to_end, cfl.second_eigenvalue]
+from cfl.cliques import CliqueSet
+from cfl.pipeline import run_end_to_end
+own = [CliqueSet, run_end_to_end, spectral.second_eigenvalue]
+seen.append([a is b for a, b in zip(first, own)])
+seen.append(scipy_loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_import_cfl_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_graphs, same, at_end = json.loads(proc.stdout)
+    assert after_graphs == []
+    assert same == [True, True, True]
+    assert "scipy.sparse" in at_end  # the probe sees scipy when it loads
+
+
+# The package's names as the eager imports of cfl/__init__.py exported them
+# before the solver layers loaded lazily, by the submodule that defines them.
+EXPORTS = {
+    "errors": "GenerationError InputError InvariantError NumericalError ParseError ResourceError",
+    "graphs": """Graph RegularityInfo WeightedGraph edge_ids from_edge_list induced_subgraph
+        induced_weighted parse_graph parse_weighted_graph regularity uniform_weights write_graph
+        write_weighted_graph""",
+    "generators": "GenSpec build gen_circulant gen_complete gen_paley gen_random_regular",
+    "spectral": """HypothesisReport MixingAuditReport SpectralCert beta_exponent delta_exponent
+        eigenvalue_constant hypothesis_check lambda_floor_check mixing_audit second_eigenvalue""",
+    "cliques": """CliqueSet count_cliques_window default_span_size enumerate_cliques
+        span_clique_audit""",
+    "factor_lp": """DualSolution FactorCert PrimalSolution Prop3Report SlacknessReport check_prop3
+        complementary_slackness has_fractional_factor integral_matching_value solve_dual solve_lp
+        solve_primal t_star""",
+    "pipeline": """ConcentrationReport FactorBundle HypothesisRejected MatchingResult
+        PipelineConfig PipelineReport RandomHypergraph build_Hf concentration_audit default_alpha
+        default_ell dense_extract greedy_completion nibble_matching run_end_to_end sparse_extract
+        sparse_split""",
+}
+
+
+def test_package_exports_every_name():
+    owner = {name: module for module, names in EXPORTS.items() for name in names.split()}
+    assert sorted(cfl.__all__) == sorted(owner)
+    assert set(cfl.__all__) <= set(dir(cfl))
+    star: dict = {}
+    exec("from cfl import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(owner)
+    for name, module in owner.items():
+        own = getattr(importlib.import_module(f"cfl.{module}"), name)
+        assert getattr(cfl, name) is own and star[name] is own, name
+    assert not hasattr(cfl, "no_such_name")
