@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib
 import io
 import itertools
 import json
@@ -27,7 +28,6 @@ import sys
 import tempfile
 import time
 
-from .cliques import count_cliques_window, default_span_size, enumerate_cliques, span_clique_audit
 from .errors import (
     GenerationError,
     InputError,
@@ -35,13 +35,39 @@ from .errors import (
     NumericalError,
     ResourceError,
 )
-from .factor_lp import check_prop3, complementary_slackness, has_fractional_factor, solve_lp
-# bound here for perfbench/spans.py to wrap, until ROADMAP item 2 retires it
-from .factor_lp import solve_dual, solve_primal  # noqa: F401
 from .generators import GenSpec, build
 from .graphs import parse_graph, parse_weighted_graph, uniform_weights, write_graph
-from .pipeline import HypothesisRejected, PipelineConfig, fan_out, run_end_to_end
-from .spectral import mixing_audit, second_eigenvalue
+
+# The solver layers' names, by the submodule that defines them.  `gen` needs
+# numpy only, so these load (and scipy with them) when main dispatches any
+# other command, or on a first `cfl.cli.X`.  solve_dual and solve_primal are
+# bound for perfbench/spans.py to wrap, until ROADMAP item 2 retires it.
+_LAZY = {
+    name: module
+    for module, names in {
+        "cliques": "count_cliques_window default_span_size enumerate_cliques span_clique_audit",
+        "factor_lp": """check_prop3 complementary_slackness has_fractional_factor solve_lp
+            solve_dual solve_primal""",
+        "pipeline": "HypothesisRejected PipelineConfig fan_out run_end_to_end",
+        "spectral": "mixing_audit second_eigenvalue",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    return globals().setdefault(name, value)
+
+
+def _load_solver_layers() -> None:
+    """Bind every solver name not bound yet; one already bound (a span
+    recorder's or a test's replacement) stays."""
+    for name in _LAZY:
+        if name not in globals():
+            __getattr__(name)
 
 
 # ---------------------------------------------------------------- serialization
@@ -445,6 +471,8 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 2
     try:
         _check_flags(args)
+        if args.command != "gen":
+            _load_solver_layers()
         return args.func(args)
     except InputError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)

@@ -160,26 +160,33 @@ def test_solvers_are_not_imported_at_load():
 
 
 def test_graph_layer_imports_no_scipy_at_load():
-    # `import cfl` loads the package and these three modules only, with numpy;
-    # the solver layers, and scipy with them, load on the first name used
-    files = ("__init__.py", "errors.py", "graphs.py", "generators.py")
+    # `import cfl` loads the package and these three modules only, with numpy,
+    # and `cfl gen` loads cli.py beside them; the solver layers, and scipy
+    # with them, load on the first name used or command that needs them
+    files = ("__init__.py", "errors.py", "graphs.py", "generators.py", "cli.py")
     solver_layers = ("spectral", "cliques", "factor_lp", "pipeline", "blas", "acceptance")
     banned = ("scipy", *(f"cfl.{name}" for name in solver_layers))
     assert _load_time_hits(files, banned) == []
 
 
 # Imports cfl in a fresh interpreter, generates, writes and parses a plain and
-# a weighted graph, then reads a lazy submodule and a first lazy name of three
-# solver layers.
+# a weighted graph, runs `cfl gen` into the directory given as its argument,
+# then reads a lazy submodule and a first lazy name of three solver layers.
 # Prints the scipy modules loaded after the graph work, whether each lazy
 # name is its submodule's own object, and the scipy modules loaded at the end.
 PACKAGE_PROBE = """
-import json, sys
+import json, os, sys
 import cfl
+from cfl.cli import main
 def scipy_loaded():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 g = cfl.build(cfl.GenSpec(kind="random_regular", n=40, d=6, seed=0))
 assert cfl.parse_graph(cfl.write_graph(g)) == g
+path = os.path.join(sys.argv[1], "g.txt")
+assert main(["gen", "--kind", "random-regular", "--n", "40", "--d", "6", "--seed", "0",
+             "--out", path]) == 0
+with open(path, encoding="utf-8") as fh:
+    assert cfl.parse_graph(fh.read()) == g
 wg = cfl.WeightedGraph(g, [x / g.m for x in range(g.m)])
 back = cfl.parse_weighted_graph(cfl.write_weighted_graph(wg))
 assert back.base == g and back.w.tolist() == wg.w.tolist()
@@ -195,11 +202,11 @@ print(json.dumps(seen))
 """
 
 
-def test_import_cfl_loads_no_scipy():
+def test_import_cfl_loads_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cfl.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], env=env, capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     after_graphs, same, at_end = json.loads(proc.stdout)
     assert after_graphs == []
@@ -207,8 +214,10 @@ def test_import_cfl_loads_no_scipy():
     assert "scipy.sparse" in at_end  # the probe sees scipy when it loads
 
 
-# The package's names as the eager imports of cfl/__init__.py exported them
-# before the solver layers loaded lazily, by the submodule that defines them.
+# The package's public names, by the submodule that defines them: the names
+# the eager imports of cfl/__init__.py bound before the solver layers loaded
+# lazily.  `from cfl import *` binds these only; before __all__ it also bound
+# the submodules themselves (cfl.graphs, cfl.spectral, ...).
 EXPORTS = {
     "errors": "GenerationError InputError InvariantError NumericalError ParseError ResourceError",
     "graphs": """Graph RegularityInfo WeightedGraph edge_ids from_edge_list induced_subgraph
