@@ -163,7 +163,9 @@ def count_cliques_window(g: Graph, U, i: int):
     Returns (count, lower, upper, within).  The window is
     2^{+-i^2} (i!)^{-1} |U|^i (d/n)^{C(i,2)} for the host degree d; the caller
     is responsible for the hypotheses under which the window is guaranteed,
-    this only evaluates it.
+    this only evaluates it.  A bound outside the float range (2^{i^2}
+    alone leaves it from i = 32) raises InputError before any enumeration;
+    below i = 32, |U|^i and i! stay within it, as n <= 2^31.
     """
     if i < 2:
         raise InputError(f"i must be >= 2, got {i}")
@@ -171,15 +173,21 @@ def count_cliques_window(g: Graph, U, i: int):
     if not info.is_regular:
         raise InputError("window bounds are stated for regular host graphs")
     d, n = info.d, g.n
+    out_of_range = f"the K_{i} window 2^(+-i^2) for i={i} leaves the float range"
+    try:
+        scale = 2.0 ** (i * i)
+    except OverflowError:
+        raise InputError(out_of_range) from None
     sub, _ = induced_subgraph(g, U)
-    count = len(enumerate_cliques(sub, i))
     u_sz = sub.n
     if n == 0 or d == 0:
         center = 0.0
     else:
         center = (u_sz**i) * (d / n) ** math.comb(i, 2) / math.factorial(i)
-    lower = center / (2 ** (i * i))
-    upper = center * (2 ** (i * i))
+    lower, upper = center / scale, center * scale
+    if math.isinf(upper):
+        raise InputError(out_of_range)
+    count = len(enumerate_cliques(sub, i))
     within = bool(lower <= count <= upper)
     return count, lower, upper, within
 

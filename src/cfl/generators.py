@@ -94,8 +94,10 @@ def gen_circulant(n: int, connection_set) -> Graph:
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Random simple d-regular graph via the pairing (configuration) model.
 
-    Stubs are shuffled and paired in passes; colliding pairs (self-loops or
-    repeated edges) return their stubs to the pool.  A pass that places no
+    The d stubs of every vertex are shuffled and paired in array passes: the
+    first half of the pool against the second.  A pair that is a self-loop,
+    an edge already placed or a repeat of an earlier pair in the same pass
+    returns its two stubs to the pool, in pair order.  A pass that places no
     edge means the leftover stubs admit no simple completion, so the whole
     pairing restarts from scratch.  Deterministic given the seed; gives up
     after MAX_RESTARTS restarts.
@@ -111,29 +113,30 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     if 2 * d > n:
         return complement(gen_random_regular(n, n - 1 - d, seed))
     rng = np.random.default_rng(seed)
-    restarts = 0
-    while restarts <= MAX_RESTARTS:
-        edges = set()
-        stubs = list(range(n)) * d
-        stuck = False
-        while stubs and not stuck:
+    for _ in range(MAX_RESTARTS + 1):
+        stubs = np.tile(np.arange(n, dtype=np.int64), d)
+        # keys u*n + v placed so far, sorted; the self-loops' u*n + u count as
+        # placed, so no pair takes one, and the last lies above every edge key
+        keys = np.arange(n, dtype=np.int64) * (n + 1)
+        while stubs.size:
             rng.shuffle(stubs)
-            half = len(stubs) // 2
-            leftover = []
-            added = 0
-            for u, v in zip(stubs[:half], stubs[half:]):
-                if u == v or (u, v) in edges or (v, u) in edges:
-                    leftover.append(u)
-                    leftover.append(v)
-                else:
-                    edges.add((u, v) if u < v else (v, u))
-                    added += 1
-            if added == 0:
-                stuck = True
-            stubs = leftover
-        if not stuck:
-            return from_edge_list(n, list(edges))
-        restarts += 1
+            u, v = stubs.reshape(2, -1)
+            pair_keys = np.minimum(u, v) * n + np.maximum(u, v)
+            order = np.argsort(pair_keys)
+            sorted_keys = pair_keys[order]
+            start = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+            new = sorted_keys[start]
+            fresh = keys[np.searchsorted(keys, new)] != new
+            if not fresh.any():
+                break
+            # two sorted runs, which the stable sort (timsort) merges in one pass
+            keys = np.sort(np.concatenate([keys, new[fresh]]), kind="stable")
+            back = np.ones(u.size, dtype=bool)
+            back[np.minimum.reduceat(order, start)[fresh]] = False  # the first pair of each new key
+            stubs = np.column_stack([u[back], v[back]]).ravel()
+        else:
+            ends = np.column_stack(np.divmod(keys, n))
+            return Graph(n, ends[ends[:, 0] != ends[:, 1]])
     raise GenerationError(
         f"random_regular(n={n}, d={d}, seed={seed}) exceeded {MAX_RESTARTS} restarts"
     )

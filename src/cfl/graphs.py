@@ -22,6 +22,9 @@ from .errors import InputError, ParseError
 # Iterative subtraction in the dense pipeline accumulates rounding at this scale.
 WEIGHT_SLACK = 1e-12
 
+# Vertex labels are stored as int32, so a graph has at most 2**31 vertices.
+MAX_VERTICES = 2**31
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -30,13 +33,15 @@ class Graph:
     edge_array is the canonical array of the module docstring, and this
     constructor is the one place that checks it: it takes any (m, 2) integer
     array, raises InputError on the first row that breaks 0 <= u < v < n or
-    the increasing key order, and keeps a read-only int32 copy.
+    the increasing key order, and keeps a read-only int32 copy.  An n above
+    MAX_VERTICES, whose labels int32 cannot hold, raises InputError too.
     """
 
     n: int
     edge_array: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_vertex_count(self.n)
         ends = np.asarray(self.edge_array)
         if self.n < 0 or ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
             raise InputError(f"need n >= 0 and (m, 2) integer edges, got n={self.n}, {ends.shape}")
@@ -83,6 +88,11 @@ def edge_ids(g: Graph, pairs) -> np.ndarray:
     return ids
 
 
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise InputError(f"n={n} exceeds {MAX_VERTICES} vertices, the int32 label range")
+
+
 def _is_label(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and -(2**63) <= x < 2**63
 
@@ -109,6 +119,7 @@ def from_edge_list(n: int, pairs) -> Graph:
                                            and len(r) == 2 and all(map(_is_label, r))))
         bad = tuple(bad.tolist()) if isinstance(bad, np.ndarray) else bad
         raise InputError(f"edge {bad!r} is not a pair of integer vertices")
+    _check_vertex_count(n)
     p = p.astype(np.int64).reshape(-1, 2)
     out = ((p < 0) | (p >= n)).any(axis=1)
     bad = out | (p[:, 0] == p[:, 1])
@@ -249,7 +260,7 @@ def _parse(text: str, weighted: bool) -> tuple:
     One array pass over the tokens of text.split(), each placed on its line
     by _token_lines.  A ParseError names the first bad line and the first
     check it fails: token count, integer ends and decimal weight,
-    0 <= u < v < n, weight in [0,1].
+    0 <= u < v < n, weight in [0,1].  The header's n is at most MAX_VERTICES.
     """
     tokens = text.split()
     if not tokens:
@@ -270,6 +281,8 @@ def _parse(text: str, weighted: bool) -> tuple:
         raise ParseError(hdr_no, f"non-integer header field in {line(hdr_no)!r}") from None
     if n < 0 or m < 0:
         raise ParseError(hdr_no, f"negative header value in {line(hdr_no)!r}")
+    if n > MAX_VERTICES:
+        raise ParseError(hdr_no, f"vertex count above {MAX_VERTICES} in {line(hdr_no)!r}")
     if len(starts) != m + 1:
         raise ParseError(hdr_no, f"header declares {m} edges, found {len(starts) - 1} edge lines")
     # each check sees only the edge rows before the first failure of the checks ahead of it

@@ -14,12 +14,13 @@ induced subgraph G[U] and relabels its cliques back to host labels, and
 nibble_by_loops is the matcher as a loop over tuples, one activation at a
 time.  edges_by_sets, induced_by_dict, split_by_buckets and
 complement_by_pairs are the tuple routes the graph constructors used to
-take, one edge at a time.  edge_count_by_loops counts e(A,B) for the mixing
-audit by walking the edge list, with no adjacency matrix.  part_cliques_by_host
-is the route the sparse engine used to take to each part's cliques: enumerate
-the host, then cut its rows by the split.  parse_by_lines is the edge-list
-reader as a loop over lines, one check after another, and write_by_lines the
-writers as one f-string per edge tuple.
+take, one edge at a time, and random_regular_by_loops is the pairing model
+as a loop over stub tuples, one pair at a time.  edge_count_by_loops counts
+e(A,B) for the mixing audit by walking the edge list, with no adjacency
+matrix.  part_cliques_by_host is the route the sparse engine used to take to
+each part's cliques: enumerate the host, then cut its rows by the split.
+parse_by_lines is the edge-list reader as a loop over lines, one check after
+another, and write_by_lines the writers as one f-string per edge tuple.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, lsq_linear, milp
 
+from cfl import generators
 from cfl.acceptance import brute_force_cliques, oracle_t_star, simplex_lp_value  # noqa: F401
 from cfl.cliques import enumerate_cliques
-from cfl.errors import ParseError
-from cfl.graphs import Graph, WeightedGraph, from_edge_list
+from cfl.errors import GenerationError, InputError, ParseError
+from cfl.graphs import Graph, WeightedGraph, complement, from_edge_list
 
 
 def min_max_factor_value(wg: WeightedGraph, t: int) -> float | None:
@@ -211,6 +213,48 @@ def complement_by_pairs(g) -> tuple:
     return tuple((u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in edges)
 
 
+def random_regular_by_loops(n: int, d: int, seed: int) -> Graph:
+    """gen_random_regular as a loop over stub tuples, one pair at a time.
+
+    A pair that is a self-loop or an edge already placed, in this pass or an
+    earlier one, returns its stubs to the pool; a pass that places nothing
+    restarts the pairing.  It reads generators.MAX_RESTARTS at call time.
+    """
+    if not (0 <= d < n):
+        raise InputError(f"need 0 <= d < n, got d={d}, n={n}")
+    if (n * d) % 2 != 0:
+        raise InputError(f"n*d must be even, got n={n}, d={d}")
+    if 2 * d > n:
+        return complement(random_regular_by_loops(n, n - 1 - d, seed))
+    rng = np.random.default_rng(seed)
+    restarts = 0
+    while restarts <= generators.MAX_RESTARTS:
+        edges = set()
+        stubs = list(range(n)) * d
+        stuck = False
+        while stubs and not stuck:
+            rng.shuffle(stubs)
+            half = len(stubs) // 2
+            leftover = []
+            added = 0
+            for u, v in zip(stubs[:half], stubs[half:]):
+                if u == v or (u, v) in edges or (v, u) in edges:
+                    leftover.append(u)
+                    leftover.append(v)
+                else:
+                    edges.add((u, v) if u < v else (v, u))
+                    added += 1
+            if added == 0:
+                stuck = True
+            stubs = leftover
+        if not stuck:
+            return from_edge_list(n, list(edges))
+        restarts += 1
+    raise GenerationError(
+        f"random_regular(n={n}, d={d}, seed={seed}) exceeded {generators.MAX_RESTARTS} restarts"
+    )
+
+
 def edge_count_by_loops(g, A, B) -> int:
     """e(A,B): ordered pairs (a, b) with a in A, b in B and ab an edge, one edge at a time."""
     A, B = set(A), set(B)
@@ -244,6 +288,8 @@ def parse_by_lines(text: str, weighted: bool) -> tuple:
         raise ParseError(hdr_no, f"non-integer header field in {hdr!r}") from None
     if n < 0 or m < 0:
         raise ParseError(hdr_no, f"negative header value in {hdr!r}")
+    if n > 2**31:
+        raise ParseError(hdr_no, f"vertex count above {2**31} in {hdr!r}")
     if len(rest) != m:
         raise ParseError(hdr_no, f"header declares {m} edges, found {len(rest)} edge lines")
     form = "u v w" if weighted else "u v"

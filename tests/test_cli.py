@@ -1,6 +1,7 @@
 """Canonical JSON, atomic writes, and the command-line entry points."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -226,6 +227,29 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 20
         assert payload["window"]["within"] is True
+
+    def test_cliques_window_beyond_the_float_range_exits_2(self, k6_file, capsys):
+        # 2^(31^2) is a float, 2^(32^2) is not; the report may hold no inf
+        assert main(["cliques", "--in", k6_file, "--t", "3", "--window", "31"]) == 0
+        window = json.loads(capsys.readouterr().out)["window"]
+        center = 6**31 * (5 / 6) ** 465 / math.factorial(31)
+        assert window == {"i": 31, "count": 0, "lower": pytest.approx(center / 2**961, rel=1e-11),
+                          "upper": pytest.approx(center * 2**961, rel=1e-11), "within": True}
+        for i in ("32", "40"):
+            assert main(["cliques", "--in", k6_file, "--t", "3", "--window", i]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: the K_{i} window 2^(+-i^2) for i={i} leaves the float range\n"
+
+    @pytest.mark.parametrize("command", [["lp", "--t", "3"], ["spectrum"]], ids=["lp", "spectrum"])
+    @pytest.mark.parametrize("header", ["4294967296 0", "99999999999999999999 0"])
+    def test_vertex_count_beyond_int32_exits_2(self, command, header, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(header + "\n")
+        assert main([*command, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: vertex count above 2147483648 in {header!r}\n"
 
     def test_cliques_span_failure_sets_exit_code(self, petersen_file, capsys):
         code = main(

@@ -1,8 +1,12 @@
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfl.errors import InputError
+from cfl import generators
+from cfl.errors import GenerationError, InputError
 from cfl.generators import (
     GenSpec,
     build,
@@ -12,6 +16,7 @@ from cfl.generators import (
     gen_random_regular,
 )
 from cfl.graphs import regularity
+from oracles import random_regular_by_loops
 
 
 class TestComplete:
@@ -131,6 +136,40 @@ class TestRandomRegular:
         assert info.is_regular and info.d == d
         assert all(u < v for u, v in g.edges) and len(set(g.edges)) == g.m
         assert gen_random_regular(n, d, 5).edges == g.edges
+
+
+class TestRandomRegularOracle:
+    # the array passes must draw the graph the one-pair-at-a-time loop draws
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 2**63 - 1))
+    def test_same_graph_as_the_loop(self, data, n, seed):
+        d = data.draw(st.integers(0, n - 1).filter(lambda d: n * d % 2 == 0))
+        assert np.array_equal(gen_random_regular(n, d, seed).edge_array,
+                              random_regular_by_loops(n, d, seed).edge_array)
+
+    @pytest.mark.parametrize(
+        "n,d,seed",
+        [(70, 35, 0), (160, 80, 31), (160, 81, 31), (1, 0, 0), (9, 0, 4)],
+        ids=["3_restarts", "4_restarts", "complement", "d0_n1", "d0_n9"],
+    )
+    def test_same_graph_on_restarts_and_edge_cases(self, n, d, seed):
+        g = gen_random_regular(n, d, seed)
+        assert np.array_equal(g.edge_array, random_regular_by_loops(n, d, seed).edge_array)
+        assert regularity(g).d == d
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_same_error_past_the_restart_limit(self, monkeypatch, restarts):
+        # rr(70,35) seed 0 restarts 3 times, so 2 allowed restarts are too few
+        monkeypatch.setattr(generators, "MAX_RESTARTS", restarts)
+        with pytest.raises(GenerationError) as ours:
+            gen_random_regular(70, 35, 0)
+        with pytest.raises(GenerationError) as loops:
+            random_regular_by_loops(70, 35, 0)
+        assert str(ours.value) == str(loops.value)
+        assert str(ours.value) == f"random_regular(n=70, d=35, seed=0) exceeded {restarts} restarts"
+        monkeypatch.setattr(generators, "MAX_RESTARTS", 3)
+        assert np.array_equal(gen_random_regular(70, 35, 0).edge_array,
+                              random_regular_by_loops(70, 35, 0).edge_array)
 
 
 class TestBuild:

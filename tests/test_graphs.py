@@ -84,6 +84,17 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             Graph(3, np.array([[0.0, 1.0]]))
 
+    def test_vertex_count_beyond_int32_rejected(self):
+        # labels are int32: 2**33 would wrap to 0, so n itself is refused
+        with pytest.raises(InputError, match="n=1099511627776 exceeds 2147483648"):
+            Graph(2**40, np.array([[2**33, 2**33 + 1]]))
+        with pytest.raises(InputError, match="exceeds 2147483648"):
+            from_edge_list(2**40, [(2**33, 2**33 + 1)])
+        with pytest.raises(InputError, match="exceeds 2147483648"):
+            from_edge_list(10**20, [(0, 1)])
+        g = Graph(2**31, np.array([[0, 2**31 - 1]]))
+        assert g.edges == ((0, 2**31 - 1),) and g.edge_keys.tolist() == [2**31 - 1]
+
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
             from_edge_list(3, [(1, 1)])
@@ -273,6 +284,11 @@ class TestTextFormat:
             back = parse_weighted_graph(write_weighted_graph(uniform_weights(g)))
             assert back.base == g and back.w.shape == (0,)
 
+    def test_largest_vertex_count_parses(self):
+        text = "2147483648 1\n0 2147483647\n"
+        assert parse_graph(text).edges == ((0, 2147483647),)
+        assert parse_by_lines(text, weighted=False)[0] == parse_graph(text)
+
     def test_weights_are_written_as_their_repr(self):
         # 0.1 has no short binary form; its repr is still the shortest decimal that reads back
         wg = WeightedGraph(gen_complete(3), [0.0, 1.0, 0.1])
@@ -339,12 +355,15 @@ class TestTextFormat:
             ("3 x\n0 1\n", 1, "non-integer header field"),
             ("3\n0 1\n", 1, "expected 'n m' header"),
             ("3 -1\n", 1, "negative header value"),
+            ("4294967296 1\n0 2147483653\n", 1, "vertex count above 2147483648"),
+            ("99999999999999999999 0\n", 1, "vertex count above 2147483648"),
             ("3 2\n\n0 1\n\n", 1, "header declares 2 edges, found 1 edge lines"),
             ("  \n\t\n", 1, "empty input"),
         ],
         ids=["blank-lines", "crlf", "cr", "vt-and-line-separator", "file-separator",
              "range-before-count", "count-before-range", "beyond-int64", "sign-and-underscore",
-             "header-field", "header-count", "header-negative", "edge-line-count", "empty"],
+             "header-field", "header-count", "header-negative", "header-n-beyond-int32",
+             "header-n-beyond-int64", "edge-line-count", "empty"],
     )
     def test_first_bad_line_and_check(self, text, line, message):
         # the first bad line in file order, whatever the line breaks, and on it

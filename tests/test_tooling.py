@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import cfl
-from cfl.graphs import parse_graph, parse_weighted_graph, write_weighted_graph
+from cfl.graphs import parse_graph, parse_weighted_graph, write_graph, write_weighted_graph
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -100,6 +100,16 @@ def test_inputs_are_pinned(workload, tmp_path):
         with open(path, "rb") as fh:
             digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == INPUT_DIGESTS[workload]
+
+
+# sha256 of write_graph(gen_random_regular(600, 300, 0)), a rung of the
+# instance ladder: its draw restarts 6 times and takes 105 pairing passes.
+LADDER_DIGEST = "e9e3007113865e2a04bc081cf0c3045bae59030def1733175b79984c6eae9c94"
+
+
+def test_ladder_rung_is_pinned():
+    text = write_graph(cfl.generators.gen_random_regular(600, 300, 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_DIGEST
 
 
 SRC_CFL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "cfl")
