@@ -1,17 +1,18 @@
 """One OpenBLAS thread per dense solve, so results do not follow the core count:
 at cfl's sizes a second thread of scipy's bundled OpenBLAS saves little, spins
-between calls and sums in another order, moving a result's last bits."""
+between calls and sums in another order, moving a result's last bits.
 
-import contextlib
+Despite its name the setter sets one count for the whole process in scipy's
+pthreads build.  So every dense solve sets it to 1 right before it runs and
+never sets it back: a count raised between solves (by another library, or
+another thread) never reaches one, and threads that overlap need no lock.
+In a process that has run a cfl solve, scipy's OpenBLAS stays on one thread."""
+
 import ctypes
 import functools
 import glob
-import threading
 
 import scipy
-
-_lock = threading.Lock()
-_open, _previous = 0, 0  # blocks running now, in any thread; the count before the first
 
 
 @functools.cache
@@ -29,22 +30,9 @@ def _openblas():
     return None
 
 
-@contextlib.contextmanager
-def one_thread():
-    """Run the block on one OpenBLAS thread.  Despite its name the setter sets
-    one count for the whole process in scipy's pthreads build, so overlapping
-    blocks share it: the last to end restores the count from before the first."""
-    global _open, _previous
-    setter = _openblas() or (lambda count: count)
-    with _lock:
-        previous = setter(1)
-        _open += 1
-        if _open == 1:
-            _previous = previous
-    try:
-        yield
-    finally:
-        with _lock:
-            _open -= 1
-            if _open == 0:
-                setter(_previous)
+def one_thread() -> None:
+    """Set scipy's OpenBLAS to one thread; call it right before a dense solve.
+    Without a bundled OpenBLAS it does nothing."""
+    setter = _openblas()
+    if setter is not None:
+        setter(1)

@@ -38,28 +38,22 @@ from .errors import (
 from .generators import GenSpec, build
 from .graphs import parse_graph, parse_weighted_graph, uniform_weights, write_graph
 
-# The solver layers' names, by the submodule that defines them.  `gen` needs
-# numpy only, so these load (and scipy with them) when main dispatches any
-# other command, or on a first `cfl.cli.X`.  solve_dual and solve_primal are
-# bound for perfbench/spans.py to wrap, until ROADMAP item 2 retires it.
-_LAZY = {
-    name: module
-    for module, names in {
-        "cliques": "count_cliques_window default_span_size enumerate_cliques span_clique_audit",
-        "factor_lp": """check_prop3 complementary_slackness has_fractional_factor solve_lp
-            solve_dual solve_primal""",
-        "pipeline": "HypothesisRejected PipelineConfig fan_out run_end_to_end",
-        "spectral": "mixing_audit second_eigenvalue",
-    }.items()
-    for name in names.split()
-}
+# The solver layers' names the commands use; the package's lazy table says
+# which submodule defines each.  `gen` needs numpy only, so these load (and
+# scipy with them) when main dispatches any other command, or on a first
+# `cfl.cli.X`.  solve_dual and solve_primal are bound for perfbench/spans.py
+# to wrap, until ROADMAP item 2 retires it.
+_LAZY = set("""
+    count_cliques_window default_span_size enumerate_cliques span_clique_audit
+    check_prop3 complementary_slackness has_fractional_factor solve_dual solve_lp solve_primal
+    HypothesisRejected PipelineConfig run_end_to_end mixing_audit second_eigenvalue
+""".split())
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    return globals().setdefault(name, value)
+    return globals().setdefault(name, getattr(importlib.import_module(__package__), name))
 
 
 def _load_solver_layers() -> None:
@@ -321,6 +315,8 @@ def _pipeline_config(args, seed: int) -> PipelineConfig:
 
 
 def _cmd_pipeline(args) -> int:
+    from .pipeline import fan_out
+
     g = _read_graph(args.infile)
     if args.seeds is not None:
         seeds = [_seed(s) for s in _int_list(args.seeds, "--seeds")]

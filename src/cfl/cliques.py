@@ -193,8 +193,8 @@ def count_cliques_window(g: Graph, U, i: int):
 
 
 def default_span_size(n: int, t: int) -> int:
-    """Size 0.11 n / t for the spanning audit, rounded up so the set can hold a K_t."""
-    return math.ceil(0.11 * n / t)
+    """Size 0.11 n / t for the spanning audit, rounded up; at least t, so a set can hold a K_t."""
+    return max(t, math.ceil(0.11 * n / t))
 
 
 def span_clique_audit(g: Graph, t: int, size: int, trials: int, seed: int):

@@ -9,7 +9,8 @@ on LPs above 10 ms, on both sides of N = n + m) yields both sides, f read
 off its row marginals.  The pair is a checked certificate: both sides
 feasible within tol, and both objectives, summed from the vectors, within
 2 tol of each other.  Edge-length terms such as h.w, the Newton line search's
-slopes and the matching bound's y.upper are sums, not numpy dot products:
+slopes, the matching bound's y.upper and a matching family's value are
+sums, not numpy dot products:
 numpy's OpenBLAS splits a dot product of more than 10,000 entries over its
 threads, so its bits would follow the thread count.  HiGHS
 (scipy.optimize) is imported on the first LP or MILP solve, not with cfl.
@@ -322,11 +323,11 @@ def integral_matching_value(wg: WeightedGraph, cliques: CliqueSet) -> float:
         raise NumericalError(f"matching relaxation failed: {lp.message}")
     top, bound = _clique_bounds(values, rows, upper, lp.ineqlin.marginals)
     if np.count_nonzero(bound >= top - 1e-9 * (1 + abs(top))) > N / 2:
-        return float(values @ family(np.arange(N)))
+        return float((values * family(np.arange(N))).sum())
     core = lp.x > 0
     core[np.argsort(-bound, kind="stable")[: 2 * wg.n]] = True
     x = family(np.flatnonzero(core))
-    best = values @ x
+    best = (values * x).sum()
     margin = 1e-9 * (1 + abs(best))
     if best < top - margin:
         keep = bound >= best - margin
@@ -341,7 +342,7 @@ def integral_matching_value(wg: WeightedGraph, cliques: CliqueSet) -> float:
             keep[j] = probe_bound[at_j][0] >= best - margin
         if np.any(keep & ~core):
             x = family(np.flatnonzero(keep))
-    return float(values @ x)
+    return float((values * x).sum())
 
 
 def has_fractional_factor(
@@ -443,9 +444,9 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
         # and the ridge bounds the step there while vanishing with grad
         g = float(np.abs(grad).max())
         H[np.diag_indices_from(H)] += max(g * min(g, 1.0), RIDGE_FLOOR * H.diagonal().max())
+        blas.one_thread()
         try:
-            with blas.one_thread():
-                step = -cho_solve(cho_factor(H, check_finite=False), grad, check_finite=False)
+            step = -cho_solve(cho_factor(H, check_finite=False), grad, check_finite=False)
         except LinAlgError:
             return None
         for halving in range(HALVINGS):

@@ -1,8 +1,9 @@
 """Clique-factor extraction pipelines and the randomized covering stage.
 
 Two extraction engines produce bundles of fractional K_t-factors with
-aggregate pair load at most 1: the dense engine iteratively re-solves the
-factor LP while decrementing edge weights by the pair loads just used, and
+aggregate pair load at most 1: each round of the dense engine certifies a
+factor of the current weights by max-entropy Newton, with one LP as the
+fallback, and decrements the edge weights by the pair loads just used, and
 the sparse engine partitions the edge set uniformly at random and solves each
 part at unit weights.  A bundle is then sampled into a random t-uniform
 hypergraph H_f (clique T survives with probability f(T) = sum_i f_i(T)),

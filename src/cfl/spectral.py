@@ -15,7 +15,8 @@ again.  Edges between the subsets of a pair are counted by sparse products
 with the same matrix, one per column chunk.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
-never numpy's, on one OpenBLAS thread per solve (blas.one_thread), and the
+never numpy's, on one OpenBLAS thread: second_eigenvalue calls blas.one_thread
+right before either solve, and the count stays at 1 after it.  The
 Lanczos path sums where it would take a dot product, which numpy's OpenBLAS
 splits over its threads above 10,000 entries.  So lambda's bits do not follow
 the core count.  The dense eigh takes 0.051 s at n = 600 and 1.41 s at
@@ -126,11 +127,11 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) ->
     if g.n <= 1 or d == 0:
         return SpectralCert(g.n, d, 0.0, method, 0.0, 0.0, 0.0, d == 0 and g.n > 1, tol)
     a = adjacency_matrix(g)
-    with blas.one_thread():
-        if method == "dense_eig":
-            lam, residual, mu2, mun = _dense_lambda(a, d)
-        else:
-            lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
+    blas.one_thread()
+    if method == "dense_eig":
+        lam, residual, mu2, mun = _dense_lambda(a, d)
+    else:
+        lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
     return SpectralCert(
         n=g.n,
         d=d,

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import cfl.spectral as spectral_mod
 from cfl import blas
 from cfl.cli import main
 from cfl.generators import GenSpec, build
-from cfl.graphs import WeightedGraph, write_graph, write_weighted_graph
+from cfl.graphs import WeightedGraph, uniform_weights, write_graph, write_weighted_graph
 from cfl.pipeline import PipelineConfig, run_end_to_end, sparse_extract
 
 SETTER = blas._openblas()
@@ -53,21 +52,27 @@ def _commands(weighted, host, out) -> dict:
     }
 
 
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """(name, OpenBLAS count) of each dense solve, in call order."""
+    seen = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.append((name, _count()))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(factor_lp_mod, "cho_factor", recording("cho_factor", factor_lp_mod.cho_factor))
+    monkeypatch.setattr(spectral_mod.linalg, "eigh", recording("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(spectral_mod, "eigsh", recording("eigsh", spectral_mod.eigsh))
+    return seen
+
+
 @needs_openblas
 class TestOneThread:
-    def test_each_dense_solve_runs_on_one_thread(self, monkeypatch):
-        seen = {"cho_factor": [], "eigh": [], "eigsh": []}
-
-        def recording(name, fn):
-            def wrapped(*args, **kwargs):
-                seen[name].append(_count())
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(factor_lp_mod, "cho_factor", recording("cho_factor", factor_lp_mod.cho_factor))
-        monkeypatch.setattr(spectral_mod.linalg, "eigh", recording("eigh", scipy.linalg.eigh))
-        monkeypatch.setattr(spectral_mod, "eigsh", recording("eigsh", spectral_mod.eigsh))
+    def test_each_dense_solve_runs_on_one_thread(self, solves, monkeypatch):
         monkeypatch.setenv("CFL_THREADS", "2")
         previous = SETTER(2)
         try:
@@ -79,58 +84,24 @@ class TestOneThread:
             after = _count()
         finally:
             SETTER(previous)
-        assert after == 2
-        assert all(seen.values()), seen
-        assert {count for counts in seen.values() for count in counts} == {1}
+        assert after == 1  # never set back
+        assert {name for name, _ in solves} == {"cho_factor", "eigh", "eigsh"}, solves
+        assert {count for _, count in solves} == {1}
 
-    @pytest.mark.parametrize("previous", [1, 2, 3])
-    def test_the_previous_count_comes_back(self, previous):
-        saved = SETTER(previous)
+    def test_a_count_raised_between_solves_never_reaches_one(self, solves):
+        g = _rr(30, 15, 0)
+        previous = SETTER(2)
         try:
-            with blas.one_thread():
-                inside = _count()
-                with blas.one_thread():
-                    nested = _count()
-                after_nested = _count()
-            after = _count()
-            with pytest.raises(RuntimeError, match="boom"):
-                with blas.one_thread():
-                    raise RuntimeError("boom")
-            after_raise = _count()
-        finally:
-            SETTER(saved)
-        assert (inside, nested, after_nested) == (1, 1, 1)
-        assert after == after_raise == previous
-
-    def test_blocks_overlapping_in_two_threads_share_one_count(self):
-        # b is still inside when a leaves, so a must not restore the count yet
-        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-        seen = []
-
-        def a():
-            with blas.one_thread():
-                a_in.set()
-                b_in.wait()
-            a_out.set()
-
-        def b():
-            a_in.wait()
-            with blas.one_thread():
-                b_in.set()
-                a_out.wait()
-                seen.append(_count())
-
-        saved = SETTER(2)
-        try:
-            workers = [threading.Thread(target=fn) for fn in (a, b)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
+            cert = cfl.has_fractional_factor(uniform_weights(g), cfl.enumerate_cliques(g, 3))
+            SETTER(2)
+            spectral_mod.second_eigenvalue(g)
             after = _count()
         finally:
-            SETTER(saved)
-        assert seen == [1] and after == 2
+            SETTER(previous)
+        assert cert.has_factor
+        assert {name for name, _ in solves} == {"cho_factor", "eigh"}, solves
+        assert {count for _, count in solves} == {1}
+        assert after == 1
 
     def test_reports_without_the_handle_are_the_one_thread_reports(self, tmp_path, monkeypatch):
         # with the handle absent the helper does nothing, so the count the

@@ -260,6 +260,13 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["span_audit"]["failures"] == 2
 
+    def test_cliques_default_span_size_holds_a_clique(self, k6_file, capsys):
+        # 0.11 n / t rounds up to 1 on K_6; the default is at least t
+        code = main(["cliques", "--in", k6_file, "--t", "3", "--span-trials", "2", "--seed", "1"])
+        assert code == 0
+        audit = json.loads(capsys.readouterr().out)["span_audit"]
+        assert (audit["size"], audit["failures"]) == (3, 0)
+
     def test_cliques_span_size_is_used(self, k6_file, capsys):
         code = main(["cliques", "--in", k6_file, "--t", "3", "--span-trials", "2",
                      "--span-size", "4", "--seed", "1"])

@@ -221,7 +221,7 @@ class TestDensityWindow:
 
 
 class TestSpanAudit:
-    @pytest.mark.parametrize("n,t,expected", [(60, 3, 3), (12, 3, 1), (100, 3, 4)])
+    @pytest.mark.parametrize("n,t,expected", [(60, 3, 3), (12, 3, 3), (100, 3, 4)])
     def test_default_size(self, n, t, expected):
         assert default_span_size(n, t) == expected
 
@@ -252,4 +252,4 @@ class TestSpanAudit:
 
     def test_size_scales_with_n_over_t(self):
         for n, t in [(30, 3), (200, 4), (1000, 5)]:
-            assert default_span_size(n, t) == math.ceil(0.11 * n / t)
+            assert default_span_size(n, t) == max(t, math.ceil(0.11 * n / t))
