@@ -56,8 +56,8 @@ _LAZY = {
         "cliques": """CliqueSet count_cliques_window default_span_size enumerate_cliques
             span_clique_audit""",
         "factor_lp": """DualSolution FactorCert PrimalSolution Prop3Report SlacknessReport
-            check_prop3 complementary_slackness has_fractional_factor integral_matching_value
-            solve_dual solve_lp solve_primal t_star""",
+            certified_pair check_prop3 complementary_slackness has_fractional_factor
+            integral_matching_value solve_dual solve_lp solve_primal t_star""",
         "pipeline": """ConcentrationReport FactorBundle HypothesisRejected MatchingResult
             PipelineConfig PipelineReport RandomHypergraph build_Hf concentration_audit
             default_alpha default_ell dense_extract greedy_completion nibble_matching

@@ -41,11 +41,12 @@ from .graphs import parse_graph, parse_weighted_graph, uniform_weights, write_gr
 # The solver layers' names the commands use; the package's lazy table says
 # which submodule defines each.  `gen` needs numpy only, so these load (and
 # scipy with them) when main dispatches any other command, or on a first
-# `cfl.cli.X`.  solve_dual and solve_primal are bound for perfbench/spans.py
-# to wrap, until ROADMAP item 2 retires it.
+# `cfl.cli.X`.  has_fractional_factor, solve_dual and solve_primal are bound
+# for perfbench/spans.py to wrap, until ROADMAP item 2 retires it.
 _LAZY = set("""
     count_cliques_window default_span_size enumerate_cliques span_clique_audit
-    check_prop3 complementary_slackness has_fractional_factor solve_dual solve_lp solve_primal
+    certified_pair check_prop3 complementary_slackness has_fractional_factor
+    solve_dual solve_primal
     HypothesisRejected PipelineConfig run_end_to_end mixing_audit second_eigenvalue
 """.split())
 
@@ -276,8 +277,7 @@ def _cmd_cliques(args) -> int:
 def _cmd_lp(args) -> int:
     wg = _read_maybe_weighted(args.infile)
     cliques = enumerate_cliques(wg.base, args.t)
-    primal, dual = solve_lp(wg, cliques, args.tol)
-    cert = has_fractional_factor(wg, cliques, args.tol, primal)
+    primal, dual, cert = certified_pair(wg, cliques, args.tol)
     payload: dict = {
         "n": wg.n,
         "m": wg.base.m,

@@ -32,6 +32,17 @@ none within NEWTON_STEPS steps, one LP solve decides: t* < |V|/t - tol
 refutes a factor, and otherwise the primal optimum, whose loads must then
 all be 1, is the witness, a basic solution rather than a spread one.
 
+A certified factor is an LP optimum, so certified_pair solves no LP for
+it.  Every clique loads t vertices, each by at most 1, so t sum f <= |V|:
+t* <= |V|/t (Prop 3 (ii)).  The dual g = 1/t on every vertex, h = 0 covers
+every clique exactly once and is worth |V|/t, and a factor f, all of whose
+loads are 1, is worth sum f = |V|/t.  The pair (f, g, h) is put through the
+load, cover and 2 tol gap checks a HiGHS pair gets, and a failed check
+raises NumericalError.  Only when Newton reaches no factor does the one
+covering solve run, and its pair serves both the certificate and the
+caller.  `cfl lp` takes its pair from certified_pair, and t_star reads t*
+off the same certificate.
+
 The integral matching value t(G,w), which Prop 3 (i) bounds by t*, is an
 exact zero-gap MILP over binary x_T with the vertex rows A_vert x <= 1.  When
 t does not divide |V| it also carries the cardinality row
@@ -188,24 +199,35 @@ def solve_lp(
     a clique cover below 1, beyond tol, or whose objectives differ by more
     than 2 tol, raises NumericalError: it is then not a certified optimum.
     """
-    if not 0 < tol < np.inf:
-        raise InputError(f"tol must be finite and positive, got {tol}")
+    caps = _checked_instance(wg, cliques, tol)
     n, N = wg.n, len(cliques)
     if N == 0:
         return PrimalSolution(np.zeros(0), 0.0), DualSolution(np.zeros(n), np.zeros(wg.base.m), 0.0)
-    a_vert, a_pair, caps = _instance(wg, cliques)
-    A = sparse.vstack([a_vert, a_pair], format="csc")
-    b = np.concatenate([np.ones(n), caps])
-    res = linprog(b, A_ub=-A.T, b_ub=-np.ones(N), bounds=(0, None), method="highs")
+    A = sparse.vstack([cliques.A_vert, cliques.A_pair], format="csc")
+    res = linprog(np.concatenate([np.ones(n), caps]), A_ub=-A.T, b_ub=-np.ones(N),
+                  bounds=(0, None), method="highs")
     if res.status != 0:
         raise NumericalError(f"LP solve failed: {res.message}")
     y, f = np.maximum(res.x, 0.0), np.maximum(-res.ineqlin.marginals, 0.0)
-    excess, shortfall = (A @ f - b).max(), 1.0 - (A.T @ y).min()
+    return _checked_pair(cliques, caps, f, y[:n], y[n:], tol)
+
+
+def _checked_pair(
+    cliques: CliqueSet, caps: np.ndarray, f: np.ndarray, g: np.ndarray, h: np.ndarray, tol: float
+) -> tuple[PrimalSolution, DualSolution]:
+    """(f, (g, h)) as a pair, once it passes the checks that make it a certified optimum.
+
+    A vertex load above 1, a pair load above w or a clique cover below 1,
+    beyond tol, or objectives sum f and sum g + h.w more than 2 tol apart,
+    raise NumericalError.
+    """
+    excess = max((cliques.A_vert @ f - 1.0).max(initial=-np.inf),
+                 (cliques.A_pair @ f - caps).max(initial=-np.inf))
+    shortfall = 1.0 - (cliques.A_vert.T @ g + cliques.A_pair.T @ h).min(initial=np.inf)
     if not max(excess, shortfall) <= tol:
         raise NumericalError(
             f"LP pair infeasible: load excess {excess:.3e}, cover shortfall {shortfall:.3e}"
         )
-    g, h = y[:n], y[n:]
     p = PrimalSolution(f, float(f.sum()))
     d = DualSolution(g, h, float(g.sum() + (h * caps).sum()))
     if not abs(p.objective - d.objective) <= 2 * tol:
@@ -224,10 +246,12 @@ def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) 
 
 
 def t_star(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> float:
-    """Optimum of the fractional K_t-matching LP, t = cliques.t: the primal
-    objective of solve_lp's one feasibility-checked solve.  Guaranteed
-    <= |V|/t + tol."""
-    return _within_bound(solve_lp(wg, cliques, tol)[0].objective, wg.n, cliques.t, tol)
+    """Optimum of the fractional K_t-matching LP, t = cliques.t, read off
+    certified_pair's certificate.  When Newton finds a factor f it is sum f,
+    with no LP: Prop 3 (ii) bounds t* by |V|/t, which g = 1/t attains, so f
+    is optimal.  Otherwise it is the primal objective of one checked HiGHS
+    solve.  Guaranteed <= |V|/t + tol."""
+    return certified_pair(wg, cliques, tol)[2].t_star
 
 
 def _within_bound(val: float, n: int, t: int, tol: float) -> float:
@@ -359,26 +383,78 @@ def has_fractional_factor(
     without, the loads are an optimal fractional matching's, and the note
     marks a t_star within tol of |V|/t with an infeasible unit-load programme.
     """
+    caps = _checked_instance(wg, cliques, tol)
+    fvec = _newton_witness(cliques, caps, tol)
+    if fvec is not None:
+        return _factor_cert(wg, cliques, fvec, tol)
+    if primal is None:
+        primal = solve_lp(wg, cliques, tol)[0]
+    return _primal_cert(wg, cliques, caps, primal, tol)
+
+
+def certified_pair(
+    wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
+) -> tuple[PrimalSolution, DualSolution, FactorCert]:
+    """An optimal primal-dual pair of the K_t-matching LP and the factor
+    certificate, from at most one LP solve.
+
+    When Newton's maximum-entropy witness f passes the exact checks, the
+    pair is (f, g = 1/t, h = 0), with no LP: every clique is covered exactly
+    once by g, and sum g = |V|/t, so the pair is optimal by Prop 3 (ii).
+    It goes through solve_lp's load, cover and 2 tol gap checks, and
+    NumericalError is raised if one fails.  Otherwise one HiGHS solve gives
+    both the pair and the certificate has_fractional_factor would read off
+    its primal.
+    """
+    caps = _checked_instance(wg, cliques, tol)
+    fvec = _newton_witness(cliques, caps, tol)
+    if fvec is not None:
+        p, d = _checked_pair(cliques, caps, fvec, np.full(wg.n, 1.0 / cliques.t),
+                             np.zeros(len(caps)), tol)
+        return p, d, _factor_cert(wg, cliques, fvec, tol)
+    p, d = solve_lp(wg, cliques, tol)
+    return p, d, _primal_cert(wg, cliques, caps, p, tol)
+
+
+def _checked_instance(wg: WeightedGraph, cliques: CliqueSet, tol: float) -> np.ndarray:
+    """The pair capacities w, once tol and the clique set's graph are checked."""
     if not 0 < tol < np.inf:
         raise InputError(f"tol must be finite and positive, got {tol}")
+    return _instance(wg, cliques)[2]
+
+
+def _newton_witness(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.ndarray | None:
+    """The maximum-entropy factor once it passes the exact checks, else None;
+    with no vertex, the empty factor."""
+    if cliques.graph.n == 0:
+        return np.zeros(0)
+    fvec = _max_entropy_factor(cliques, caps, tol)
+    return fvec if fvec is not None and _is_factor(cliques, caps, fvec, tol) else None
+
+
+def _factor_cert(
+    wg: WeightedGraph, cliques: CliqueSet, fvec: np.ndarray, tol: float, note: str = ""
+) -> FactorCert:
+    """The certificate of a factor fvec that passed the exact checks: t_star = sum f."""
     n, t = wg.n, cliques.t
-    if n == 0:
-        return FactorCert(True, 0.0, 0.0, np.zeros(0), **_support(np.zeros(0)))
-    caps = _instance(wg, cliques)[2]
-    fvec, note = _max_entropy_factor(cliques, caps, tol), ""
-    if fvec is None or not _is_factor(cliques, caps, fvec, tol):
-        if primal is None:
-            primal = solve_lp(wg, cliques, tol)[0]
-        ts = _within_bound(primal.objective, n, t, tol)
-        fvec = primal.f
-        if ts < n / t - tol or not _is_factor(cliques, caps, fvec, tol):
-            if ts >= n / t - tol:
-                note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
-            return FactorCert(False, ts, n / t - ts, cliques.A_vert @ fvec, note=note)
-        note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
     ts = _within_bound(float(fvec.sum()), n, t, tol)
-    loads = cliques.A_vert @ fvec
-    return FactorCert(True, ts, n / t - ts, loads, **_support(fvec), note=note)
+    return FactorCert(True, ts, n / t - ts, cliques.A_vert @ fvec, **_support(fvec), note=note)
+
+
+def _primal_cert(
+    wg: WeightedGraph, cliques: CliqueSet, caps: np.ndarray, primal: PrimalSolution, tol: float
+) -> FactorCert:
+    """The verdict of an LP optimum, once Newton reached no factor: t* < |V|/t - tol
+    refutes one, and otherwise the primal is the witness if its loads are all 1."""
+    n, t = wg.n, cliques.t
+    ts = _within_bound(primal.objective, n, t, tol)
+    if ts < n / t - tol:
+        return FactorCert(False, ts, n / t - ts, cliques.A_vert @ primal.f)
+    if not _is_factor(cliques, caps, primal.f, tol):
+        note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
+        return FactorCert(False, ts, n / t - ts, cliques.A_vert @ primal.f, note=note)
+    note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
+    return _factor_cert(wg, cliques, primal.f, tol, note)
 
 
 def _support(fvec: np.ndarray) -> dict:
@@ -516,10 +592,11 @@ def check_prop3(
     reported for a sweep of thresholds since the positivity cliff is
     tolerance-dependent in floating point.
 
-    t = cliques.t, and (primal, dual) is the pair solve_lp returns for
-    (wg, cliques, tol), which checks both sides feasible; t* is its primal
-    objective, the value t_star returns.  A caller holding the factor
-    certificate passes it in; otherwise it is solved here when needed.
+    t = cliques.t, and (primal, dual) is a checked optimal pair of (wg,
+    cliques, tol), the one solve_lp or certified_pair returns; t* is its
+    primal objective.  A caller holding the factor certificate passes it in;
+    otherwise it is solved here when needed.  t*(G[U],w) is t_star's, which
+    solves no LP when G[U] has a factor.
     """
     n, t = wg.n, cliques.t
     ts = _within_bound(primal.objective, n, t, tol)

@@ -292,7 +292,7 @@ def _parse(text: str, weighted: bool) -> tuple:
     cells = tokens[2 : 2 + k * rows]
     while True:
         try:
-            ends = np.fromiter(map(int, cells[0::k] + cells[1::k]), np.int64, 2 * rows)
+            ends = np.array(cells[0::k] + cells[1::k], dtype=np.int64)  # int() on each token
             x = np.fromiter(map(float, cells[2::k]), np.float64, rows) if weighted else np.ones(rows)
             break
         except (ValueError, OverflowError):

@@ -322,12 +322,12 @@ class TestAnalysisCommands:
         assert payload["slackness"]["all_pass"] is True
 
     def test_lp_prop3_reuses_the_commands_solves(self, k6_file, k6_unit, capsys, monkeypatch):
-        # one solve for the primal-dual pair, plus t* of the induced
-        # subgraph; the factor certificate solves no LP, and the integral
-        # matching value solves its one relaxation (0 <= x <= 1)
+        # K_6 and the induced K_4 both have a factor, so neither the pair nor
+        # the subset's t* solves an LP; the integral matching value solves
+        # its one relaxation (0 <= x <= 1)
         cliques = enumerate_cliques(k6_unit.base, 3)
-        primal, dual = factor_lp_mod.solve_lp(k6_unit, cliques, 1e-7)
-        bare = canonical_json(check_prop3(k6_unit, cliques, 1e-7, 5, primal, dual))
+        primal, dual, cert = factor_lp_mod.certified_pair(k6_unit, cliques, 1e-7)
+        bare = canonical_json(check_prop3(k6_unit, cliques, 1e-7, 5, primal, dual, cert))
         calls = []
 
         def counting(*args, **kwargs):
@@ -337,9 +337,7 @@ class TestAnalysisCommands:
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         code = main(["lp", "--in", k6_file, "--t", "3", "--prop3", "--seed", "5", "--slackness"])
         assert code == 0
-        assert calls.count((0, None)) == 2
-        assert calls.count((0, 1)) == 1
-        assert len(calls) == 3
+        assert calls == [(0, 1)]
         payload = json.loads(capsys.readouterr().out)
         assert canonical_json(payload["prop3"]) == bare
 
@@ -362,17 +360,50 @@ class TestAnalysisCommands:
         assert payload["cert"]["has_factor"] is False
         assert payload["cert"]["t_star"] == pytest.approx(payload["primal_objective"], abs=1e-12)
 
+    def test_lp_reports_no_perturbed_witness(self, tmp_path, capsys, monkeypatch):
+        # Newton's factor of K_7 with one clique's weight raised by 1e-3: the
+        # exact checks refuse it, so the command reports HiGHS's pair; with
+        # those checks waved through, the pair's load check exits 3
+        path = tmp_path / "g.txt"
+        path.write_text(write_weighted_graph(uniform_weights(gen_complete(7))))
+        newton, calls = factor_lp_mod._max_entropy_factor, []
+
+        def perturbed(*args):
+            f = newton(*args)
+            f[0] += 1e-3
+            return f
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["A_ub"].shape[0])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", perturbed)
+        monkeypatch.setattr(factor_lp_mod, "linprog", counting)
+        assert main(["lp", "--in", str(path), "--t", "3"]) == 0
+        assert calls == [35]
+        payload = json.loads(capsys.readouterr().out)
+        assert "not spread" in payload["cert"]["note"]
+        assert all(abs(load - 1.0) <= 1e-9 for load in payload["cert"]["per_vertex_load"].values())
+        monkeypatch.setattr(factor_lp_mod, "_is_factor", lambda *args: True)
+        assert main(["lp", "--in", str(path), "--t", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: LP pair infeasible: load excess 1.000e-03")
+
     @pytest.mark.parametrize(
         "graph,weight_seed,flags,solves,milps",
         [
-            ((30, 15, 1), 0, [], [(0, None)], []),
+            # both graphs have a factor, so Newton's witness gives the pair
+            # with no LP
+            ((30, 15, 1), 0, [], [], []),
             # the weighted rr(70,35) of the benchmark's audit workload: the
-            # primal-dual pair, the matching relaxation, one probe (x_j fixed
-            # at 1, over the cliques still kept) per clique outside the
-            # 140-clique core whose bound reaches the core's value, and the
-            # subset's t*; the probes refute all three, so one MILP runs
+            # matching relaxation and one probe (x_j fixed at 1, over the
+            # cliques still kept) per clique outside the 140-clique core
+            # whose bound reaches the core's value; the probes refute all
+            # three, so one MILP runs.  The subset's G[U] has a factor too,
+            # so its t* solves no LP
             ((70, 35, 0), 1, ["--prop3", "--slackness", "--seed", "0"],
-             [(0, None), (0, 1), ("probe", 143), ("probe", 142), ("probe", 141), (0, None)],
+             [(0, 1), ("probe", 143), ("probe", 142), ("probe", 141)],
              [140]),
         ],
         ids=["plain", "audit_prop3_slackness"],
@@ -406,21 +437,23 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("scale", [2.0], ids=["doubled_f"])
     def test_lp_refuses_an_infeasible_read_off(self, scale, tmp_path, capsys, monkeypatch):
-        # K_7 reads f off the covering form's marginals; doubled, it
-        # loads every vertex with 2
+        # K_4 at w = 0.2 has no factor, so the pair comes from the covering
+        # form, f read off its marginals (0.1 per triangle); doubled, it
+        # loads every pair with 0.4
         path = tmp_path / "g.txt"
-        path.write_text(write_weighted_graph(uniform_weights(gen_complete(7))))
-        assert self._lp_with_read_off(path, scale, monkeypatch) == [35]
+        path.write_text(write_weighted_graph(WeightedGraph(gen_complete(4), np.full(6, 0.2))))
+        assert self._lp_with_read_off(path, scale, monkeypatch) == [4]
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: LP pair infeasible")
 
     @pytest.mark.parametrize("scale", [0.0, 0.5], ids=["zeroed_f", "halved_f"])
     def test_lp_refuses_a_read_off_below_the_optimum(self, scale, tmp_path, capsys, monkeypatch):
-        # a zeroed or halved f is feasible, and only the objective gap refuses it
+        # a zeroed or halved f is feasible, and only the objective gap
+        # (against t* = 0.4 on K_4 at w = 0.2) refuses it
         path = tmp_path / "g.txt"
-        path.write_text(write_weighted_graph(uniform_weights(gen_complete(7))))
-        assert self._lp_with_read_off(path, scale, monkeypatch) == [35]
+        path.write_text(write_weighted_graph(WeightedGraph(gen_complete(4), np.full(6, 0.2))))
+        assert self._lp_with_read_off(path, scale, monkeypatch) == [4]
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: LP pair not optimal: objective gap")
@@ -533,7 +566,7 @@ class TestSharedFlags:
         def unreached(*args, **kwargs):
             raise AssertionError("reached")
 
-        for name in ("enumerate_cliques", "solve_lp", "second_eigenvalue", "run_end_to_end"):
+        for name in ("enumerate_cliques", "certified_pair", "second_eigenvalue", "run_end_to_end"):
             monkeypatch.setattr(cli_mod, name, unreached)
         out, table = tmp_path / "out", tmp_path / "x.csv"
         argv = [a.format(k6=k6_file, csv=table) for a in argv]
@@ -740,6 +773,7 @@ def test_solvers_load_on_first_use(tmp_path):
          "--out", out],
         ["spectrum", "--in", paley, "--method", "lanczos", "--out", out],
         ["lp", "--in", paley, "--t", "3", "--out", out],
+        ["lp", "--in", paley, "--t", "3", "--prop3", "--seed", "0", "--out", out],
     ]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -747,7 +781,8 @@ def test_solvers_load_on_first_use(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = zip(*json.loads(proc.stdout))
-    assert codes == (None, 0, 0, 0, 1, 0, 0)  # 1: a forced run that fails the hypothesis
+    assert codes == (None, 0, 0, 0, 1, 0, 0, 0)  # 1: a forced run that fails the hypothesis
     assert loaded[:5] == ([],) * 5  # the import, gen, spectrum, cliques, dense pipeline
     assert loaded[5] == ["scipy.sparse.linalg"]  # Lanczos
-    assert loaded[6] == ["scipy.optimize", "scipy.sparse.linalg"]  # the LP
+    assert loaded[6] == ["scipy.sparse.linalg"]  # the LP pair, Newton's factor with no solve
+    assert loaded[7] == ["scipy.optimize", "scipy.sparse.linalg"]  # the integral matching MILP

@@ -398,6 +398,27 @@ class TestTextFormat:
             parse_by_lines(text, weighted=True)
         assert str(ref.value) == str(exc.value)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize(
+        "token", ["+5", "1_0", "\u0663", "1e3", str(2**63), str(2**63 - 1), str(-(2**63) - 1)]
+    )
+    def test_integer_tokens_read_as_int_reads_them(self, token, weighted):
+        # the ends are read as an int64 array in one call, which applies
+        # int() to each token: the same graph as the line-by-line reader, or
+        # the same ParseError, line and message
+        w = " 0.5" if weighted else ""
+        text = f"20 2\n0 {token}{w}\n{token} 19{w}\n"
+        read = parse_weighted_graph if weighted else parse_graph
+        try:
+            want = parse_by_lines(text, weighted)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read(text)
+            assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+            return
+        got = read(text)
+        assert (got.base if weighted else got) == want[0]
+
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),

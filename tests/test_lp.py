@@ -15,6 +15,7 @@ from cfl import (
     NumericalError,
     ResourceError,
     WeightedGraph,
+    certified_pair,
     check_prop3,
     complementary_slackness,
     enumerate_cliques,
@@ -30,6 +31,7 @@ from cfl import (
     t_star,
     uniform_weights,
 )
+from cfl.acceptance import _corpus
 from cfl.factor_lp import DualSolution, PrimalSolution
 from oracles import (
     edge_weights,
@@ -493,6 +495,109 @@ class TestFactorCertificate:
         assert len(expected) == kept
 
 
+def _same_verdicts(wg, cliques, seed, tol=factor_lp_mod.TOL_DEFAULT):
+    """certified_pair's pair against solve_lp's on (wg, cliques): the same
+    optimum within 2 tol, and the same prop3 and slackness verdicts."""
+    p, d, cert = certified_pair(wg, cliques, tol)
+    hp, hd = solve_lp(wg, cliques, tol)
+    assert abs(p.objective - hp.objective) <= 2 * tol
+    assert abs(d.objective - hd.objective) <= 2 * tol
+    assert cert.t_star == p.objective
+    ours = check_prop3(wg, cliques, tol, seed, p, d, cert)
+    highs = check_prop3(wg, cliques, tol, seed, hp, hd)
+    verdicts = ("i_pass", "ii_pass", "ii_equality_case", "iii_feasible", "iii_pass", "iv_pass",
+                "all_pass")
+    assert [getattr(ours, k) for k in verdicts] == [getattr(highs, k) for k in verdicts]
+    assert ours.iii_subset == highs.iii_subset
+    assert ours.iii_induced_t_star == pytest.approx(highs.iii_induced_t_star, abs=2 * tol)
+    assert (complementary_slackness(p, d, wg, cliques, tol).all_pass
+            is complementary_slackness(hp, hd, wg, cliques, tol).all_pass)
+    return cert
+
+
+class TestCertifiedPair:
+    def test_acceptance_corpus_matches_the_highs_pair(self):
+        factors = 0
+        for idx, (_, wg, t) in enumerate(_corpus()):
+            factors += _same_verdicts(wg, enumerate_cliques(wg.base, t), idx).has_factor
+        assert factors == 17  # 17 of the 22 take Newton's pair, the other 5 HiGHS's
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([5, 6, 7, 8, 9, 20]), low=st.floats(0.05, 1.0),
+           seed=st.integers(0, 2**16))
+    def test_random_weighted_graphs_match_the_highs_pair(self, n, low, seed):
+        g = gen_random_regular(20, 10, seed) if n == 20 else gen_complete(n)
+        rng = np.random.default_rng(seed)
+        wg = WeightedGraph(g, {e: float(rng.uniform(low, 1.0)) for e in g.edges})
+        _same_verdicts(wg, _cliques(wg, 3), seed)
+
+    @pytest.mark.parametrize(
+        "wg,rows",
+        [
+            (uniform_weights(gen_complete(6)), []),
+            (WeightedGraph(gen_complete(4), np.full(6, 0.2)), [4]),
+            (_weighted_complete(9, 1, low=0.05), []),
+        ],
+        ids=["factor", "no_factor", "binding_pair_rows"],
+    )
+    def test_one_covering_solve_only_without_a_factor(self, wg, rows, monkeypatch):
+        shapes = []
+
+        def recording(*args, **kwargs):
+            shapes.append(kwargs["A_ub"].shape[0])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(factor_lp_mod, "linprog", recording)
+        p, d, cert = certified_pair(wg, _cliques(wg, 3))
+        assert shapes == rows
+        assert cert.has_factor is (not rows)
+        if cert.has_factor:
+            # the dual of Prop 3 (ii): 1/t on every vertex, 0 on every pair
+            assert d.g.tolist() == [1 / 3] * wg.n and not d.h.any()
+            assert p.f[cert.ids].tolist() == cert.weights.tolist()
+
+    def test_the_empty_graph(self):
+        wg = uniform_weights(from_edge_list(0, []))
+        p, d, cert = certified_pair(wg, _cliques(wg, 3))
+        assert (p.objective, d.objective, cert.has_factor, cert.t_star) == (0.0, 0.0, True, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 12), p=st.floats(0.3, 1.0), low=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**16))
+    def test_t_star_matches_the_simplex_oracle(self, n, p, low, seed):
+        # G(n, p) with weights in [low, 1]: t_star reads t* off Newton's
+        # factor when there is one and off one solve when not
+        rng = np.random.default_rng(seed)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = from_edge_list(n, edges)
+        wg = WeightedGraph(g, {e: float(rng.uniform(low, 1.0)) for e in g.edges})
+        assert t_star(wg, _cliques(wg, 3)) == pytest.approx(oracle_t_star(wg, 3), abs=1e-6)
+
+    @pytest.mark.parametrize("shift", [1e-3, -1e-3], ids=["raised", "lowered"])
+    def test_a_perturbed_witness_is_never_the_pair(self, shift, monkeypatch):
+        # one clique's weight moved by 1e-3 moves three vertex loads off 1:
+        # the exact checks refuse the witness and the pair is HiGHS's
+        wg = uniform_weights(gen_complete(7))
+        cliques = _cliques(wg, 3)
+        newton = factor_lp_mod._max_entropy_factor
+
+        def perturbed(*args):
+            f = newton(*args)
+            f[0] += shift
+            return f
+
+        monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", perturbed)
+        p, d, cert = certified_pair(wg, cliques)
+        hp, hd = solve_lp(wg, cliques)
+        assert p.f.tolist() == hp.f.tolist() and d.g.tolist() == hd.g.tolist()
+        assert "not spread" in cert.note
+        # with the exact checks waved through, the pair's own checks refuse it
+        monkeypatch.setattr(factor_lp_mod, "_is_factor", lambda *args: True)
+        refusal = "load excess" if shift > 0 else "not optimal: objective gap"
+        with pytest.raises(NumericalError, match=refusal):
+            certified_pair(wg, cliques)
+
+
 class TestIntegralMatching:
     @pytest.mark.parametrize(
         "n,expected", [(6, 2.0), (7, 2.0), (4, 1.0), (5, 1.0)]
@@ -789,12 +894,16 @@ class TestDualityChecks:
         assert rep.iii_restricted_value == pytest.approx(_restricted_by_loop(wg, rep), abs=1e-12)
 
     # the ids name the form solve_lp solves: K_6 the packing form (the
-    # primal), weighted K_7 the covering form (the dual), t* from the read-off f
+    # primal), weighted K_7 the covering form (the dual), t* from the read-off
+    # f.  The subset of K_6 spans a complete graph, which has a factor, so its
+    # t* solves no LP; the subset of weighted K_7 has none
     @pytest.mark.parametrize(
-        "wg", [uniform_weights(gen_complete(6)), _weighted_complete(7, 300)],
+        "wg,solves",
+        [(uniform_weights(gen_complete(6)), [(0, 1)]),
+         (_weighted_complete(7, 300), [(0, 1), (0, None)])],
         ids=["primal_t_star_equality_case", "dual_t_star"],
     )
-    def test_callers_solves_give_the_bare_report(self, wg, monkeypatch):
+    def test_callers_solves_give_the_bare_report(self, wg, solves, monkeypatch):
         tol = factor_lp_mod.TOL_DEFAULT
         cliques = enumerate_cliques(wg.base, 3)
         primal, dual = solve_lp(wg, cliques, tol)
@@ -809,8 +918,8 @@ class TestDualityChecks:
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         rep = check_prop3(wg, cliques, tol, 1, primal, dual, cert)
         assert rep == bare
-        # t* of the induced subgraph, and the integral matching's relaxation
-        assert calls == [(0, 1), (0, None)]
+        # the integral matching's relaxation, then t* of the induced subgraph
+        assert calls == solves
 
     def test_subset_is_sorted_and_in_range(self, k6_unit):
         rep = _prop3(k6_unit, 3, 7)

@@ -129,6 +129,27 @@ def test_library_never_calls_numpy_lapack():
     assert hits == []
 
 
+def test_library_calls_no_blas_dot_product():
+    # numpy's OpenBLAS splits a dot product of more than 10,000 entries over
+    # its threads, so its bits would follow the thread count; the library's
+    # reductions (objectives, edge-length terms, line-search slopes) are
+    # sums.  Sparse products (`@` on a sparse operator) run in scipy's own
+    # loops and stay allowed.
+    banned = {"dot", "inner", "vdot", "matmul"}
+    hits = []
+    for name in sorted(os.listdir(SRC_CFL)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if called in banned:
+                        hits.append(f"{name}:{node.lineno}: {called}")
+    assert hits == []
+
+
 def _imported_at_load(tree: ast.Module) -> list:
     """Modules a module of cfl imports when it loads: every import outside a
     function body, a relative one named from the package ("cfl.graphs")."""
@@ -238,8 +259,8 @@ EXPORTS = {
         eigenvalue_constant hypothesis_check lambda_floor_check mixing_audit second_eigenvalue""",
     "cliques": """CliqueSet count_cliques_window default_span_size enumerate_cliques
         span_clique_audit""",
-    "factor_lp": """DualSolution FactorCert PrimalSolution Prop3Report SlacknessReport check_prop3
-        complementary_slackness has_fractional_factor integral_matching_value solve_dual solve_lp
+    "factor_lp": """DualSolution FactorCert PrimalSolution Prop3Report SlacknessReport
+        certified_pair check_prop3 complementary_slackness has_fractional_factor integral_matching_value solve_dual solve_lp
         solve_primal t_star""",
     "pipeline": """ConcentrationReport FactorBundle HypothesisRejected MatchingResult
         PipelineConfig PipelineReport RandomHypergraph build_Hf concentration_audit default_alpha
