@@ -168,8 +168,10 @@ class FactorCert:
         f = None
         if self.ids is not None:
             keep = self.weights > tol
-            rows = (" ".join(map(str, row)) for row in cliques.members[self.ids[keep]].tolist())
-            f = dict(zip(rows, self.weights[keep].tolist()))
+            rows = cliques.members[self.ids[keep]]
+            line = " ".join(["%d"] * rows.shape[1]) + "\n"
+            keys = (line * len(rows) % tuple(rows.ravel().tolist())).splitlines()
+            f = dict(zip(keys, self.weights[keep].tolist()))
         loads = self.per_vertex_load.tolist()
         return {
             "has_factor": self.has_factor,

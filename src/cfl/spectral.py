@@ -10,9 +10,9 @@ both ends of the spectrum of A - (d/n) J, and each end is certified by its
 residual against A.  ARPACK (scipy.sparse.linalg) is imported on the first
 Lanczos solve, not with cfl.  The mixing audit draws its subsets in batches,
 as the bool columns of an n x k array: column j holds the vertices whose
-uniform key falls below a uniform threshold q_j, with empty columns drawn
-again.  Edges between the subsets of a pair are counted by sparse products
-with the same matrix, one per column chunk.
+53-bit key (a random byte, refined by 45 more bits only on a tie) falls
+below a 53-bit threshold Q_j, with empty columns drawn again.  Edges between
+the subsets of a pair are counted in int16 by the integer adjacency.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
 never numpy's, on one OpenBLAS thread: second_eigenvalue calls blas.one_thread
@@ -40,14 +40,14 @@ DENSE_LIMIT = 2000
 # |A| = 0 bound 0 < 0 and float noise in the counted side.
 EML_SLACK = 1e-9
 # Entries per n x k indicator array in a mixing-audit batch.  The two arrays
-# of a batch are bool, one byte an entry.  The float64 arrays beside them (the
-# keys of one row block; A times one column chunk of B's indicators, and that
-# chunk as float64) hold at most MIXING_BLOCK_ENTRIES entries each, 1 MiB, so
-# a full batch holds about 3 * MIXING_BATCH_ENTRIES bytes (13.5 MiB traced at
-# n = 8192).  Blocks of 1 MiB made the audit on rr(2100,20) faster than
-# blocks of 0.5 or 2 MiB.
+# of a batch are bool, one byte an entry.  Drawing B's holds A's array, B's
+# bytes, B's array and its tie mask, so a batch peaks near
+# 4 * MIXING_BATCH_ENTRIES bytes (16.4 MiB traced at n = 8192).  The counts
+# take B's indicators and their neighbour counts as int16 (int32 when
+# d > 32767), MIXING_BLOCK_ENTRIES entries at a time, 1 MiB each in int16;
+# 0.25 to 1 MiB made the audit on rr(2100,20) fastest.
 MIXING_BATCH_ENTRIES = 2**22
-MIXING_BLOCK_ENTRIES = MIXING_BATCH_ENTRIES // 32
+MIXING_BLOCK_ENTRIES = MIXING_BATCH_ENTRIES // 8
 
 
 # eigsh stays an attribute of this module, looked up at each call, so that a
@@ -95,11 +95,11 @@ class MixingAuditReport:
     worst_b_size: int
 
 
-def adjacency_matrix(g: Graph) -> sparse.csr_matrix:
+def adjacency_matrix(g: Graph, dtype: type = np.float64) -> sparse.csr_matrix:
     """The symmetric 0/1 adjacency matrix in CSR form, one entry per edge end."""
     u, v = g.edge_array.T
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    return sparse.csr_matrix((np.ones(2 * g.m), (rows, cols)), shape=(g.n, g.n))
+    return sparse.csr_matrix((np.ones(2 * g.m, dtype), (rows, cols)), shape=(g.n, g.n))
 
 
 def _require_regular(g: Graph) -> int:
@@ -217,14 +217,16 @@ def _mixing_batch_width(n: int) -> int:
 def _draw_subsets(rng: np.random.Generator, n: int, k: int):
     """k random non-empty subsets of range(n), n >= 1, as bool columns.
 
-    Column j is {i : key_ij < q_j} for one threshold q_j ~ U(0,1) and uniform
-    keys.  Given q_j its size is Binomial(n, q_j), so
+    Column j is {i : key_ij < Q_j} for one threshold Q_j and n keys, all
+    uniform 53-bit integers: key_ij / 2^53 < q_j = Q_j / 2^53 on the 2^-53
+    grid of uniforms.  Given q_j its size is Binomial(n, q_j), so
     P(size = s) = C(n,s) * integral_0^1 q^s (1-q)^(n-s) dq = 1/(n+1) for every
     s in 0..n, and since the keys are exchangeable the subset is uniform given
     its size.  An empty column (probability 1/(n+1)) is drawn again, which
-    makes the size uniform on [1, n].  The generator's grid is the only
-    approximation: its uniforms are multiples of 2^-53, so P(key < q) is q
-    exactly and the integral becomes a 2^53-point sum within 2^-52 of it.
+    makes the size uniform on [1, n].  The grid is the only approximation:
+    P(key < Q) is q exactly and the integral becomes a 2^53-point sum within
+    2^-52 of it.  The keys' low 45 bits are drawn only where the top byte
+    ties Q_j's, which leaves every comparison that of whole keys.
     Returns the (n, k) array and its column sums, the subset sizes (int64).
     """
     ind = _threshold_columns(rng, n, k)
@@ -239,30 +241,40 @@ def _draw_subsets(rng: np.random.Generator, n: int, k: int):
 
 
 def _threshold_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """The (n, k) bool array key_ij < q_j, its keys drawn in row blocks.
+    """The (n, k) bool array key_ij < Q_j for uniform 53-bit keys and thresholds.
 
-    The generator fills an array in row order, so the blocks read the same
-    stream as one rng.random((n, k)) and give the same bits.
+    After the k thresholds come the keys' top bytes B_ij, in row order, eight
+    to a raw 64-bit word read little-endian (a bounded uint8 draw is ~3x
+    slower).  B_ij alone decides unless it ties Q_j's top byte (1 in 256):
+    only the ties draw the key's low 45 bits, in row order, to compare.
     """
-    q = rng.random(k)
-    ind = np.empty((n, k), dtype=bool)
-    rows = max(1, MIXING_BLOCK_ENTRIES // k)
-    for start in range(0, n, rows):
-        block = ind[start : start + rows]
-        np.less(rng.random(block.shape), q, out=block)
+    q = rng.integers(2**53, size=k, dtype=np.uint64)
+    top = (q >> np.uint64(45)).astype(np.uint8)
+    words = rng.integers(2**64, size=-(-n * k // 8), dtype=np.uint64).astype("<u8", copy=False)
+    keys = words.view(np.uint8)[: n * k].reshape(n, k)
+    ind = keys < top
+    ties = np.flatnonzero(keys == top)  # row order; np.nonzero is slower
+    low = q[ties % k] & np.uint64(2**45 - 1)
+    ind.reshape(-1)[ties] = rng.integers(2**45, size=ties.size, dtype=np.uint64) < low
     return ind
+
+
+def _count_dtype(d: int) -> type:
+    """The integer type of the counts' products: a count of neighbours is <= d."""
+    return np.int16 if d <= np.iinfo(np.int16).max else np.int32
 
 
 def _pair_counts(a: sparse.csr_matrix, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """e(A_j, B_j) = 1_{A_j}^T A 1_{B_j} for every column j of the indicator arrays.
 
-    A multiplies B's indicators a column chunk at a time, so the float64
-    product never exceeds MIXING_BLOCK_ENTRIES entries.  The counts are
-    float64 integers below n*d < 2^53, so exact in any order.
+    a is the integer adjacency in _count_dtype(d).  It multiplies B's
+    indicators a column chunk of MIXING_BLOCK_ENTRIES entries at a time, in
+    its own type, which holds each vertex's count of neighbours in B_j.  A's
+    indicators mask those counts, and each column sums in int64.
     """
     cols = max(1, MIXING_BLOCK_ENTRIES // a.shape[0])
     return np.concatenate([
-        np.einsum("ij,ij->j", ia[:, j : j + cols], a @ ib[:, j : j + cols])
+        (ia[:, j : j + cols] * (a @ ib[:, j : j + cols].astype(a.dtype))).sum(0, dtype=np.int64)
         for j in range(0, ib.shape[1], cols)
     ])
 
@@ -278,7 +290,7 @@ def mixing_audit(g: Graph, cert: SpectralCert, num_samples: int, seed: int) -> M
     strict inequality is relaxed by EML_SLACK; max_violation is the raw
     maximum of |e - expected| - lambda*sqrt(|A||B|) over the samples.
     """
-    if cert.n != g.n:
+    if (cert.n, cert.d) != (g.n, regularity(g).d):
         raise InputError("certificate does not match graph")
     if num_samples < 1:
         raise InputError("num_samples must be >= 1")
@@ -286,7 +298,7 @@ def mixing_audit(g: Graph, cert: SpectralCert, num_samples: int, seed: int) -> M
         raise InputError("the mixing audit needs at least one vertex")
     n, d, lam = g.n, cert.d, cert.lam
     rng = np.random.default_rng(seed)
-    a = adjacency_matrix(g)
+    a = adjacency_matrix(g, _count_dtype(d))
     worst = -math.inf
     worst_sizes = (0, 0)
     width = _mixing_batch_width(n)
@@ -295,6 +307,7 @@ def mixing_audit(g: Graph, cert: SpectralCert, num_samples: int, seed: int) -> M
         ia, sa = _draw_subsets(rng, n, k)
         ib, sb = _draw_subsets(rng, n, k)
         counts = _pair_counts(a, ia, ib)
+        del ia, ib  # so that the next batch's draws do not sit beside them
         excess = np.abs(counts - (d / n) * sa * sb) - lam * np.sqrt(sa * sb)
         j = int(np.argmax(excess))
         if excess[j] > worst:

@@ -238,9 +238,9 @@ class TestMixing:
 
     @pytest.mark.parametrize("name,lam,expected", [
         ("paley13", None, (-1.7643140992704587, False, 1, 1)),
-        ("paley13", 0.3, (3.2029861736383483, True, 6, 5)),
+        ("paley13", 0.3, (3.03846153846154, True, 5, 5)),
         ("petersen", None, (-1.300000000000001, False, 1, 1)),
-        ("petersen", 0.3, (2.658359213500126, True, 4, 5)),
+        ("petersen", 0.3, (1.751471862576143, True, 2, 4)),
     ])
     def test_reports_are_frozen(self, request, name, lam, expected):
         # frozen values: the sampled subsets and the exact integer counts must
@@ -279,16 +279,48 @@ class TestMixing:
         rng = np.random.default_rng(5)
         ia, sa = spectral_mod._draw_subsets(rng, g.n, 300)
         ib, sb = spectral_mod._draw_subsets(rng, g.n, 300)
-        counts = spectral_mod._pair_counts(adjacency_matrix(g), ia, ib)
+        a = adjacency_matrix(g, spectral_mod._count_dtype(second_eigenvalue(g).d))
+        counts = spectral_mod._pair_counts(a, ia, ib)
         expected = [
             edge_count_by_loops(g, np.flatnonzero(ia[:, j]), np.flatnonzero(ib[:, j]))
             for j in range(300)
         ]
-        assert counts.tolist() == expected
+        assert counts.dtype == np.int64 and counts.tolist() == expected
         for ind, sizes in ((ia, sa), (ib, sb)):
             assert ind.shape == (g.n, 300) and ind.dtype == np.bool_
             assert set(np.unique(ind).tolist()) <= {0.0, 1.0}
             assert sizes.tolist() == np.count_nonzero(ind, axis=0).tolist()
+
+    def test_counts_above_an_int8_range_match_the_oracle(self):
+        # K_130: each vertex has 129 neighbours, so a count in int8 would wrap
+        g = gen_complete(130)
+        a = adjacency_matrix(g, spectral_mod._count_dtype(129))
+        assert a.dtype == np.int16
+        ia, _ = spectral_mod._draw_subsets(np.random.default_rng(2), g.n, 6)
+        ib, _ = spectral_mod._draw_subsets(np.random.default_rng(3), g.n, 6)
+        ib[:, 3:] = True  # B = V: e(A, V) = 129 |A|
+        counts = spectral_mod._pair_counts(a, ia, ib)
+        expected = [
+            edge_count_by_loops(g, np.flatnonzero(ia[:, j]), np.flatnonzero(ib[:, j]))
+            for j in range(6)
+        ]
+        assert counts.tolist() == expected
+        assert max(expected) > 127
+
+    @pytest.mark.parametrize("d,dtype", [
+        (0, np.int16), (20, np.int16), (32767, np.int16), (32768, np.int32), (2**31 - 1, np.int32),
+    ])
+    def test_count_dtype_holds_every_count(self, d, dtype):
+        assert spectral_mod._count_dtype(d) is dtype
+        assert np.iinfo(dtype).max >= d
+
+    def test_certificate_of_another_degree_is_refused(self):
+        g4, g6 = gen_random_regular(20, 4, 0), gen_random_regular(20, 6, 0)
+        with pytest.raises(InputError, match="certificate does not match graph"):
+            mixing_audit(g4, second_eigenvalue(g6), 100, seed=0)
+        with pytest.raises(InputError, match="certificate does not match graph"):
+            mixing_audit(g4, second_eigenvalue(gen_random_regular(22, 4, 0)), 100, seed=0)
+        assert not mixing_audit(g4, second_eigenvalue(g4), 100, seed=0).violated
 
     def test_sizes_are_uniform(self):
         n, k = 7, 70000
@@ -310,9 +342,7 @@ class TestMixing:
     def test_empty_columns_are_drawn_again(self, n):
         k, seed = 2000, 4
         # the first pass of the same draw leaves empty columns (probability 1/(n+1) each) ...
-        rng = np.random.default_rng(seed)
-        q = rng.random(k)
-        first = rng.random((n, k)) < q
+        first = _columns_from_components(np.random.default_rng(seed), n, k)
         assert np.count_nonzero(first.sum(axis=0) == 0) > 0
         # ... and the draw returns none
         ind, sizes = spectral_mod._draw_subsets(np.random.default_rng(seed), n, k)
@@ -366,14 +396,57 @@ class TestMixing:
         assert not report.violated
         assert peak < 8 * 2**20, peak / 2**20
 
-    @pytest.mark.parametrize("n,k,blocks", [(1000, 512, 4), (7, 3, 1), (300000, 1, 3)])
-    def test_row_blocks_give_the_bits_of_one_draw(self, n, k, blocks):
-        assert math.ceil(n / (spectral_mod.MIXING_BLOCK_ENTRIES // k)) == blocks
-        rng = np.random.default_rng(11)
-        q = rng.random(k)
-        expected = rng.random((n, k)) < q
+    @pytest.mark.parametrize("n,k", [(1000, 512), (7, 3), (300000, 1)])
+    def test_columns_are_whole_keys_below_their_thresholds(self, n, k):
         ind = spectral_mod._threshold_columns(np.random.default_rng(11), n, k)
+        expected = _columns_from_components(np.random.default_rng(11), n, k)
         assert ind.dtype == np.bool_ and np.array_equal(ind, expected)
+
+    @pytest.mark.parametrize("n,k", [(40, 5), (7, 3)])
+    def test_low_bits_decide_every_tie(self, n, k):
+        rng = _TiedBytes(3)
+        ind = spectral_mod._threshold_columns(rng, n, k)
+        # every entry ties, so each one drew its 45 low bits, in row order
+        assert rng.low.size == n * k
+        expected = rng.low.reshape(n, k) < (rng.q & np.uint64(2**45 - 1))
+        assert np.array_equal(ind, expected)
+        assert 0 < np.count_nonzero(ind) < n * k
+
+
+def _columns_from_components(rng, n, k):
+    """_threshold_columns rebuilt from its draws: Q, then n*k key bytes, then the tied low bits.
+
+    Each entry is the whole 53-bit key (byte << 45 | low bits) against Q_j;
+    an untied entry's low bits are 0, which cannot change its comparison.
+    """
+    q = rng.integers(2**53, size=k, dtype=np.uint64)
+    words = rng.integers(2**64, size=-(-n * k // 8), dtype=np.uint64)
+    raw = b"".join(int(w).to_bytes(8, "little") for w in words)[: n * k]
+    key = np.frombuffer(raw, dtype=np.uint8).reshape(n, k).astype(np.uint64) << np.uint64(45)
+    ties = np.argwhere((key >> np.uint64(45)) == (q >> np.uint64(45)))  # row order
+    key[ties[:, 0], ties[:, 1]] |= rng.integers(2**45, size=len(ties), dtype=np.uint64)
+    return key < q
+
+
+class _TiedBytes:
+    """A generator whose key bytes each equal their column's top threshold byte.
+
+    It draws Q and the low bits from a real generator and keeps both.
+    """
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, high, size, dtype):
+        if high == 2**64:
+            tied = np.tile((self.q >> np.uint64(45)).astype(np.uint8), -(-size * 8 // len(self.q)))
+            return np.frombuffer(tied[: size * 8].tobytes(), dtype="<u8")
+        out = self.rng.integers(high, size=size, dtype=dtype)
+        if high == 2**53:
+            self.q = out
+        else:
+            self.low = out
+        return out
 
 
 def _audit_by_oracle(g, cert, samples, seed):
