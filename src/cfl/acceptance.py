@@ -25,7 +25,7 @@ import numpy as np
 
 from .cliques import count_cliques_window, enumerate_cliques
 from .errors import NumericalError
-from .factor_lp import TOL_DEFAULT, check_prop3, solve_lp, t_star
+from .factor_lp import TOL_DEFAULT, certified_pair, check_prop3, t_star
 from .generators import gen_complete, gen_paley, gen_random_regular
 from .graphs import Graph, WeightedGraph, edge_ids, from_edge_list, uniform_weights, write_graph
 from .pipeline import (
@@ -188,12 +188,12 @@ def criterion_1():
         failures.append(f"corpus has {len(corpus)} instances, fewer than 20")
     for idx, (name, wg, t) in enumerate(corpus):
         cliques = enumerate_cliques(wg.base, t)
-        p, d = solve_lp(wg, cliques)
+        p, d, cert = certified_pair(wg, cliques)
         gap = abs(p.objective - d.objective)
         max_gap = max(max_gap, gap)
         if gap > 2e-7:
             failures.append(f"{name}: gap {gap:.3e}")
-        report = check_prop3(wg, cliques, TOL_DEFAULT, idx, p, d)
+        report = check_prop3(wg, cliques, TOL_DEFAULT, idx, p, d, cert)
         if not report.all_pass:
             failures.append(
                 f"{name}: prop3 i={report.i_pass} ii={report.ii_pass} "

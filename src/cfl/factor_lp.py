@@ -32,16 +32,18 @@ none within NEWTON_STEPS steps, one LP solve decides: t* < |V|/t - tol
 refutes a factor, and otherwise the primal optimum, whose loads must then
 all be 1, is the witness, a basic solution rather than a spread one.
 
-A certified factor is an LP optimum, so certified_pair solves no LP for
-it.  Every clique loads t vertices, each by at most 1, so t sum f <= |V|:
+has_fractional_factor makes this decision, and no other code does: it
+checks tol and the clique set's graph, tries Newton, and only when Newton
+reaches no factor runs the one covering solve, whose checked pair it keeps
+on the certificate.  A certified factor is an LP optimum, so it needs no
+solve.  Every clique loads t vertices, each by at most 1, so t sum f <= |V|:
 t* <= |V|/t (Prop 3 (ii)).  The dual g = 1/t on every vertex, h = 0 covers
 every clique exactly once and is worth |V|/t, and a factor f, all of whose
-loads are 1, is worth sum f = |V|/t.  The pair (f, g, h) is put through the
-load, cover and 2 tol gap checks a HiGHS pair gets, and a failed check
-raises NumericalError.  Only when Newton reaches no factor does the one
-covering solve run, and its pair serves both the certificate and the
-caller.  `cfl lp` takes its pair from certified_pair, and t_star reads t*
-off the same certificate.
+loads are 1, is worth sum f = |V|/t.  certified_pair returns the
+certificate's HiGHS pair, or else puts (f, g, h) through the load, cover and
+2 tol gap checks a HiGHS pair gets, a failed check raising NumericalError.
+`cfl lp` takes its pair from certified_pair, and t_star reads t* off the
+certificate.
 
 The integral matching value t(G,w), which Prop 3 (i) bounds by t*, is an
 exact zero-gap MILP over binary x_T with the vertex rows A_vert x <= 1.  When
@@ -77,7 +79,7 @@ probed clique survives, and then on what is left of K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -150,6 +152,8 @@ class FactorCert:
     vertex rows stay in the clique set, where to_dict reads them.
     per_vertex_load[v] is the load on vertex v (length n), of the witness
     or, without a factor, of the primal optimum.  slack = |V|/t - t_star.
+    pair is the checked (PrimalSolution, DualSolution) of the HiGHS solve
+    that decided, or None when Newton's witness did; to_dict leaves it out.
     """
 
     has_factor: bool
@@ -159,6 +163,7 @@ class FactorCert:
     ids: np.ndarray | None = None
     weights: np.ndarray | None = None
     note: str = ""
+    pair: tuple | None = None
 
     def to_dict(self, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> dict:
         """Vertex loads keyed by str(v); the witness's cliques above tol as "a b c" -> f.
@@ -249,11 +254,11 @@ def solve_dual(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) 
 
 def t_star(wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT) -> float:
     """Optimum of the fractional K_t-matching LP, t = cliques.t, read off
-    certified_pair's certificate.  When Newton finds a factor f it is sum f,
-    with no LP: Prop 3 (ii) bounds t* by |V|/t, which g = 1/t attains, so f
-    is optimal.  Otherwise it is the primal objective of one checked HiGHS
-    solve.  Guaranteed <= |V|/t + tol."""
-    return certified_pair(wg, cliques, tol)[2].t_star
+    has_fractional_factor's certificate.  When Newton finds a factor f it is
+    sum f, with no LP: Prop 3 (ii) bounds t* by |V|/t, which g = 1/t attains,
+    so f is optimal.  Otherwise it is the primal objective of the one checked
+    HiGHS solve.  Guaranteed <= |V|/t + tol."""
+    return has_fractional_factor(wg, cliques, tol).t_star
 
 
 def _within_bound(val: float, n: int, t: int, tol: float) -> float:
@@ -372,50 +377,54 @@ def integral_matching_value(wg: WeightedGraph, cliques: CliqueSet) -> float:
 
 
 def has_fractional_factor(
-    wg: WeightedGraph,
-    cliques: CliqueSet,
-    tol: float = TOL_DEFAULT,
-    primal: PrimalSolution | None = None,
+    wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
 ) -> FactorCert:
     """Decide whether a fractional K_t-factor, t = cliques.t, exists and, if so, return one.
 
-    The witness is the maximum-entropy factor (see the module docstring).
-    When Newton reaches none, the primal optimum decides; a caller holding
-    the primal of (wg, cliques, tol) passes it in.  With a factor t_star = sum f;
-    without, the loads are an optimal fractional matching's, and the note
-    marks a t_star within tol of |V|/t with an infeasible unit-load programme.
+    The one decision of the certificate (see the module docstring): tol and
+    the clique set's graph are checked, and the witness is the
+    maximum-entropy factor.  When Newton reaches none, one checked HiGHS
+    solve decides and its pair is kept as the certificate's pair: t* <
+    |V|/t - tol refutes a factor, and otherwise the primal is the witness if
+    its loads are all 1.  With a factor t_star = sum f; without, the loads
+    are an optimal fractional matching's, and the note marks a t_star within
+    tol of |V|/t with an infeasible unit-load programme.
     """
     caps = _checked_instance(wg, cliques, tol)
     fvec = _newton_witness(cliques, caps, tol)
     if fvec is not None:
         return _factor_cert(wg, cliques, fvec, tol)
-    if primal is None:
-        primal = solve_lp(wg, cliques, tol)[0]
-    return _primal_cert(wg, cliques, caps, primal, tol)
+    pair = solve_lp(wg, cliques, tol)
+    n, t, f = wg.n, cliques.t, pair[0].f
+    ts = _within_bound(pair[0].objective, n, t, tol)
+    if ts < n / t - tol:
+        return FactorCert(False, ts, n / t - ts, cliques.A_vert @ f, pair=pair)
+    if not _is_factor(cliques, caps, f, tol):
+        note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
+        return FactorCert(False, ts, n / t - ts, cliques.A_vert @ f, note=note, pair=pair)
+    note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
+    return replace(_factor_cert(wg, cliques, f, tol, note), pair=pair)
 
 
 def certified_pair(
     wg: WeightedGraph, cliques: CliqueSet, tol: float = TOL_DEFAULT
 ) -> tuple[PrimalSolution, DualSolution, FactorCert]:
     """An optimal primal-dual pair of the K_t-matching LP and the factor
-    certificate, from at most one LP solve.
+    certificate has_fractional_factor returns, from its at most one LP solve.
 
-    When Newton's maximum-entropy witness f passes the exact checks, the
-    pair is (f, g = 1/t, h = 0), with no LP: every clique is covered exactly
-    once by g, and sum g = |V|/t, so the pair is optimal by Prop 3 (ii).
-    It goes through solve_lp's load, cover and 2 tol gap checks, and
-    NumericalError is raised if one fails.  Otherwise one HiGHS solve gives
-    both the pair and the certificate has_fractional_factor would read off
-    its primal.
+    The pair is the certificate's HiGHS pair when it has one.  Otherwise
+    Newton's witness f passed the exact checks, and the pair is (f, g = 1/t,
+    h = 0): every clique is covered exactly once by g, and sum g = |V|/t,
+    so the pair is optimal by Prop 3 (ii).  It goes through solve_lp's load,
+    cover and 2 tol gap checks, and NumericalError is raised if one fails.
     """
-    caps = _checked_instance(wg, cliques, tol)
-    fvec = _newton_witness(cliques, caps, tol)
-    if fvec is not None:
-        p, d = _checked_pair(cliques, caps, fvec, np.full(wg.n, 1.0 / cliques.t),
-                             np.zeros(len(caps)), tol)
-        return p, d, _factor_cert(wg, cliques, fvec, tol)
-    p, d = solve_lp(wg, cliques, tol)
-    return p, d, _primal_cert(wg, cliques, caps, p, tol)
+    cert = has_fractional_factor(wg, cliques, tol)
+    if cert.pair is not None:
+        return (*cert.pair, cert)
+    f = np.zeros(len(cliques))
+    f[cert.ids] = cert.weights
+    g, h = np.full(wg.n, 1.0 / cliques.t), np.zeros(wg.base.m)
+    return (*_checked_pair(cliques, wg.w, f, g, h, tol), cert)
 
 
 def _checked_instance(wg: WeightedGraph, cliques: CliqueSet, tol: float) -> np.ndarray:
@@ -441,22 +450,6 @@ def _factor_cert(
     n, t = wg.n, cliques.t
     ts = _within_bound(float(fvec.sum()), n, t, tol)
     return FactorCert(True, ts, n / t - ts, cliques.A_vert @ fvec, **_support(fvec), note=note)
-
-
-def _primal_cert(
-    wg: WeightedGraph, cliques: CliqueSet, caps: np.ndarray, primal: PrimalSolution, tol: float
-) -> FactorCert:
-    """The verdict of an LP optimum, once Newton reached no factor: t* < |V|/t - tol
-    refutes one, and otherwise the primal is the witness if its loads are all 1."""
-    n, t = wg.n, cliques.t
-    ts = _within_bound(primal.objective, n, t, tol)
-    if ts < n / t - tol:
-        return FactorCert(False, ts, n / t - ts, cliques.A_vert @ primal.f)
-    if not _is_factor(cliques, caps, primal.f, tol):
-        note = "t_star within tol of |V|/t but the unit-load programme is infeasible"
-        return FactorCert(False, ts, n / t - ts, cliques.A_vert @ primal.f, note=note)
-    note = "primal optimum: Newton scaling reached no factor, so the witness is not spread"
-    return _factor_cert(wg, cliques, primal.f, tol, note)
 
 
 def _support(fvec: np.ndarray) -> dict:
@@ -583,7 +576,7 @@ def check_prop3(
     seed: int,
     primal: PrimalSolution,
     dual: DualSolution,
-    cert: FactorCert | None = None,
+    cert: FactorCert,
 ) -> Prop3Report:
     """Verify the four duality facts tying t*, t(G,w), |V|/t and the dual together.
 
@@ -594,11 +587,11 @@ def check_prop3(
     reported for a sweep of thresholds since the positivity cliff is
     tolerance-dependent in floating point.
 
-    t = cliques.t, and (primal, dual) is a checked optimal pair of (wg,
-    cliques, tol), the one solve_lp or certified_pair returns; t* is its
-    primal objective.  A caller holding the factor certificate passes it in;
-    otherwise it is solved here when needed.  t*(G[U],w) is t_star's, which
-    solves no LP when G[U] has a factor.
+    t = cliques.t, and (primal, dual, cert) is what certified_pair returns
+    for (wg, cliques, tol): a checked optimal pair, t* its primal objective,
+    and the factor certificate that came with it, which (ii) reads at
+    equality.  t*(G[U],w) is t_star's, which solves no LP when G[U] has a
+    factor.
     """
     n, t = wg.n, cliques.t
     ts = _within_bound(primal.objective, n, t, tol)
@@ -608,8 +601,6 @@ def check_prop3(
     ii_pass = ts <= ii_bound + tol
     ii_equality_case = False
     if abs(ts - ii_bound) <= tol:
-        if cert is None:
-            cert = has_fractional_factor(wg, cliques, tol, primal)
         ii_equality_case = bool(cert.has_factor)
         ii_pass = ii_pass and ii_equality_case
 

@@ -129,7 +129,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) ->
     a = adjacency_matrix(g)
     blas.one_thread()
     if method == "dense_eig":
-        lam, residual, mu2, mun = _dense_lambda(a, d)
+        lam, residual, mu2, mun = _dense_lambda(a, d, tol)
     else:
         lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
     return SpectralCert(
@@ -145,10 +145,11 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) ->
     )
 
 
-def _dense_lambda(a: sparse.csr_matrix, d: int):
+def _dense_lambda(a: sparse.csr_matrix, d: int, tol: float):
     """lambda from the full eigendecomposition of the densified adjacency a.
 
-    The witness eigenpair's residual is taken against a itself, in CSR form.
+    The witness eigenpair's residual is taken against a itself, in CSR form,
+    and one above tol raises NumericalError, as an unwitnessed Lanczos end does.
     """
     vals, vecs = linalg.eigh(a.toarray(), driver="evd")  # ascending
     # drop one copy of the Perron value d (largest); the rest is the lambda pool
@@ -162,6 +163,8 @@ def _dense_lambda(a: sparse.csr_matrix, d: int):
     j = len(vals) - 2 - k
     v = vecs[:, j]
     residual = float(linalg.norm(a @ v - vals[j] * v))
+    if not residual <= tol:
+        raise NumericalError(f"the witness eigenpair's A-residual {residual:.3e} exceeds tol {tol}")
     return lam, residual, mu2, mun
 
 

@@ -64,10 +64,10 @@ def test_running_past_the_limit_fails_the_criterion(monkeypatch):
 
 
 def test_criterion_1_solves_each_instance_once(monkeypatch):
-    # per instance: one primal-dual pair (HiGHS's, whether or not there is a
-    # factor), the integral matching's relaxation (0 <= x <= 1) and the
-    # subset's t*: of the 22 random subsets 4 span no clique and 11 have a
-    # factor, so those 15 solve nothing
+    # per instance: the integral matching's relaxation (0 <= x <= 1); the
+    # primal-dual pair only for the 5 of 22 instances without a factor (the
+    # other 17 take Newton's pair); and the subset's t*: of the 22 random
+    # subsets 4 span no clique and 11 have a factor, so those 15 solve nothing
     calls = []
 
     def counting(*args, **kwargs):
@@ -79,8 +79,8 @@ def test_criterion_1_solves_each_instance_once(monkeypatch):
     instances = len(_corpus())
     assert instances == 22
     assert calls.count((0, 1)) == instances
-    assert calls.count((0, None)) == instances + 7
-    assert len(calls) == 51
+    assert calls.count((0, None)) == 5 + 7
+    assert len(calls) == 34
 
 
 def test_criterion_9_fails_when_a_run_writes_no_report(monkeypatch):

@@ -199,6 +199,16 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "converge" in err
 
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_spectrum_residual_above_tol_exits_3(self, method, tmp_path, capsys):
+        # both paths refuse a witness eigenpair whose A-residual (~4e-15 on
+        # rr(30,10) seed 1) exceeds tol
+        path = tmp_path / "rr.txt"
+        path.write_text(write_graph(gen_random_regular(30, 10, 1)))
+        assert main(["spectrum", "--in", str(path), "--method", method, "--tol", "1e-300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "A-residual" in captured.err
+
     def test_spectrum_out_file_is_stable(self, k6_file, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["spectrum", "--in", k6_file, "--out", str(a)]) == 0
@@ -363,7 +373,8 @@ class TestAnalysisCommands:
     def test_lp_reports_no_perturbed_witness(self, tmp_path, capsys, monkeypatch):
         # Newton's factor of K_7 with one clique's weight raised by 1e-3: the
         # exact checks refuse it, so the command reports HiGHS's pair; with
-        # those checks waved through, the pair's load check exits 3
+        # those checks waved through, the certificate's bound t* <= |V|/t
+        # exits 3
         path = tmp_path / "g.txt"
         path.write_text(write_weighted_graph(uniform_weights(gen_complete(7))))
         newton, calls = factor_lp_mod._max_entropy_factor, []
@@ -388,14 +399,16 @@ class TestAnalysisCommands:
         assert main(["lp", "--in", str(path), "--t", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: LP pair infeasible: load excess 1.000e-03")
+        assert captured.err.startswith("error: t_star 2.334333333333334 exceeds |V|/t")
 
     @pytest.mark.parametrize(
-        "graph,weight_seed,flags,solves,milps",
+        "graph,weight_seed,flags,solves,milps,factors",
         [
             # both graphs have a factor, so Newton's witness gives the pair
-            # with no LP
-            ((30, 15, 1), 0, [], [], []),
+            # with no LP; the command's certificate is one has_fractional_factor
+            # call, and a traced run records it
+            ((30, 15, 1), 0, [], [], [], 1),
+            ((70, 35, 0), 1, [], [], [], 1),
             # the weighted rr(70,35) of the benchmark's audit workload: the
             # matching relaxation and one probe (x_j fixed at 1, over the
             # cliques still kept) per clique outside the 140-clique core
@@ -404,11 +417,11 @@ class TestAnalysisCommands:
             # so its t* solves no LP
             ((70, 35, 0), 1, ["--prop3", "--slackness", "--seed", "0"],
              [(0, 1), ("probe", 143), ("probe", 142), ("probe", 141)],
-             [140]),
+             [140], 2),
         ],
-        ids=["plain", "audit_prop3_slackness"],
+        ids=["plain", "audit_plain", "audit_prop3_slackness"],
     )
-    def test_lp_solves_per_weighted_run(self, graph, weight_seed, flags, solves, milps,
+    def test_lp_solves_per_weighted_run(self, graph, weight_seed, flags, solves, milps, factors,
                                         tmp_path, capsys, monkeypatch):
         g = gen_random_regular(*graph)
         rng = np.random.default_rng(weight_seed)
@@ -426,11 +439,19 @@ class TestAnalysisCommands:
             milp_cols.append(len(c))
             return milp(c, **kwargs)
 
+        def recording(*args):
+            certs.append(decide(*args))
+            return certs[-1]
+
+        decide, certs = factor_lp_mod.has_fractional_factor, []
         monkeypatch.setattr(factor_lp_mod, "linprog", counting)
         monkeypatch.setattr(factor_lp_mod, "milp", counting_milp)
+        monkeypatch.setattr(factor_lp_mod, "has_fractional_factor", recording)
         assert main(["lp", "--in", str(path), "--t", "3", *flags]) == 0
         assert calls == solves
         assert milp_cols == milps
+        # the command's certificate, then t*(G[U]) of --prop3
+        assert len(certs) == factors and all(cert.has_factor for cert in certs)
         payload = json.loads(capsys.readouterr().out)
         assert payload["gap"] <= 2e-7
         assert all(payload[part]["all_pass"] for part in ("prop3", "slackness") if part in payload)

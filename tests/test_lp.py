@@ -55,9 +55,9 @@ def _cliques(wg, t):
 
 
 def _prop3(wg, t, seed, tol=factor_lp_mod.TOL_DEFAULT):
-    """check_prop3 on the K_t of wg, with the pair solve_lp returns for them."""
+    """check_prop3 on the K_t of wg, with the pair and certificate certified_pair returns."""
     cliques = _cliques(wg, t)
-    return check_prop3(wg, cliques, tol, seed, *solve_lp(wg, cliques, tol))
+    return check_prop3(wg, cliques, tol, seed, *certified_pair(wg, cliques, tol))
 
 
 def _weighted_complete(n, seed, low=0.2, high=1.0):
@@ -446,19 +446,22 @@ class TestFactorCertificate:
 
     def test_witnesses_failing_the_exact_checks_are_refused(self, monkeypatch):
         # uniform 1/3 on K_4 has unit vertex loads but pair loads 2/3 > 0.2,
-        # so the primal decides; a primal at t* = |V|/t whose loads are not
-        # all 1 is no witness either
+        # so the HiGHS pair decides; a solve whose primal sits at t* = |V|/t
+        # with loads not all 1 gives no witness either
         monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: np.full(4, 1 / 3))
         thin = WeightedGraph(gen_complete(4), np.full(6, 0.2))
         cert = has_fractional_factor(thin, _cliques(thin, 3))
         assert cert.has_factor is False
         assert cert.t_star == pytest.approx(oracle_t_star(thin, 3), abs=1e-6)
         monkeypatch.setattr(factor_lp_mod, "_max_entropy_factor", lambda *a: None)
-        lopsided = PrimalSolution(f=np.array([1.0, 0.0, 0.0, 0.0]), objective=4 / 3)
+        lopsided = (PrimalSolution(f=np.array([1.0, 0.0, 0.0, 0.0]), objective=4 / 3),
+                    DualSolution(g=np.full(4, 1 / 3), h=np.zeros(6), objective=4 / 3))
+        monkeypatch.setattr(factor_lp_mod, "solve_lp", lambda *a: lopsided)
         wg = uniform_weights(gen_complete(4))
-        cert = has_fractional_factor(wg, _cliques(wg, 3), primal=lopsided)
+        cert = has_fractional_factor(wg, _cliques(wg, 3))
         assert cert.has_factor is False
         assert "infeasible" in cert.note
+        assert cert.pair is lopsided
 
     def test_to_dict_keys_and_filtering(self, k6_unit):
         cliques = _cliques(k6_unit, 3)
@@ -504,7 +507,7 @@ def _same_verdicts(wg, cliques, seed, tol=factor_lp_mod.TOL_DEFAULT):
     assert abs(d.objective - hd.objective) <= 2 * tol
     assert cert.t_star == p.objective
     ours = check_prop3(wg, cliques, tol, seed, p, d, cert)
-    highs = check_prop3(wg, cliques, tol, seed, hp, hd)
+    highs = check_prop3(wg, cliques, tol, seed, hp, hd, cert)
     verdicts = ("i_pass", "ii_pass", "ii_equality_case", "iii_feasible", "iii_pass", "iv_pass",
                 "all_pass")
     assert [getattr(ours, k) for k in verdicts] == [getattr(highs, k) for k in verdicts]
@@ -591,9 +594,10 @@ class TestCertifiedPair:
         hp, hd = solve_lp(wg, cliques)
         assert p.f.tolist() == hp.f.tolist() and d.g.tolist() == hd.g.tolist()
         assert "not spread" in cert.note
-        # with the exact checks waved through, the pair's own checks refuse it
+        # with the exact checks waved through, the certificate's bound
+        # t* <= |V|/t or the pair's own checks refuse it
         monkeypatch.setattr(factor_lp_mod, "_is_factor", lambda *args: True)
-        refusal = "load excess" if shift > 0 else "not optimal: objective gap"
+        refusal = r"exceeds \|V\|/t" if shift > 0 else "not optimal: objective gap"
         with pytest.raises(NumericalError, match=refusal):
             certified_pair(wg, cliques)
 
@@ -888,15 +892,14 @@ class TestDualityChecks:
         # low weights make pair rows bind, so h > 0 on edges inside the subset
         wg = _weighted_complete(8, 5, low=0.05, high=0.4)
         rep = _prop3(wg, 3, 1)
-        _, d = solve_lp(wg, enumerate_cliques(wg.base, 3))
+        _, d, _ = certified_pair(wg, enumerate_cliques(wg.base, 3))
         h = dict(zip(wg.base.edges, d.h.tolist()))
         assert any(h[e] > 1e-9 for e in itertools.combinations(rep.iii_subset, 2))
         assert rep.iii_restricted_value == pytest.approx(_restricted_by_loop(wg, rep), abs=1e-12)
 
-    # the ids name the form solve_lp solves: K_6 the packing form (the
-    # primal), weighted K_7 the covering form (the dual), t* from the read-off
-    # f.  The subset of K_6 spans a complete graph, which has a factor, so its
-    # t* solves no LP; the subset of weighted K_7 has none
+    # K_6 and weighted K_7 both have a factor, so each pair is Newton's and
+    # (ii) sits at equality.  The subset of K_6 spans a complete graph, which
+    # has a factor, so its t* solves no LP; the subset of weighted K_7 has none
     @pytest.mark.parametrize(
         "wg,solves",
         [(uniform_weights(gen_complete(6)), [(0, 1)]),
@@ -906,9 +909,8 @@ class TestDualityChecks:
     def test_callers_solves_give_the_bare_report(self, wg, solves, monkeypatch):
         tol = factor_lp_mod.TOL_DEFAULT
         cliques = enumerate_cliques(wg.base, 3)
-        primal, dual = solve_lp(wg, cliques, tol)
-        bare = check_prop3(wg, cliques, tol, 1, primal, dual)
-        cert = has_fractional_factor(wg, cliques, tol)
+        primal, dual, cert = certified_pair(wg, cliques, tol)
+        bare = check_prop3(wg, cliques, tol, 1, primal, dual, cert)
         calls = []
 
         def counting(*args, **kwargs):
@@ -934,7 +936,7 @@ class TestDualityChecks:
 
 def _restricted_by_loop(wg, rep) -> float:
     """sum of g over the report's subset U plus sum of h w over the edges inside U."""
-    _, d = solve_lp(wg, enumerate_cliques(wg.base, 3))
+    _, d, _ = certified_pair(wg, enumerate_cliques(wg.base, 3))
     h, w = dict(zip(wg.base.edges, d.h.tolist())), edge_weights(wg)
     U = rep.iii_subset
     return sum(d.g[v] for v in U) + sum(h[e] * w[e] for e in itertools.combinations(U, 2))

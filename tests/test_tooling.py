@@ -136,17 +136,34 @@ def test_library_calls_no_blas_dot_product():
     # sums.  Sparse products (`@` on a sparse operator) run in scipy's own
     # loops and stay allowed.
     banned = {"dot", "inner", "vdot", "matmul"}
-    hits = []
+    hits = [f"{name}:{line}: {called}" for name, line, _, called in _library_calls()
+            if called in banned]
+    assert hits == []
+
+
+def _library_calls():
+    """(file, line, enclosing top-level definition, called name) of every call in cfl."""
     for name in sorted(os.listdir(SRC_CFL)):
         if name.endswith(".py"):
             with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), name)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                    if called in banned:
-                        hits.append(f"{name}:{node.lineno}: {called}")
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                        yield name, node.lineno, getattr(top, "name", "<module>"), called
+
+
+def test_only_has_fractional_factor_decides_the_certificate():
+    # the factor certificate's one decision, Newton's witness or else one
+    # checked HiGHS solve, is made in has_fractional_factor: certified_pair,
+    # t_star and check_prop3 read its certificate, and solve_primal and
+    # solve_dual are the solver's two halves
+    allowed = {"_newton_witness": {"has_fractional_factor"},
+               "solve_lp": {"has_fractional_factor", "solve_primal", "solve_dual"}}
+    hits = [f"{name}:{line}: {owner} calls {called}" for name, line, owner, called in _library_calls()
+            if called in allowed and owner not in allowed[called]]
     assert hits == []
 
 
