@@ -10,7 +10,8 @@ hypothesis failure in pipeline runs, failing suite criteria), 2 input error
 (an unreadable input or unwritable output path included), 3 resource or
 numerical error, and also any other exception, reported as one
 "error: internal:" line.  Every randomized operation takes its randomness
-from --seed alone; CFL_THREADS caps worker fan-out.
+from --seed alone; CFL_THREADS caps worker fan-out.  Values the input
+decides are not flags: lambda's path, alpha and the span audit's set size.
 """
 
 from __future__ import annotations
@@ -194,11 +195,6 @@ def _check_flags(args) -> None:
         raise InputError(f"--span-trials must be at least 1, got {args.span_trials}")
     if getattr(args, "window", None) is not None and args.window < 2:
         raise InputError(f"--window must be at least 2, got {args.window}")
-    if getattr(args, "span_size", None) is not None:
-        if args.span_size < 1:
-            raise InputError(f"--span-size must be at least 1, got {args.span_size}")
-        if args.span_trials is None:
-            raise InputError("--span-size needs --span-trials")
     least = 3 if args.command == "pipeline" else 2
     if getattr(args, "t", least) < least:
         raise InputError(f"--t must be at least {least}, got {args.t}")
@@ -206,8 +202,6 @@ def _check_flags(args) -> None:
         raise InputError(f"--ell must be at least 1, got {args.ell}")
     if not 0 < getattr(args, "epsilon", 0.5) < 1:
         raise InputError(f"--epsilon must lie in (0,1), got {args.epsilon}")
-    if getattr(args, "alpha", None) is not None and not 0 <= args.alpha <= 1:
-        raise InputError(f"--alpha must lie in [0,1], got {args.alpha}")
     if seed is None and getattr(args, "span_trials", None):
         raise InputError("--seed is required for the span audit")
     if seed is None and getattr(args, "prop3", False):
@@ -230,8 +224,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _read_graph(args.infile)
-    method = {"dense": "dense_eig", "lanczos": "lanczos", None: None}[args.method]
-    cert = second_eigenvalue(g, tol=args.tol, method=method)
+    cert = second_eigenvalue(g, tol=args.tol)
     _deliver(cert, args.out)
     return 0
 
@@ -261,7 +254,7 @@ def _cmd_cliques(args) -> int:
         }
         failed = failed or not within
     if args.span_trials is not None:
-        size = args.span_size if args.span_size is not None else default_span_size(g.n, args.t)
+        size = default_span_size(g.n, args.t)
         failures, witness = span_clique_audit(g, args.t, size, args.span_trials, args.seed)
         payload["span_audit"] = {
             "size": size,
@@ -301,19 +294,6 @@ def _cmd_lp(args) -> int:
     return 1 if failed else 0
 
 
-def _pipeline_config(args, seed: int) -> PipelineConfig:
-    return PipelineConfig(
-        seed=seed,
-        mode=args.mode,
-        ell=args.ell,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        matcher=args.matcher,
-        tol=args.tol,
-        force=args.force,
-    )
-
-
 def _cmd_pipeline(args) -> int:
     from .pipeline import fan_out
 
@@ -324,8 +304,10 @@ def _cmd_pipeline(args) -> int:
         seeds = [args.seed]
 
     def run_one(seed: int):
+        config = PipelineConfig(seed=seed, mode=args.mode, ell=args.ell, epsilon=args.epsilon,
+                                matcher=args.matcher, tol=args.tol, force=args.force)
         start = time.perf_counter()
-        report = run_end_to_end(g, args.t, _pipeline_config(args, seed))
+        report = run_end_to_end(g, args.t, config)
         ms = (time.perf_counter() - start) * 1000.0
         return report, ms
 
@@ -402,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectrum", help="second eigenvalue certificate")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--method", choices=["dense", "lanczos"])
     s.add_argument("--tol", type=float, default=1e-8)
     add_common(s)
     s.set_defaults(func=_cmd_spectrum)
@@ -419,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--window", type=int, help="check the K_i count window for U = V")
     c.add_argument("--span-trials", type=int)
-    c.add_argument("--span-size", type=int)
     c.add_argument("--seed", type=int)
     add_common(c)
     c.set_defaults(func=_cmd_cliques)
@@ -439,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--t", type=int, required=True)
     pl.add_argument("--mode", choices=["auto", "dense", "sparse"], default="auto")
     pl.add_argument("--ell", type=int)
-    pl.add_argument("--alpha", type=float)
     pl.add_argument("--epsilon", type=float, default=0.1)
     pl.add_argument("--matcher", choices=["nibble", "greedy"], default="nibble")
     pl.add_argument("--tol", type=float, default=1e-7)

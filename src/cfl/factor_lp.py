@@ -86,7 +86,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import blas
-from .cliques import CliqueSet, enumerate_cliques
+from .cliques import ENUMERATION_BUDGET, CliqueSet, enumerate_cliques
 from .errors import InputError, NumericalError, ResourceError
 from .graphs import WeightedGraph, edge_ids, induced_weighted
 
@@ -475,6 +475,7 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
     vertex load).  The Hessian's vertex block is diag(vertex loads) with
     the pair loads off the diagonal.  Stops when every check holds to within
     min(tol, NEWTON_TOL) and every pair with mu > 0 is that close to tight.
+    A step whose dense arrays would pass ENUMERATION_BUDGET raises ResourceError.
     """
     n, N = cliques.A_vert.shape
     V, P = cliques.A_vert, cliques.A_pair
@@ -500,8 +501,13 @@ def _max_entropy_factor(cliques: CliqueSet, caps: np.ndarray, tol: float) -> np.
             return out
         active = (active & ((mu > 0) | (excess >= 0))) | (binds & (excess > 0))
         S = np.flatnonzero(active)
+        rows = n + S.size
+        need = 8 * (2 * rows**2 + S.size**2)  # H, cho_factor's copy, the dense pair block
+        if need > ENUMERATION_BUDGET:
+            raise ResourceError(f"Newton's {rows}-row Hessian needs {need} bytes, "
+                                f"over the {ENUMERATION_BUDGET}-byte budget")
         grad = np.concatenate([vload - 1.0, -excess[S]])
-        H = np.zeros((n + S.size, n + S.size))
+        H = np.zeros((rows, rows))
         H[u, v] = H[v, u] = pload
         H[i, i] = vload
         if S.size:

@@ -34,6 +34,7 @@ from .graphs import (
     WEIGHT_SLACK,
     Graph,
     WeightedGraph,
+    edge_ids,
     induced_subgraph,
     regularity,
     uniform_weights,
@@ -85,9 +86,7 @@ def default_ell(n: int, t: int) -> int:
     return max(2, int(n ** beta_exponent(t)))
 
 
-def dense_extract(
-    g: Graph, t: int, ell: int, alpha: float | None = None, tol: float = TOL_DEFAULT
-) -> FactorBundle:
+def dense_extract(g: Graph, t: int, ell: int, tol: float = TOL_DEFAULT) -> FactorBundle:
     """Iterative weight-update extraction on a d-regular host, over all its K_t.
 
     Starts from w == 1; each round certifies a fractional factor of the
@@ -95,7 +94,8 @@ def dense_extract(
     [0,1].  Two identities are enforced per round: weights stay >= -10 tol
     before clamping, and every weighted degree drops by exactly t-1 within
     10 tol (each unit of vertex load spends t-1 halfedge weight).  Stops with
-    a partial bundle when no factor exists at the current weights.
+    a partial bundle when no factor exists at the current weights.  Each
+    round counts its rich edges, w >= 1 - default_alpha(n, d, t).
     """
     if t < 3:
         raise InputError(f"t must be >= 3, got {t}")
@@ -104,10 +104,7 @@ def dense_extract(
     info = regularity(g)
     if not info.is_regular:
         raise InputError("dense extraction requires a regular host graph")
-    if alpha is None:
-        alpha = default_alpha(g.n, info.d, t) if g.n else 0.0
-    if not 0 <= alpha <= 1:
-        raise InputError(f"alpha must lie in [0,1], got {alpha}")
+    alpha = default_alpha(g.n, info.d, t) if g.n else 0.0
     cliques = enumerate_cliques(g, t)
     ends = g.edge_array
     w = np.ones(g.m)
@@ -455,14 +452,27 @@ def greedy_completion(g: Graph, t: int, uncovered, seed: int) -> np.ndarray:
     return np.asarray(verts, dtype=np.int32)[_greedy_pass(rows, order, np.zeros(sub.n, bool))]
 
 
+def _check_cover(g: Graph, rows: np.ndarray) -> None:
+    """InvariantError unless every (ascending) row is a K_t of g and no vertex
+    lies in two rows: one binary search of g.edge_keys, one bincount."""
+    u, v = np.triu_indices(rows.shape[1], 1)
+    try:
+        edge_ids(g, np.stack([rows[:, u], rows[:, v]], axis=-1))
+    except InputError as exc:
+        raise InvariantError(f"a cover row is not a K_{rows.shape[1]} of G: {exc}") from None
+    use = np.bincount(rows.ravel(), minlength=g.n)
+    if use.max(initial=0) > 1:
+        raise InvariantError(f"vertex {int(np.argmax(use))} lies in {use.max()} cover rows")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for run_end_to_end; seed is mandatory, everything else defaulted."""
+    """Knobs for run_end_to_end; seed is mandatory, everything else defaulted.
+    alpha (default_alpha) and lambda's path are not knobs: the input decides them."""
 
     seed: int
     mode: str = "auto"  # auto | dense | sparse
     ell: int | None = None
-    alpha: float | None = None
     epsilon: float = 0.1
     matcher: str = "nibble"  # nibble | greedy
     tol: float = TOL_DEFAULT
@@ -504,6 +514,7 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
     hypothesis report.  A final greedy completion packs cliques of
     G[uncovered] after the hypergraph matcher, since the matcher's leftover
     guarantee is asymptotic; the pre-completion count stays in the audits.
+    A final cover that _check_cover refuses raises InvariantError.
     """
     if config.mode not in ("auto", "dense", "sparse"):
         raise InputError(f"unknown mode {config.mode!r}")
@@ -536,7 +547,7 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
 
     with _stage("extraction"):
         if mode == "dense":
-            bundle = dense_extract(g, t, ell, config.alpha, config.tol)
+            bundle = dense_extract(g, t, ell, config.tol)
         else:
             bundle = sparse_extract(g, t, ell, s_split, config.tol)
     with _stage("hf"):
@@ -552,6 +563,8 @@ def run_end_to_end(g: Graph, t: int, config: PipelineConfig) -> PipelineReport:
             added = greedy_completion(g, t, pre.uncovered, s_complete)
         completion_added = len(added)
         result = _result(g.n, np.vstack([np.array(pre.matched, np.int32).reshape(-1, t), added]))
+    with _stage("cover"):
+        _check_cover(g, np.array(result.matched, np.int32).reshape(-1, t))
 
     bound = g.n ** (1 - 1 / (8 * t**4)) if g.n else 0.0
     parameters = {

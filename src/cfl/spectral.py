@@ -2,17 +2,18 @@
 
 lambda here always means max_{i>=2} |mu_i| for the adjacency spectrum
 mu_1 >= ... >= mu_n of a d-regular graph (mu_1 = d).  Every path works from
-one sparse CSR adjacency.  Up to DENSE_LIMIT vertices it is densified for the
-full symmetric eigendecomposition, the reference path: scipy.linalg.eigh's
-divide-and-conquer driver, with the witness residual taken against the CSR
-matrix.  Above it, implicitly restarted Lanczos (ARPACK, via eigsh) finds
-both ends of the spectrum of A - (d/n) J, and each end is certified by its
-residual against A.  ARPACK (scipy.sparse.linalg) is imported on the first
-Lanczos solve, not with cfl.  The mixing audit draws its subsets in batches,
-as the bool columns of an n x k array: column j holds the vertices whose
-53-bit key (a random byte, refined by 45 more bits only on a tie) falls
-below a 53-bit threshold Q_j, with empty columns drawn again.  Edges between
-the subsets of a pair are counted in int16 by the integer adjacency.
+one sparse CSR adjacency, and n alone picks the path.  Up to DENSE_LIMIT
+vertices it is densified for the full symmetric eigendecomposition, the
+reference path: scipy.linalg.eigh's divide-and-conquer driver, with the
+witness residual taken against the CSR matrix.  Above it, implicitly
+restarted Lanczos (ARPACK, via eigsh) finds both ends of the spectrum of
+A - (d/n) J, and each end is certified by its residual against A.  ARPACK
+(scipy.sparse.linalg) is imported on the first Lanczos solve, not with cfl.
+The mixing audit draws its subsets in batches, as the bool columns of an
+n x k array: column j holds the vertices whose 53-bit key (a random byte,
+refined by 45 more bits only on a tie) falls below a 53-bit threshold Q_j,
+with empty columns drawn again.  Edges between the subsets of a pair are
+counted in int16 by the integer adjacency.
 
 Dense linear algebra here, as everywhere in cfl, goes through scipy's LAPACK,
 never numpy's, on one OpenBLAS thread: second_eigenvalue calls blas.one_thread
@@ -112,18 +113,15 @@ def _require_regular(g: Graph) -> int:
     return info.d
 
 
-def second_eigenvalue(g: Graph, tol: float = 1e-8, method: str | None = None) -> SpectralCert:
+def second_eigenvalue(g: Graph, tol: float = 1e-8) -> SpectralCert:
     """lambda = max_{i>=2} |mu_i|, with an eigenpair residual certificate.
 
-    method defaults to dense_eig for n <= DENSE_LIMIT, lanczos above.
+    The path follows n: dense_eig for n <= DENSE_LIMIT, lanczos above.
     """
     if not 0 < tol < np.inf:
         raise InputError(f"tol must be finite and positive, got {tol}")
     d = _require_regular(g)
-    if method is None:
-        method = "dense_eig" if g.n <= DENSE_LIMIT else "lanczos"
-    if method not in ("dense_eig", "lanczos"):
-        raise InputError(f"unknown method {method!r}")
+    method = "dense_eig" if g.n <= DENSE_LIMIT else "lanczos"
     if g.n <= 1 or d == 0:
         return SpectralCert(g.n, d, 0.0, method, 0.0, 0.0, 0.0, d == 0 and g.n > 1, tol)
     a = adjacency_matrix(g)
@@ -180,8 +178,6 @@ def _lanczos_lambda(a: sparse.csr_matrix, d: int, tol: float):
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
     n = a.shape[0]
-    if n < 3:
-        raise InputError(f"the lanczos method needs at least 3 vertices, got {n}")
     root = math.sqrt(n)
     ones = np.ones(n) / root
     # x.sum() / root is ones @ x without numpy's BLAS, whose dot product

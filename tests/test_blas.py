@@ -78,7 +78,8 @@ class TestOneThread:
         try:
             g = _rr(90, 45, 31)
             run_end_to_end(g, 3, PipelineConfig(seed=0, force=True))
-            spectral_mod.second_eigenvalue(_rr(60, 6, 0), method="lanczos")
+            monkeypatch.setattr(spectral_mod, "DENSE_LIMIT", 59)  # n = 60 takes Lanczos
+            spectral_mod.second_eigenvalue(_rr(60, 6, 0))
             # the parts' certificates run on the fan-out's worker threads
             sparse_extract(g, 3, 3, 0)
             after = _count()

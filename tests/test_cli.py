@@ -1,5 +1,6 @@
 """Canonical JSON, atomic writes, and the command-line entry points."""
 
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import cfl.cli as cli_mod
 import cfl.cliques as cliques_mod
 import cfl.factor_lp as factor_lp_mod
+import cfl.pipeline as pipeline_mod
 import cfl.spectral as spectral_mod
 from cfl import (
     InputError,
@@ -182,30 +184,32 @@ class TestAnalysisCommands:
         assert payload["lambda"] == pytest.approx(1.0, abs=1e-8)
         assert payload["method"] == "dense_eig"
 
-    def test_spectrum_lanczos_method(self, k6_file, capsys):
-        assert main(["spectrum", "--in", k6_file, "--method", "lanczos"]) == 0
+    def test_spectrum_lanczos_method(self, k6_file, capsys, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "DENSE_LIMIT", 5)  # K_6 is above it
+        assert main(["spectrum", "--in", k6_file]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda"] == pytest.approx(1.0, abs=1e-9)
         assert payload["method"] == "lanczos"
-        assert main(["spectrum", "--in", k6_file, "--method", "power"]) == 2
-        capsys.readouterr()
 
     def test_spectrum_without_convergence_exits_3(self, k6_file, capsys, monkeypatch):
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(spectral_mod, "eigsh", stalled)
-        assert main(["spectrum", "--in", k6_file, "--method", "lanczos"]) == 3
+        monkeypatch.setattr(spectral_mod, "DENSE_LIMIT", 5)
+        assert main(["spectrum", "--in", k6_file]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "converge" in err
 
     @pytest.mark.parametrize("method", ["dense", "lanczos"])
-    def test_spectrum_residual_above_tol_exits_3(self, method, tmp_path, capsys):
+    def test_spectrum_residual_above_tol_exits_3(self, method, tmp_path, capsys, monkeypatch):
         # both paths refuse a witness eigenpair whose A-residual (~4e-15 on
         # rr(30,10) seed 1) exceeds tol
+        if method == "lanczos":
+            monkeypatch.setattr(spectral_mod, "DENSE_LIMIT", 29)
         path = tmp_path / "rr.txt"
         path.write_text(write_graph(gen_random_regular(30, 10, 1)))
-        assert main(["spectrum", "--in", str(path), "--method", method, "--tol", "1e-300"]) == 3
+        assert main(["spectrum", "--in", str(path), "--tol", "1e-300"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "A-residual" in captured.err
 
@@ -277,16 +281,11 @@ class TestAnalysisCommands:
         audit = json.loads(capsys.readouterr().out)["span_audit"]
         assert (audit["size"], audit["failures"]) == (3, 0)
 
-    def test_cliques_span_size_is_used(self, k6_file, capsys):
-        code = main(["cliques", "--in", k6_file, "--t", "3", "--span-trials", "2",
-                     "--span-size", "4", "--seed", "1"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["span_audit"]["size"] == 4
-
     def test_cliques_span_size_over_n_exits_2(self, k6_file, tmp_path, capsys):
+        # the default size is at least t, which K_6 cannot hold at t = 7
         out = tmp_path / "out"
-        code = main(["cliques", "--in", k6_file, "--t", "3", "--span-trials", "2",
-                     "--span-size", "7", "--seed", "1", "--out", str(out)])
+        code = main(["cliques", "--in", k6_file, "--t", "7", "--span-trials", "2",
+                     "--seed", "1", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: size must be in [1, n=6], got 7\n"
         assert not out.exists()
@@ -554,33 +553,21 @@ class TestSharedFlags:
              "--window must be at least 2, got -1"),
             (["cliques", "--in", "{k6}", "--t", "3", "--window", "1"],
              "--window must be at least 2, got 1"),
-            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "2", "--span-size", "-3",
-              "--seed", "0"],
-             "--span-size must be at least 1, got -3"),
-            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "2", "--span-size", "0",
-              "--seed", "0"],
-             "--span-size must be at least 1, got 0"),
-            (["cliques", "--in", "{k6}", "--t", "3", "--span-size", "5"],
-             "--span-size needs --span-trials"),
             ([*PIPELINE_CSV, "--ell", "0"], "--ell must be at least 1, got 0"),
             ([*PIPELINE_CSV, "--ell", "-2"], "--ell must be at least 1, got -2"),
             ([*PIPELINE_CSV, "--epsilon", "2"], "--epsilon must lie in (0,1), got 2.0"),
             ([*PIPELINE_CSV, "--epsilon", "0"], "--epsilon must lie in (0,1), got 0.0"),
             ([*PIPELINE_CSV, "--epsilon", "1"], "--epsilon must lie in (0,1), got 1.0"),
             ([*PIPELINE_CSV, "--epsilon", "nan"], "--epsilon must lie in (0,1), got nan"),
-            ([*PIPELINE_CSV, "--alpha", "-4"], "--alpha must lie in [0,1], got -4.0"),
-            ([*PIPELINE_CSV, "--alpha", "1.5"], "--alpha must lie in [0,1], got 1.5"),
-            ([*PIPELINE_CSV, "--alpha", "nan"], "--alpha must lie in [0,1], got nan"),
             (["pipeline", "--in", "{k6}", "--t", "2", "--seed", "0", "--force"],
              "--t must be at least 3, got 2"),
             (["cliques", "--in", "{k6}", "--t", "1"], "--t must be at least 2, got 1"),
             (["lp", "--in", "{k6}", "--t", "1"], "--t must be at least 2, got 1"),
         ],
         ids=["lp-prop3", "cliques-span-trials", "audit-mixing-samples", "span-trials-negative",
-             "span-trials-zero", "window-negative", "window-one", "span-size-negative",
-             "span-size-zero", "span-size-alone", "ell-zero", "ell-negative", "epsilon-two",
-             "epsilon-zero", "epsilon-one", "epsilon-nan", "alpha-negative", "alpha-over-one",
-             "alpha-nan", "pipeline-t-two", "cliques-t-one", "lp-t-one"],
+             "span-trials-zero", "window-negative", "window-one", "ell-zero",
+             "ell-negative", "epsilon-two", "epsilon-zero", "epsilon-one", "epsilon-nan",
+             "pipeline-t-two", "cliques-t-one", "lp-t-one"],
     )
     def test_flags_fail_before_any_work(self, argv, message, k6_file, tmp_path, capsys,
                                         monkeypatch, no_input_read):
@@ -595,6 +582,27 @@ class TestSharedFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not out.exists() and not table.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["spectrum", "--in", "{k6}", "--method", "lanczos"], "--method lanczos"),
+            ([*PIPELINE_CSV, "--alpha", "0.5"], "--alpha 0.5"),
+            (["cliques", "--in", "{k6}", "--t", "3", "--span-trials", "2", "--span-size", "4",
+              "--seed", "1"], "--span-size 4"),
+        ],
+        ids=["spectrum-method", "pipeline-alpha", "cliques-span-size"],
+    )
+    def test_derived_values_are_unknown_flags(self, argv, flag, k6_file, tmp_path, capsys,
+                                              no_input_read):
+        # lambda's path, alpha and the span size follow from the input alone
+        out, table = tmp_path / "out", tmp_path / "x.csv"
+        argv = [a.format(k6=k6_file, csv=table) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag}\n")
         assert not out.exists() and not table.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7"])
@@ -654,6 +662,31 @@ class TestPipelineCommand:
         assert captured.err == (
             f"error: [stage:extraction] clique enumeration exceeded {cap}: {host} K_3\n"
         )
+
+    @pytest.mark.parametrize("fault", ["overlap", "non_clique"])
+    def test_a_wrong_cover_exits_3(self, fault, tmp_path, capsys, monkeypatch):
+        # the final cover audit refuses a completion row that reuses a vertex
+        # the matcher covered, or one that is not a triangle of G; on this
+        # instance the matcher leaves 18 vertices to the completion
+        g = gen_random_regular(30, 15, 0)
+        path = tmp_path / "rr30.txt"
+        path.write_text(write_graph(g))
+
+        def faulty(host, t, uncovered, seed):
+            if fault == "overlap":
+                rows = enumerate_cliques(host, t).members
+                return rows[~np.isin(rows, uncovered).all(axis=1)][:1]
+            row = next(c for c in itertools.combinations(uncovered, t)
+                       if not set(itertools.combinations(c, 2)) <= set(host.edges))
+            return np.array([row], dtype=np.int32)
+
+        monkeypatch.setattr(pipeline_mod, "greedy_completion", faulty)
+        argv = ["pipeline", "--in", str(path), "--t", "3", "--mode", "dense", "--seed", "0", "--force"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [stage:cover] ")
+        assert ("cover rows" if fault == "overlap" else "is not a K_3 of G") in captured.err
 
     def test_forced_complete_graph_covers_all(self, k6_file, capsys):
         code = main(
@@ -770,6 +803,33 @@ class TestSuiteCommand:
 # Runs each command line of argv[1] (a JSON list) through main in one
 # interpreter and prints, after the import and after each command, its exit
 # code and which of the two scipy solver packages are then loaded.
+def _child_env() -> dict:
+    """This environment, with the cfl package under test first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_newton_hessian_over_the_budget_exits_3(tmp_path):
+    # every weight 1/75 on rr(300,150) is the mean pair load of a factor, so
+    # nearly every pair binds: Newton's first step would hold 10,957 rows.
+    # Under a 2 GB address space, set in the child only, the guard trips
+    # before a MemoryError could
+    import resource
+
+    g = gen_random_regular(300, 150, 0)
+    path = tmp_path / "w.txt"
+    path.write_text(write_weighted_graph(WeightedGraph(g, np.full(g.m, 1 / 75))))
+    limit = 2 * 1024**3
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfl.cli", "lp", "--in", str(path), "--t", "3"],
+        env=_child_env(), capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error: Newton's 10957-row Hessian needs 2829466776 bytes, "
+                           f"over the {cliques_mod.ENUMERATION_BUDGET}-byte budget\n")
+
+
 SOLVER_PROBE = """
 import json, sys
 from cfl.cli import main
@@ -785,25 +845,25 @@ print(json.dumps(seen))
 
 def test_solvers_load_on_first_use(tmp_path):
     # a fresh interpreter: this one imported scipy.optimize with the tests
-    paley, out = str(tmp_path / "paley.txt"), str(tmp_path / "out.json")
+    paley, big, out = (str(tmp_path / name) for name in ("paley.txt", "rr.txt", "out.json"))
     commands = [
         ["gen", "--kind", "paley", "--q", "13", "--out", paley],
         ["spectrum", "--in", paley, "--out", out],
         ["cliques", "--in", paley, "--t", "3", "--out", out],
         ["pipeline", "--in", paley, "--t", "3", "--mode", "dense", "--force", "--seed", "0",
          "--out", out],
-        ["spectrum", "--in", paley, "--method", "lanczos", "--out", out],
+        ["gen", "--kind", "random-regular", "--n", "2002", "--d", "4", "--seed", "0", "--out", big],
+        ["spectrum", "--in", big, "--out", out],  # above DENSE_LIMIT: Lanczos
         ["lp", "--in", paley, "--t", "3", "--out", out],
         ["lp", "--in", paley, "--t", "3", "--prop3", "--seed", "0", "--out", out],
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SOLVER_PROBE, json.dumps(commands)], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", SOLVER_PROBE, json.dumps(commands)],
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = zip(*json.loads(proc.stdout))
-    assert codes == (None, 0, 0, 0, 1, 0, 0, 0)  # 1: a forced run that fails the hypothesis
-    assert loaded[:5] == ([],) * 5  # the import, gen, spectrum, cliques, dense pipeline
-    assert loaded[5] == ["scipy.sparse.linalg"]  # Lanczos
-    assert loaded[6] == ["scipy.sparse.linalg"]  # the LP pair, Newton's factor with no solve
-    assert loaded[7] == ["scipy.optimize", "scipy.sparse.linalg"]  # the integral matching MILP
+    assert codes == (None, 0, 0, 0, 1, 0, 0, 0, 0)  # 1: a forced run that fails the hypothesis
+    # the import, gen, spectrum, cliques, dense pipeline, gen
+    assert loaded[:6] == ([],) * 6
+    assert loaded[6] == ["scipy.sparse.linalg"]  # Lanczos
+    assert loaded[7] == ["scipy.sparse.linalg"]  # the LP pair, Newton's factor with no solve
+    assert loaded[8] == ["scipy.optimize", "scipy.sparse.linalg"]  # the integral matching MILP

@@ -28,6 +28,13 @@ from cfl.spectral import (
 from oracles import edge_count_by_loops
 
 
+def lanczos_cert(monkeypatch, g, **kwargs):
+    """second_eigenvalue of g on the Lanczos path: g.n just above a patched DENSE_LIMIT."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral_mod, "DENSE_LIMIT", g.n - 1)
+        return second_eigenvalue(g, **kwargs)
+
+
 class TestSecondEigenvalue:
     def test_complete(self, k6):
         cert = second_eigenvalue(k6)
@@ -65,16 +72,17 @@ class TestSecondEigenvalue:
         lambda: gen_random_regular(24, 6, 9),
         lambda: gen_circulant(10, (1, 3)),
     ])
-    def test_lanczos_matches_dense(self, maker):
+    def test_lanczos_matches_dense(self, maker, monkeypatch):
         g = maker()
-        dense = second_eigenvalue(g, method="dense_eig")
-        cert = second_eigenvalue(g, method="lanczos", tol=1e-10)
+        dense = second_eigenvalue(g)
+        cert = lanczos_cert(monkeypatch, g, tol=1e-10)
+        assert dense.method == "dense_eig"
         assert cert.lam == pytest.approx(dense.lam, abs=1e-9)
         assert cert.method == "lanczos"
         assert cert.residual <= 1e-10
 
-    def test_lanczos_bipartite(self):
-        cert = second_eigenvalue(gen_circulant(12, (1,)), method="lanczos")
+    def test_lanczos_bipartite(self, monkeypatch):
+        cert = lanczos_cert(monkeypatch, gen_circulant(12, (1,)))
         assert cert.lam == pytest.approx(2.0, abs=1e-9)
         assert cert.mu_n == pytest.approx(-2.0, abs=1e-9)
         assert cert.lambda_equals_d
@@ -91,27 +99,28 @@ class TestSecondEigenvalue:
             g = gen_random_regular(n, d, seed)
         except GenerationError:
             assume(False)
-        dense = second_eigenvalue(g, method="dense_eig")
-        cert = second_eigenvalue(g, method="lanczos")
-        assert abs(cert.lam - dense.lam) <= 1e-9
-        assert cert.residual <= cert.tol
-        assert cert.mu2 is not None or cert.mu_n is not None
-        if cert.mu2 is not None:
-            assert abs(cert.mu2 - dense.mu2) <= 1e-9
-        if cert.mu_n is not None:
-            assert abs(cert.mu_n - dense.mu_n) <= 1e-9
+        dense = second_eigenvalue(g)
+        # Hypothesis takes no function-scoped fixture, so no patched limit
+        lam, residual, mu2, mu_n = spectral_mod._lanczos_lambda(adjacency_matrix(g), d, 1e-8)
+        assert abs(lam - dense.lam) <= 1e-9
+        assert residual <= 1e-8
+        assert mu2 is not None or mu_n is not None
+        if mu2 is not None:
+            assert abs(mu2 - dense.mu2) <= 1e-9
+        if mu_n is not None:
+            assert abs(mu_n - dense.mu_n) <= 1e-9
 
-    def test_lanczos_never_reports_the_perron_vector(self):
+    def test_lanczos_never_reports_the_perron_vector(self, monkeypatch):
         # every mu_i of K_12 below the top is -1; the high end of A - (d/n) J
         # is the Perron vector's 0, which A itself does not witness
-        cert = second_eigenvalue(gen_complete(12), method="lanczos")
+        cert = lanczos_cert(monkeypatch, gen_complete(12))
         assert cert.mu2 is None or cert.mu2 == pytest.approx(-1.0, abs=1e-9)
         assert cert.mu_n == pytest.approx(-1.0, abs=1e-9)
         assert cert.lam == pytest.approx(1.0, abs=1e-9)
 
-    def test_lanczos_disconnected(self):
+    def test_lanczos_disconnected(self, monkeypatch):
         two_triangles = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        cert = second_eigenvalue(two_triangles, method="lanczos")
+        cert = lanczos_cert(monkeypatch, two_triangles)
         assert cert.lam == pytest.approx(2.0, abs=1e-9)
         assert cert.mu2 == pytest.approx(2.0, abs=1e-9)
         assert cert.lambda_equals_d
@@ -126,9 +135,10 @@ class TestSecondEigenvalue:
         assert cert.mu2 == pytest.approx(8.65401, abs=1e-5)
         assert cert.mu_n == pytest.approx(-cert.lam, abs=1e-12)
 
-    def test_lanczos_needs_three_vertices(self):
-        with pytest.raises(InputError, match="3 vertices"):
-            second_eigenvalue(gen_complete(2), method="lanczos")
+    def test_the_path_switches_above_the_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "DENSE_LIMIT", 12)
+        assert second_eigenvalue(gen_complete(12)).method == "dense_eig"
+        assert second_eigenvalue(gen_paley(13)).method == "lanczos"
 
     def test_no_convergence_is_a_numerical_error(self, monkeypatch):
         # after one retry with a larger Krylov space
@@ -140,7 +150,7 @@ class TestSecondEigenvalue:
 
         monkeypatch.setattr(spectral_mod, "eigsh", stalled)
         with pytest.raises(NumericalError, match="converge"):
-            second_eigenvalue(gen_paley(13), method="lanczos")
+            lanczos_cert(monkeypatch, gen_paley(13))
         assert spaces == [None, 13]
 
     @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
@@ -148,9 +158,9 @@ class TestSecondEigenvalue:
         with pytest.raises(InputError, match="tol must be finite and positive"):
             second_eigenvalue(gen_paley(13), tol=tol)
 
-    def test_unwitnessed_ends_are_a_numerical_error(self):
+    def test_unwitnessed_ends_are_a_numerical_error(self, monkeypatch):
         with pytest.raises(NumericalError, match="A-residual"):
-            second_eigenvalue(gen_paley(13), method="lanczos", tol=1e-300)
+            lanczos_cert(monkeypatch, gen_paley(13), tol=1e-300)
 
     @pytest.mark.parametrize("n,d,seed,lam", [
         (90, 45, 31, 9.715920568206226),

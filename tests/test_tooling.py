@@ -298,3 +298,25 @@ def test_package_exports_every_name():
         own = getattr(importlib.import_module(f"cfl.{module}"), name)
         assert getattr(cfl, name) is own and star[name] is own, name
     assert not hasattr(cfl, "no_such_name")
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def test_readme_commands_parse():
+    # every `cfl ...` line of the README's sh blocks, its trailing comment cut
+    from cfl.cli import build_parser
+
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = [line.split("#")[0].split() for block in blocks for line in block.splitlines()]
+    commands = [words[1:] for words in commands if words[:1] == ["cfl"]]
+    assert commands
+    parser = build_parser()
+    refused = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            refused.append(" ".join(argv))
+    assert refused == []
