@@ -100,6 +100,18 @@ class TestDenseExtraction:
         with pytest.raises(InputError, match="regular"):
             dense_extract(from_edge_list(3, [(0, 1), (1, 2)]), 3, 1)
 
+    @pytest.mark.parametrize("alpha", [-4.0, -1e-9, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, k6, alpha):
+        # alpha is not a parameter: the host's n, d and t decide it
+        with pytest.raises(TypeError, match="alpha"):
+            dense_extract(k6, 3, 1, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_at_the_interval_ends_runs(self, k6, alpha, monkeypatch):
+        monkeypatch.setattr(pipeline_mod, "default_alpha", lambda n, d, t: alpha)
+        bundle = dense_extract(k6, 3, 1)
+        assert bundle.ell == 1 and bundle.audits["alpha"] == alpha
+
     def test_alpha_is_the_hosts_default(self):
         # every edge is rich at w == 1; one factor's pair load 2/11 leaves none
         bundle = dense_extract(gen_complete(12), 3, 2)
