@@ -5,7 +5,7 @@ between calls and sums in another order, moving a result's last bits.
 Despite its name the setter sets one count for the whole process in scipy's
 pthreads build.  So every dense solve sets it to 1 right before it runs and
 never sets it back: a count raised between solves (by another library, or
-another thread) never reaches one, and threads that overlap need no lock.
+another thread) never reaches one, and pipeline --seeds threads need no lock.
 In a process that has run a cfl solve, scipy's OpenBLAS stays on one thread."""
 
 import ctypes

@@ -10,8 +10,9 @@ hypothesis failure in pipeline runs, failing suite criteria), 2 input error
 (an unreadable input or unwritable output path included), 3 resource or
 numerical error, and also any other exception, reported as one
 "error: internal:" line.  Every randomized operation takes its randomness
-from --seed alone; CFL_THREADS caps worker fan-out.  Values the input
-decides are not flags: lambda's path, alpha and the span audit's set size.
+from --seed alone.  Only pipeline --seeds starts threads: CFL_THREADS
+(unset: 1) of its seeds run at once.  Values the input decides are not
+flags: lambda's path, alpha and the span audit's set size.
 """
 
 from __future__ import annotations
@@ -181,6 +182,14 @@ def _seed(seed: int) -> int:
     return seed
 
 
+def _threads() -> int:
+    """CFL_THREADS, how many seeds of pipeline --seeds run at once; unset or empty is 1."""
+    value = os.environ.get("CFL_THREADS") or "1"
+    if not (value.isdecimal() and int(value) >= 1):
+        raise InputError(f"CFL_THREADS must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _check_flags(args) -> None:
     """Every flag that needs no input, checked before any command does work."""
     seed = getattr(args, "seed", None)
@@ -206,6 +215,8 @@ def _check_flags(args) -> None:
         raise InputError("--seed is required for the span audit")
     if seed is None and getattr(args, "prop3", False):
         raise InputError("--seed is required for the prop3 subset check")
+    if getattr(args, "seeds", None) is not None:
+        _threads()
 
 
 # ---------------------------------------------------------------- subcommands
@@ -295,13 +306,9 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from .pipeline import fan_out
-
     g = _read_graph(args.infile)
-    if args.seeds is not None:
-        seeds = [_seed(s) for s in _int_list(args.seeds, "--seeds")]
-    else:
-        seeds = [args.seed]
+    seeds = [args.seed] if args.seeds is None else [_seed(s) for s in _int_list(args.seeds, "--seeds")]
+    threads = 1 if args.seeds is None else _threads()
 
     def run_one(seed: int):
         config = PipelineConfig(seed=seed, mode=args.mode, ell=args.ell, epsilon=args.epsilon,
@@ -312,7 +319,12 @@ def _cmd_pipeline(args) -> int:
         return report, ms
 
     try:
-        runs = fan_out(run_one, seeds)
+        if threads > 1 and len(seeds) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(threads) as pool:
+                runs = list(pool.map(run_one, seeds))
+        else:
+            runs = [run_one(seed) for seed in seeds]
     except HypothesisRejected as exc:
         payload = {"error": str(exc), "hypothesis": exc.report}
         _deliver(payload, args.out)
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--tol", type=float, default=1e-7)
     group = pl.add_mutually_exclusive_group(required=True)
     group.add_argument("--seed", type=int)
-    group.add_argument("--seeds", help="comma-separated seed list (fan-out)")
+    group.add_argument("--seeds", help="comma-separated seed list, run CFL_THREADS at once")
     pl.add_argument("--force", action="store_true", help="run despite hypothesis failure")
     pl.add_argument("--csv", help="per-seed coverage table (seed, ell, uncovered, ms)")
     add_common(pl)

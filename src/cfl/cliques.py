@@ -202,6 +202,8 @@ def span_clique_audit(g: Graph, t: int, size: int, trials: int, seed: int):
 
     Returns (failures, witness) with witness the first failing subset.
     """
+    if t > g.n:
+        raise InputError(f"t must be at most n={g.n} for the span audit, got {t}")
     if not 1 <= size <= g.n:
         raise InputError(f"size must be in [1, n={g.n}], got {size}")
     if trials < 1:

@@ -20,8 +20,6 @@ so identical (graph, config) runs produce identical reports.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -40,18 +38,6 @@ from .graphs import (
     uniform_weights,
 )
 from .spectral import beta_exponent, hypothesis_check, second_eigenvalue
-
-
-def fan_out(fn, items) -> list:
-    """[fn(x) for x in items], in order, on CFL_THREADS threads (sequential when unset)."""
-    try:
-        workers = max(1, int(os.environ.get("CFL_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +192,11 @@ def sparse_extract(g: Graph, t: int, ell: int, seed: int, tol: float = TOL_DEFAU
         raise InputError(f"t must be >= 3, got {t}")
     assign, parts = _split(g, ell, seed)
 
-    def solve(i: int) -> tuple:
-        cs = enumerate_cliques(parts[i], t)
-        if not np.bincount(cs.members.ravel(), minlength=g.n).all():
-            return cs, None
-        return cs, has_fractional_factor(uniform_weights(parts[i]), cs, tol)
-
-    solved = fan_out(solve, range(ell))
+    solved = []  # (clique set, certificate or None) of each part
+    for part in parts:
+        cs = enumerate_cliques(part, t)
+        covered = np.bincount(cs.members.ravel(), minlength=g.n).all()
+        solved.append((cs, has_fractional_factor(uniform_weights(part), cs, tol) if covered else None))
     members = np.concatenate([cs.members for cs, _ in solved])
     # part i's edges are the host edges assigned to it, in host order
     host_ids = [np.flatnonzero(assign == i).astype(np.int32) for i in range(ell)]

@@ -127,7 +127,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8) -> SpectralCert:
     a = adjacency_matrix(g)
     blas.one_thread()
     if method == "dense_eig":
-        lam, residual, mu2, mun = _dense_lambda(a, d, tol)
+        lam, residual, mu2, mun = _dense_lambda(a, tol)
     else:
         lam, residual, mu2, mun = _lanczos_lambda(a, d, tol)
     return SpectralCert(
@@ -143,7 +143,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-8) -> SpectralCert:
     )
 
 
-def _dense_lambda(a: sparse.csr_matrix, d: int, tol: float):
+def _dense_lambda(a: sparse.csr_matrix, tol: float):
     """lambda from the full eigendecomposition of the densified adjacency a.
 
     The witness eigenpair's residual is taken against a itself, in CSR form,

@@ -15,7 +15,7 @@ from cfl import blas
 from cfl.cli import main
 from cfl.generators import GenSpec, build
 from cfl.graphs import WeightedGraph, uniform_weights, write_graph, write_weighted_graph
-from cfl.pipeline import PipelineConfig, run_end_to_end, sparse_extract
+from cfl.pipeline import PipelineConfig, run_end_to_end
 
 SETTER = blas._openblas()
 needs_openblas = pytest.mark.skipif(SETTER is None, reason="scipy's bundled OpenBLAS not found")
@@ -72,16 +72,19 @@ def solves(monkeypatch) -> list:
 
 @needs_openblas
 class TestOneThread:
-    def test_each_dense_solve_runs_on_one_thread(self, solves, monkeypatch):
+    def test_each_dense_solve_runs_on_one_thread(self, solves, tmp_path, monkeypatch):
         monkeypatch.setenv("CFL_THREADS", "2")
+        g = _rr(90, 45, 31)
+        host = tmp_path / "host.txt"
+        host.write_text(write_graph(g))
         previous = SETTER(2)
         try:
-            g = _rr(90, 45, 31)
             run_end_to_end(g, 3, PipelineConfig(seed=0, force=True))
             monkeypatch.setattr(spectral_mod, "DENSE_LIMIT", 59)  # n = 60 takes Lanczos
             spectral_mod.second_eigenvalue(_rr(60, 6, 0))
-            # the parts' certificates run on the fan-out's worker threads
-            sparse_extract(g, 3, 3, 0)
+            # the two seeds run on the pool's worker threads
+            assert main(["pipeline", "--in", str(host), "--t", "3", "--seeds", "0,1", "--force",
+                         "--mode", "sparse", "--ell", "3", "--out", str(tmp_path / "out.json")]) == 1
             after = _count()
         finally:
             SETTER(previous)

@@ -282,12 +282,13 @@ class TestAnalysisCommands:
         assert (audit["size"], audit["failures"]) == (3, 0)
 
     def test_cliques_span_size_over_n_exits_2(self, k6_file, tmp_path, capsys):
-        # the default size is at least t, which K_6 cannot hold at t = 7
+        # the default size is at least t, which K_6 cannot hold at t = 7: the
+        # message names t, the flag the user set, not the derived size
         out = tmp_path / "out"
         code = main(["cliques", "--in", k6_file, "--t", "7", "--span-trials", "2",
                      "--seed", "1", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "error: size must be in [1, n=6], got 7\n"
+        assert capsys.readouterr().err == "error: t must be at most n=6 for the span audit, got 7\n"
         assert not out.exists()
 
     def test_cliques_window_over_the_cap_exits_3(self, k6_file, capsys, monkeypatch):
@@ -604,6 +605,28 @@ class TestSharedFlags:
         assert captured.err == expected
         assert not out.exists() and not table.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+    def test_cfl_threads_must_be_a_positive_integer(self, value, tmp_path, capsys, monkeypatch):
+        # checked with the flags: the missing input is never opened
+        monkeypatch.setenv("CFL_THREADS", value)
+        out = tmp_path / "out"
+        code = main(["pipeline", "--in", str(tmp_path / "missing.txt"), "--t", "3",
+                     "--seeds", "0,1", "--force", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: CFL_THREADS must be a positive integer, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,seeds", [("", ["--seeds", "0,1"]), ("abc", ["--seed", "0"])],
+                             ids=["empty-seeds", "unread-seed"])
+    def test_cfl_threads_empty_or_unread_runs(self, value, seeds, k6_file, capsys, monkeypatch):
+        # an empty value is one thread, and a single --seed never reads it
+        monkeypatch.setenv("CFL_THREADS", value)
+        argv = ["pipeline", "--in", k6_file, "--t", "3", "--force", "--mode", "dense", "--ell", "2"]
+        assert main([*argv, *seeds]) == 1
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7"])
     @pytest.mark.parametrize(
         "argv",
@@ -710,18 +733,21 @@ class TestPipelineCommand:
         assert rows[1].startswith("0,2,") and rows[2].startswith("1,2,")
 
     def test_sparse_reports_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
-        # with CFL_THREADS = 2 the two part certificates run concurrently
+        # with CFL_THREADS = 2 two seeds of --seeds run at once, in sparse
+        # mode and in auto mode (which takes the dense engine here)
         path = tmp_path / "rr.txt"
         path.write_text(write_graph(gen_random_regular(90, 45, 31)))
-        argv = ["pipeline", "--in", str(path), "--t", "3", "--seed", "0", "--force",
-                "--mode", "sparse", "--ell", "2"]
-        monkeypatch.delenv("CFL_THREADS", raising=False)
-        assert main([*argv, "--out", str(tmp_path / "serial.json")]) == 1
-        monkeypatch.setenv("CFL_THREADS", "2")
-        assert main([*argv, "--out", str(tmp_path / "threaded.json")]) == 1
-        serial = (tmp_path / "serial.json").read_bytes()
-        assert json.loads(serial)["parameters"]["ell_achieved"] == 2
-        assert (tmp_path / "threaded.json").read_bytes() == serial
+        for mode in (["--mode", "sparse", "--ell", "2"], ["--mode", "auto"]):
+            argv = ["pipeline", "--in", str(path), "--t", "3", "--seeds", "0,1,2,3", "--force", *mode]
+            monkeypatch.delenv("CFL_THREADS", raising=False)
+            assert main([*argv, "--out", str(tmp_path / "serial.json")]) == 1
+            monkeypatch.setenv("CFL_THREADS", "2")
+            assert main([*argv, "--out", str(tmp_path / "threaded.json")]) == 1
+            serial = (tmp_path / "serial.json").read_bytes()
+            reports = json.loads(serial)
+            assert [r["parameters"]["seed"] for r in reports] == [0, 1, 2, 3]
+            assert all(r["parameters"]["ell_achieved"] >= 2 for r in reports)
+            assert (tmp_path / "threaded.json").read_bytes() == serial
 
     def test_seed_and_seeds_are_exclusive(self, k6_file, capsys):
         code = main(

@@ -178,8 +178,7 @@ class TestSecondEigenvalue:
         gen_random_regular(160, 80, 31),
     ], ids=["K_7", "C_5", "petersen", "paley13", "rr_160_80"])
     def test_dense_path_matches_numpy_eigvalsh(self, g):
-        d = int(g.m * 2 // g.n)
-        lam, residual, mu2, mun = spectral_mod._dense_lambda(adjacency_matrix(g), d, 1e-8)
+        lam, residual, mu2, mun = spectral_mod._dense_lambda(adjacency_matrix(g), 1e-8)
         vals = np.linalg.eigvalsh(adjacency_matrix(g).toarray())  # ascending oracle
         assert abs(mu2 - vals[-2]) <= 1e-10 and abs(mun - vals[0]) <= 1e-10
         assert abs(lam - np.abs(vals[:-1]).max()) <= 1e-10

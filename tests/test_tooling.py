@@ -141,18 +141,58 @@ def test_library_calls_no_blas_dot_product():
     assert hits == []
 
 
-def _library_calls():
-    """(file, line, enclosing top-level definition, called name) of every call in cfl."""
+def _library_modules():
+    """(file, parsed tree) of every module of cfl."""
     for name in sorted(os.listdir(SRC_CFL)):
         if name.endswith(".py"):
             with open(os.path.join(SRC_CFL, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), name)
-            for top in tree.body:
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Call):
-                        func = node.func
-                        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                        yield name, node.lineno, getattr(top, "name", "<module>"), called
+                yield name, ast.parse(fh.read(), name)
+
+
+def _library_calls():
+    """(file, line, enclosing top-level definition, called name) of every call in cfl."""
+    for name, tree in _library_modules():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    yield name, node.lineno, getattr(top, "name", "<module>"), called
+
+
+def test_only_the_cli_reads_the_environment():
+    # the library takes its settings as arguments; CFL_THREADS, how many
+    # seeds of `pipeline --seeds` run at once, is read by cli.py alone
+    banned = {"environ", "getenv"}
+    hits = []
+    for name, tree in _library_modules():
+        if name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                hits.append(f"{name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hits += [f"{name}:{node.lineno}: {a.name}" for a in node.names if a.name in banned]
+    assert hits == []
+
+
+def test_only_the_cli_starts_threads():
+    # sparse parts are certified one after another; the one thread pool is
+    # the one `pipeline --seeds` runs its seeds on, in cli.py
+    banned = {"concurrent", "threading"}
+    hits = []
+    for name, tree in _library_modules():
+        if name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            hits += [f"{name}:{node.lineno}: {m}" for m in modules if m.split(".")[0] in banned]
+    assert hits == []
 
 
 def test_only_has_fractional_factor_decides_the_certificate():
@@ -210,10 +250,11 @@ def test_solvers_are_not_imported_at_load():
 def test_graph_layer_imports_no_scipy_at_load():
     # `import cfl` loads the package and these three modules only, with numpy,
     # and `cfl gen` loads cli.py beside them; the solver layers, and scipy
-    # with them, load on the first name used or command that needs them
+    # with them, load on the first name used or command that needs them, and
+    # concurrent.futures only when `pipeline --seeds` runs seeds at once
     files = ("__init__.py", "errors.py", "graphs.py", "generators.py", "cli.py")
     solver_layers = ("spectral", "cliques", "factor_lp", "pipeline", "blas", "acceptance")
-    banned = ("scipy", *(f"cfl.{name}" for name in solver_layers))
+    banned = ("scipy", "concurrent", *(f"cfl.{name}" for name in solver_layers))
     assert _load_time_hits(files, banned) == []
 
 
